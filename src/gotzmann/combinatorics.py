@@ -148,9 +148,11 @@ def lexsegment(u: Monomial, cap: int | None = DEFAULT_CAP) -> MonomialSet:
     els = [Monomial(u.n, ((deg(u),) + (0,) * (u.n - 1)))]
     while els[-1] != u:
         nxt = _next_below(els[-1])
-        assert nxt is not None
+        if nxt is None:
+            raise RuntimeError(f"lexsegment fell off the slice before reaching {u}")
         els.append(nxt)
-    assert len(els) == count
+    if len(els) != count:
+        raise RuntimeError(f"lexsegment above {u} has {len(els)} elements, lex_rank says {count}")
     return MonomialSet(u.n, tuple(els))
 
 
@@ -164,9 +166,11 @@ def lexinterval(v: Monomial, u: Monomial, cap: int | None = DEFAULT_CAP) -> Mono
     cur = v
     for _ in range(count):
         cur = _next_below(cur)
-        assert cur is not None
+        if cur is None:
+            raise RuntimeError(f"interval from {v} fell off the slice before reaching {u}")
         els.append(cur)
-    assert count == 0 or els[-1] == u
+    if count and els[-1] != u:
+        raise RuntimeError(f"interval from {v} ends at {els[-1]}, not {u}")
     return MonomialSet(u.n, tuple(els))
 
 
@@ -244,5 +248,6 @@ def borel_size(u: Monomial) -> int:
 def gap_count(u: Monomial) -> int:
     """lex_rank(u) - borel_size(u): how much of the segment above u the closure misses."""
     g = lex_rank(u) - borel_size(u)
-    assert g >= 0
+    if g < 0:
+        raise RuntimeError(f"closure of {u} is larger than the segment above it")
     return g

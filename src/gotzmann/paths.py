@@ -3,8 +3,8 @@
 The elementary step from u to pred(u) costs the largest variable of u, and
 costs multiply along a walk, so the cost of climbing from u to some v above
 it is a monomial whose degree counts the steps.  Walking step by step is the
-oracle; the block engine below jumps over whole runs in closed form and is
-bit-identical to the stepper.
+oracle (advance with engine="elementary"); the block walk below jumps over
+whole runs in closed form and is bit-identical to the stepper.
 
 A block converts part of the top run: from v * x_m^k to v * x_{m-1}^l * x_m^{k-l}
 at a cost of
@@ -13,25 +13,37 @@ at a cost of
 
 which for m = n degenerates to x_n^l (one cheap step per unit).  Every state
 inside a block lies on the elementary chain, so jumping is exact, and the
-cost exponents are monotone in l, which lets advance pick the largest block
-fitting a step budget (doubling then bisection) and lets find_z pick the
-largest block whose visible part stays under a componentwise deficit.
+cost exponents are monotone in l.
 
-find_z hunts for the first state whose cost, truncated below x_n, equals a
-target w.  Blocks whose visible cost would exactly consume the deficit are
-shrunk by one: costs only grow along the chain, so a block strictly under
-the deficit can hide no interior hit, while an exact-hit block might (the
-first hit can sit mid-run, right after an elementary step).
+One kernel, _walk, runs every block walk.  At each jump it takes the largest
+block its rule admits (doubling, then bisection over l), or one elementary
+step when not even l = 1 is admitted, and charges the rule for it.  There
+are two rules:
+
+- budget (advance): the block's total steps stay within the steps left;
+- deficit (find_z): the block's cost below x_n stays within what is left of
+  a target w, component by component.
+
+A probe computes the cost exponents lazily from x_m upward and stops at the
+first one that breaks the rule; the deficit rule never computes the x_n
+exponent.  The l-free terms C(k+s-1, s+1) are computed once per jump.
+
+find_z hunts for the first state whose cost, truncated below x_n, equals w.
+A block whose visible cost would consume the deficit exactly is shrunk by
+one: costs only grow along the chain, so a block strictly under the deficit
+can hide no interior hit, while an exact-hit block might (the first hit can
+sit mid-run, right after an elementary step).  An elementary step the
+deficit cannot pay raises TargetOvershoot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
-from .combinatorics import CapExceeded, binom, borel_size, lex_rank
+from .combinatorics import CapExceeded, binom, gap_count, lex_rank
 from .maxgen import target_decompose
-from .monomial import Monomial, deg, lex_cmp, max_index, one, pred, variable
+from .monomial import Monomial, deg, lex_cmp, max_index, pred, variable
 
 DEFAULT_MAX_JUMPS = 1_000_000
 DEFAULT_MAX_ELEMENTARY = 10_000_000
@@ -70,22 +82,20 @@ def partial_conversion_cost(v: Monomial, m: int, k: int, l: int, n: int) -> Mono
         raise ValueError(f"v must live in ambient {n}, got {v.n}")
     if deg(v) > 0 and max_index(v) >= m:
         raise ValueError(f"v = {v} must involve only variables below x{m}")
-    return _block_cost(m, k, l, n)
+    return Monomial(n, (0,) * (m - 1) + tuple(_block_exps(m, k, l, n, [])))
 
 
-def _block_cost(m: int, k: int, l: int, n: int) -> Monomial:
-    e = [0] * n
-    e[m - 1] = l
+def _block_exps(m: int, k: int, l: int, n: int, tops: list[int]) -> Iterator[int]:
+    """Exponents of the (m, k, l) block cost from x_m upward, computed on demand.
+
+    tops caches the l-free terms C(k+s-1, s+1); share it between the probes
+    of one jump.
+    """
+    yield l
     for s in range(1, n - m + 1):
-        e[m + s - 1] = binom(k + s - 1, s + 1) - binom(k - l + s - 1, s + 1)
-    return Monomial(n, tuple(e))
-
-
-def _block_steps(m: int, k: int, l: int, n: int) -> int:
-    total = l
-    for s in range(1, n - m + 1):
-        total += binom(k + s - 1, s + 1) - binom(k - l + s - 1, s + 1)
-    return total
+        if len(tops) < s:
+            tops.append(binom(k + s - 1, s + 1))
+        yield tops[s - 1] - binom(k - l + s - 1, s + 1)
 
 
 def _largest_l(a: int, fits: Callable[[int], bool]) -> int:
@@ -109,16 +119,110 @@ def _largest_l(a: int, fits: Callable[[int], bool]) -> int:
     return lo
 
 
-def _emit(trace: TraceFn | None, frm: Monomial, to: Monomial, cost: Monomial, done: int) -> None:
-    if trace is not None:
-        trace(
-            {
-                "from": str(frm),
-                "to": str(to),
-                "block_cost": str(cost),
-                "steps_so_far": str(done),
-            }
-        )
+class _Budget:
+    """advance's rule: a block's total steps stay within the steps left."""
+
+    def __init__(self, left: int) -> None:
+        self.left = left
+
+    def met(self) -> bool:
+        return self.left == 0
+
+    def fits(self, m: int, exps: Iterator[int]) -> bool:
+        total = 0
+        for e in exps:
+            total += e
+            if total > self.left:
+                return False
+        return True
+
+    def exact_hit(self, m: int, exps: Iterator[int]) -> bool:
+        return False
+
+    def take(self, m: int, exps: list[int]) -> None:
+        self.left -= sum(exps)
+
+
+class _Deficit:
+    """find_z's rule: a block's cost below x_n stays within the deficit, componentwise."""
+
+    def __init__(self, deficit: list[int]) -> None:
+        self.deficit = deficit  # x_1 .. x_{n-1}; x_n costs nothing here
+
+    def met(self) -> bool:
+        return not any(self.deficit)
+
+    def fits(self, m: int, exps: Iterator[int]) -> bool:
+        # the deficit comes first, so zip stops before computing the x_n exponent
+        for d, e in zip(self.deficit[m - 1:], exps):
+            if e > d:
+                return False
+        return True
+
+    def exact_hit(self, m: int, exps: Iterator[int]) -> bool:
+        """Would the block consume the whole deficit?  Then it may hide the first hit."""
+        if any(self.deficit[: m - 1]):
+            return False
+        return all(e == d for d, e in zip(self.deficit[m - 1:], exps))
+
+    def take(self, m: int, exps: list[int]) -> None:
+        for i, e in zip(range(m - 1, len(self.deficit)), exps):
+            if e > self.deficit[i]:
+                raise TargetOvershoot(
+                    f"target component x{i + 1} is exhausted; no walk realizes "
+                    f"the base of mg (t below the lower threshold?)"
+                )
+            self.deficit[i] -= e
+
+
+def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None) -> WalkState:
+    """Walk upward from origin, block by block, until the rule is met."""
+    n = origin.n
+    cur = origin
+    cost = [0] * n
+    done = 0
+    jumps = 0
+    while not rule.met():
+        jumps += 1
+        if jumps > max_jumps:
+            raise CapExceeded(f"walk exceeded the jump cap of {max_jumps}")
+        m = max_index(cur)
+        if m == 1:
+            raise TargetOvershoot(f"slice exhausted above {origin} with target unmet")
+        a = cur.exps[m - 1]
+        tops: list[int] = []
+        l = _largest_l(a, lambda l: rule.fits(m, _block_exps(m, a, l, n, tops)))
+        if l and rule.exact_hit(m, _block_exps(m, a, l, n, tops)):
+            l -= 1
+        if l:
+            exps = list(_block_exps(m, a, l, n, tops))
+            e = list(cur.exps)
+            e[m - 2] += l
+            e[m - 1] = a - l
+            nxt = Monomial(n, tuple(e))
+        else:
+            # even a one-unit block breaks the rule; one elementary step
+            exps = [1] + [0] * (n - m)
+            nxt = pred(cur)
+        rule.take(m, exps)
+        block = (0,) * (m - 1) + tuple(exps)
+        cost = [c + b for c, b in zip(cost, block)]
+        done += sum(exps)
+        if trace is not None:
+            _emit(trace, cur, nxt, Monomial(n, block), done)
+        cur = nxt
+    return WalkState(cur, Monomial(n, tuple(cost)), done)
+
+
+def _emit(trace: TraceFn, frm: Monomial, to: Monomial, cost: Monomial, done: int) -> None:
+    trace(
+        {
+            "from": str(frm),
+            "to": str(to),
+            "block_cost": str(cost),
+            "steps_so_far": str(done),
+        }
+    )
 
 
 def advance(
@@ -162,41 +266,7 @@ def advance(
         return WalkState(cur, Monomial(n, tuple(cost)), budget)
     if engine != "block":
         raise ValueError(f"unknown walk engine {engine!r}")
-
-    cur = origin
-    cost = [0] * n
-    left = budget
-    jumps = 0
-    while left > 0:
-        jumps += 1
-        if jumps > max_jumps:
-            raise CapExceeded(f"walk exceeded the jump cap of {max_jumps}")
-        m = max_index(cur)
-        a = cur.exps[m - 1]
-        if m == n:
-            l = min(a, left)
-        else:
-            l = _largest_l(a, lambda l: _block_steps(m, a, l, n) <= left)
-        if l == 0:
-            # even a one-unit conversion is too long; one elementary step
-            cost[m - 1] += 1
-            nxt = pred(cur)
-            left -= 1
-            if trace is not None:
-                _emit(trace, cur, nxt, variable(m, n), budget - left)
-            cur = nxt
-            continue
-        bc = _block_cost(m, a, l, n)
-        e = list(cur.exps)
-        e[m - 2] += l
-        e[m - 1] = a - l
-        nxt = Monomial(n, tuple(e))
-        for i in range(n):
-            cost[i] += bc.exps[i]
-        left -= deg(bc)
-        _emit(trace, cur, nxt, bc, budget - left)
-        cur = nxt
-    return WalkState(cur, Monomial(n, tuple(cost)), budget)
+    return _walk(origin, _Budget(budget), max_jumps, trace)
 
 
 def cost_between(
@@ -213,20 +283,19 @@ def cost_between(
     budget = lex_rank(u) - lex_rank(v)
     st = advance(u, budget, engine=engine, max_jumps=max_jumps,
                  max_elementary=max_elementary, trace=trace)
-    assert st.current == v
+    if st.current != v:
+        raise RuntimeError(f"walk of {budget} steps from {u} ended at {st.current}, not {v}")
     return st.cost
 
 
 def u_tilde(u: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> Monomial:
-    """pred^g(u) where g = lex_rank(u) - borel_size(u)."""
-    g = lex_rank(u) - borel_size(u)
-    return advance(u, g, max_jumps=max_jumps).current
+    """pred^g(u) where g = gap_count(u)."""
+    return advance(u, gap_count(u), max_jumps=max_jumps).current
 
 
 def mc(u: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS, trace: TraceFn | None = None) -> Monomial:
-    """Cost of the walk from u up to pred^g(u), g = lex_rank(u) - borel_size(u)."""
-    g = lex_rank(u) - borel_size(u)
-    return advance(u, g, max_jumps=max_jumps, trace=trace).cost
+    """Cost of the walk from u up to pred^g(u), g = gap_count(u)."""
+    return advance(u, gap_count(u), max_jumps=max_jumps, trace=trace).cost
 
 
 def xn_power_path(u: Monomial, b: int) -> Monomial:
@@ -268,87 +337,5 @@ def find_z(
     """
     decomp = target_decompose(u0, n, t)
     origin = Monomial(n, u0.exps + (t,))
-    deficit = list(decomp.base.exps[: n - 1])
-    if not any(deficit):
-        return origin, WalkState(origin, one(n), 0)
-    cur = origin
-    cost = [0] * n
-    done = 0
-    jumps = 0
-    while True:
-        jumps += 1
-        if jumps > max_jumps:
-            raise CapExceeded(f"walk exceeded the jump cap of {max_jumps}")
-        m = max_index(cur)
-        if m == 1:
-            raise TargetOvershoot(f"slice exhausted above {origin} with target unmet")
-        a = cur.exps[m - 1]
-        if m == n:
-            # conversion of the top run is invisible below x_n; take it whole
-            cost[n - 1] += a
-            done += a
-            e = list(cur.exps)
-            e[n - 2] += a
-            e[n - 1] = 0
-            nxt = Monomial(n, tuple(e))
-            if trace is not None:
-                _emit(trace, cur, nxt, _block_cost(n, a, a, n), done)
-            cur = nxt
-            continue
-
-        def vis_fits(l: int) -> bool:
-            if l > deficit[m - 1]:
-                return False
-            for s in range(1, n - m):
-                delta = binom(a + s - 1, s + 1) - binom(a - l + s - 1, s + 1)
-                if delta > deficit[m + s - 1]:
-                    return False
-            return True
-
-        l = _largest_l(a, vis_fits)
-        if l >= 1 and _visible_exactly(m, a, l, n, deficit):
-            # an exact-hit block may hide the first hit in its interior
-            l -= 1
-        if l >= 1:
-            bc = _block_cost(m, a, l, n)
-            e = list(cur.exps)
-            e[m - 2] += l
-            e[m - 1] = a - l
-            nxt = Monomial(n, tuple(e))
-            for i in range(n):
-                cost[i] += bc.exps[i]
-                if i < n - 1:
-                    deficit[i] -= bc.exps[i]
-            done += deg(bc)
-            _emit(trace, cur, nxt, bc, done)
-            cur = nxt
-            continue
-        # single elementary step, paid in x_m
-        if deficit[m - 1] == 0:
-            raise TargetOvershoot(
-                f"target component x{m} is exhausted at {cur}; no walk from "
-                f"{origin} realizes the base of mg (t below the lower threshold?)"
-            )
-        deficit[m - 1] -= 1
-        cost[m - 1] += 1
-        done += 1
-        nxt = pred(cur)
-        if trace is not None:
-            _emit(trace, cur, nxt, variable(m, n), done)
-        cur = nxt
-        if not any(deficit):
-            return cur, WalkState(cur, Monomial(n, tuple(cost)), done)
-
-
-def _visible_exactly(m: int, a: int, l: int, n: int, deficit: list[int]) -> bool:
-    """Would the visible part of the (m, a, l) block consume the deficit exactly?"""
-    for i in range(m - 1):
-        if deficit[i] != 0:
-            return False
-    if deficit[m - 1] != l:
-        return False
-    for s in range(1, n - m):
-        delta = binom(a + s - 1, s + 1) - binom(a - l + s - 1, s + 1)
-        if deficit[m + s - 1] != delta:
-            return False
-    return True
+    state = _walk(origin, _Deficit(list(decomp.base.exps[: n - 1])), max_jumps, trace)
+    return state.current, state

@@ -36,7 +36,7 @@ from .combinatorics import (
     lexsegment,
     lex_rank,
 )
-from .maxgen import maxgen_of_set, mg_closed, target_decompose
+from .maxgen import f_poly_eval, maxgen_of_set, mg_closed
 from .monomial import Monomial, deg, deg_in, truncate, variable_power
 from .paths import DEFAULT_MAX_JUMPS, TraceFn, advance, find_z
 
@@ -147,7 +147,7 @@ def _tau_core(u0: Monomial, n: int, max_jumps: int, trace: TraceFn | None) -> Th
     u0_prev = truncate(u0, n - 1)
     sub = tau(u0_prev, n - 1, max_jumps=max_jumps, trace=trace)
     t_star = sub.tau
-    f_star = target_decompose(u0_prev, n, t_star).xn_exp
+    f_star = f_poly_eval(u0_prev, n, t_star)
     z, state = find_z(u0_prev, n, t_star, max_jumps=max_jumps, trace=trace)
     h_star = deg_in(state.cost, n)
     k_star = deg_in(z, n)
@@ -189,7 +189,8 @@ def _tau4(b: int, c: int) -> int:
     if b < 0 or c < 0:
         raise ValueError("exponents must be nonnegative")
     third = (b + 4) * binom(b, 2)
-    assert third % 3 == 0
+    if third % 3:
+        raise RuntimeError(f"tau4 law broken: (b + 4) * C(b, 2) = {third} is not divisible by 3")
     return binom(binom(b, 2), 2) + third // 3 + (b + 1) * binom(c + 1, 2) + binom(c + 1, 3) - c
 
 

@@ -50,6 +50,12 @@ class TestQueries:
         code, out, _ = run(capsys, "mg", "--n", "5", "x2^2*x4", "--t", "2")
         assert out == "x3*x4^4*x5^12\n"
 
+    def test_mg_renders_integers_of_any_size(self, capsys):
+        code, out, _ = run(capsys, "mg", "--n", "8", "x2^2", "--t", str(10**1000))
+        assert code == EXIT_OK
+        exponents = [factor.partition("^")[2] for factor in out.strip().split("*")]
+        assert max(len(e) for e in exponents) > 4300
+
     def test_mc(self, capsys):
         assert run(capsys, "mc", "--n", "3", "x2^2")[1] == "x2\n"
 

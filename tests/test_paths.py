@@ -216,3 +216,60 @@ class TestFindZ:
     def test_jump_cap(self):
         with pytest.raises(CapExceeded):
             find_z(parse("x2^4", 4), 5, 31, max_jumps=2)
+
+
+def _jump(frm, to, block_cost, steps_so_far):
+    return {"from": frm, "to": to, "block_cost": block_cost, "steps_so_far": steps_so_far}
+
+
+class TestTraceStream:
+    def test_find_z_golden(self):
+        records = []
+        z, _ = find_z(parse("x2^2*x4", 4), 5, 4, trace=records.append)
+        assert z == parse("x2^3*x3*x5^3", 5)
+        assert records == [
+            _jump("x2^2*x4*x5^4", "x2^2*x4^5", "x5^4", "4"),
+            _jump("x2^2*x4^5", "x2^2*x3^5", "x4^5*x5^10", "19"),
+            _jump("x2^2*x3^5", "x2^3*x5^4", "x3", "20"),
+            _jump("x2^3*x5^4", "x2^3*x4^4", "x5^4", "24"),
+            _jump("x2^3*x4^4", "x2^3*x3*x5^3", "x4", "25"),
+        ]
+
+    def test_advance_golden(self):
+        records = []
+        st_ = advance(parse("x4^6", 5), 40, trace=records.append)
+        assert st_ == WalkState(parse("x2*x3^4*x5", 5), parse("x3*x4^10*x5^29", 5), 40)
+        assert records == [
+            _jump("x4^6", "x3^6", "x4^6*x5^15", "21"),
+            _jump("x3^6", "x2*x5^5", "x3", "22"),
+            _jump("x2*x5^5", "x2*x4^5", "x5^5", "27"),
+            _jump("x2*x4^5", "x2*x3^3*x4^2", "x4^3*x5^9", "39"),
+            _jump("x2*x3^3*x4^2", "x2*x3^4*x5", "x4", "40"),
+        ]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_records_chain_up_to_the_returned_state(self, data):
+        if data.draw(st.booleans()):
+            below, above = random_slice_pair(data)
+            walk = lambda trace: advance(below, lex_rank(below) - lex_rank(above), trace=trace)
+            origin = below
+        else:
+            n = data.draw(st.integers(3, 5))
+            u0 = data.draw(st.sampled_from(list(enumerate_monomials(n - 1, data.draw(st.integers(1, 3))))))
+            t = data.draw(st.integers(0, 6))
+            walk = lambda trace: find_z(u0, n, t, trace=trace)[1]
+            origin = Monomial(n, u0.exps + (t,))
+        records = []
+        try:
+            state = walk(records.append)
+        except TargetOvershoot:
+            return
+        at, done = str(origin), 0
+        for r in records:
+            assert r["from"] == at
+            done += deg(parse(r["block_cost"], origin.n))
+            assert r["steps_so_far"] == str(done)
+            at = r["to"]
+        assert at == str(state.current)
+        assert done == state.steps

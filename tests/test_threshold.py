@@ -94,6 +94,15 @@ class TestTau:
             level = level.sub_report
         assert level.tau == 0
 
+    def test_target_evaluated_once_per_level(self, monkeypatch):
+        from gotzmann import maxgen
+
+        calls = []
+        real = maxgen.mg_closed
+        monkeypatch.setattr(maxgen, "mg_closed", lambda u: calls.append(u) or real(u))
+        tau(parse("x2^3", 6), 6)
+        assert len(calls) == 4
+
     def test_base_case(self):
         assert tau(parse("x1^3", 2), 2).tau == 0
         assert tau(one(2), 2).tau == 0
