@@ -7,12 +7,15 @@ output renders big integers as decimal strings so nothing is ever rounded by
 a consumer.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 internal error (a broken invariant or exhausted
+memory).
 
 Threshold reports can be cached in an append-only JSONL file (--cache or the
 GOTZ_CACHE environment variable), keyed by package version, ambient and the
-x_n-free core; entries from other versions are ignored.  A cache hit replays
-the stored report byte for byte.
+x_n-free core; entries from other versions are ignored, and so is any tower
+that is malformed or inconsistent at some level (see _valid_tower).  A cache
+hit replays the stored report byte for byte; a rejected entry counts as a
+miss, so the report is computed again and appended.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
+
+_REPORT_KEYS = {"u0", "n", "t_star", "f", "h", "k", "delta", "tau", "sub_report"}
+_REPORT_COUNTS = ("t_star", "f", "h", "k", "delta", "tau")
 
 
 def _tracer(args) -> None:
@@ -72,7 +79,57 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _load_cache(path: str) -> dict:
+def _valid_tower(rep, n, u0_str) -> bool:
+    """Whether a cached report tower could have come from report_to_dict(tau(...)).
+
+    At every level: exactly the report fields; counts written as canonical
+    decimal strings; the u0 and n that the level above implies; delta = f - h;
+    t_star equal to the tau of the level below; and tau = max(delta - k +
+    t_star - e, 0) with delta - k + t_star >= 0, where e is the exponent of
+    the level's last variable in the u0 above (0 at the top).  The
+    two-variable base is all zeros and has no level below.
+    """
+    if n < 2:
+        return False
+    try:
+        u0 = parse(u0_str, n)
+    except ValueError:
+        return False
+    if str(u0) != u0_str or u0.exps[n - 1]:
+        return False
+    shift = 0
+    while True:
+        if not isinstance(rep, dict) or rep.keys() != _REPORT_KEYS:
+            return False
+        if type(rep["n"]) is not int or rep["n"] != n or rep["u0"] != str(u0):
+            return False
+        vals = {}
+        for key in _REPORT_COUNTS:
+            text = rep[key]
+            if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+                return False
+            if text[0] == "0" and text != "0":
+                return False
+            vals[key] = int(text)
+        value = vals["delta"] - vals["k"] + vals["t_star"]
+        if vals["delta"] != vals["f"] - vals["h"] or value < 0:
+            return False
+        if vals["tau"] != max(value - shift, 0):
+            return False
+        sub = rep["sub_report"]
+        if n == 2:
+            return sub is None and not any(vals.values())
+        # both strings are canonical (checked at this level and the next)
+        if not isinstance(sub, dict) or sub.get("tau") != rep["t_star"]:
+            return False
+        shift = u0.exps[n - 2]
+        n -= 1
+        u0 = Monomial(n, u0.exps[: n - 1] + (0,))
+        rep = sub
+
+
+def _load_cache(path: str, n: int, cores: set) -> dict:
+    """The valid cached towers of the given cores in ambient n, by core; later lines win."""
     entries = {}
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -89,9 +146,10 @@ def _load_cache(path: str) -> dict:
                 continue
             if not isinstance(obj, dict) or obj.get("version") != __version__:
                 continue
-            rep = obj.get("report")
-            if isinstance(rep, dict):
-                entries[(obj.get("n"), obj.get("u0"))] = rep
+            u0_str, rep = obj.get("u0"), obj.get("report")
+            if obj.get("n") == n and isinstance(u0_str, str) and u0_str in cores:
+                if _valid_tower(rep, n, u0_str):
+                    entries[u0_str] = rep
     return entries
 
 
@@ -106,7 +164,7 @@ def _core_report(n: int, core: Monomial, args) -> dict:
     core_str = str(core)
     cache_path = getattr(args, "cache", None) or os.environ.get("GOTZ_CACHE")
     if cache_path:
-        cached = _load_cache(cache_path).get((n, core_str))
+        cached = _load_cache(cache_path, n, {core_str}).get(core_str)
         if cached is not None:
             return cached
     rep = report_to_dict(tau(core, n, max_jumps=args.max_jumps, trace=_tracer(args)))
@@ -331,10 +389,10 @@ def cmd_conjecture(args) -> int:
     scan = conjecture_scan(args.n, range(lo, hi + 1), max_jumps=args.max_jumps)
     cache_path = getattr(args, "cache", None) or os.environ.get("GOTZ_CACHE")
     if cache_path:
-        cache = _load_cache(cache_path)
+        cache = _load_cache(cache_path, args.n, {str(row.report.u0) for row in scan.rows})
         for row in scan.rows:
             key_u0 = str(row.report.u0)
-            if (args.n, key_u0) not in cache:
+            if key_u0 not in cache:
                 _append_cache(cache_path, args.n, key_u0, report_to_dict(row.report))
     if args.json:
         rows = []
@@ -494,3 +552,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, MemoryError) as exc:
+        # after CapExceeded and TargetOvershoot, which are RuntimeErrors too
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL

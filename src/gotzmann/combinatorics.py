@@ -8,14 +8,21 @@ stay exact at any size and are what the fast algorithms rely on.
 
 borel_size uses the standard correspondence between the Borel closure of
 x_{i_1}...x_{i_d} (indices ascending) and nondecreasing sequences j_1 <= ...
-<= j_d with j_k <= i_k; the prefix-sum dynamic program below counts those
-directly.  The enumeration oracle certifies it on small grids in the tests.
+<= j_d with j_k <= i_k.  prefix_borel_sizes counts those one position at a
+time with a prefix-sum dynamic program; it is the per-position oracle.  The
+fast counters never expand u into positions: _run_walk visits each exponent
+run (i, e) of u once and carries the truncated prefix-sum vector v (at most
+max_index(u) entries) across it in closed form, e prefix sums at once.  The
+same walk also sums the gap-form columns that maxgen reads off it, so the
+cost grows with the ambient and the number of runs, not with the size of an
+exponent.  The enumeration oracle certifies it on small grids in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .monomial import Monomial, deg, lex_cmp, max_index
@@ -227,22 +234,83 @@ def prefix_borel_sizes(indices: Sequence[int]) -> list[int]:
     return sizes
 
 
-def _ascending_indices(u: Monomial) -> list[int]:
-    out = []
-    for i, e in enumerate(u.exps, start=1):
-        out.extend([i] * e)
-    return out
+def _run_walk(
+    exps: Sequence[int], d: int = 0, columns: Sequence[int] = ()
+) -> tuple[list[int], list[int]]:
+    """Walk the exponent runs of u = x_1^exps[0] * x_2^exps[1] * ...
+
+    Returns v, the prefix-sum vector of prefix_borel_sizes after the last
+    run (sum(v) is the closure size of u), and for each column j the sum
+
+        sum_k (b_k - 1) * C(d - k - 2 + j - i_{k+1}, j - i_{k+1} - 1)
+
+    over the positions k + 1 of u with index i_{k+1} < j, where b_k is the
+    closure size of the length-k prefix and d is at least deg(u).
+
+    Inside a run (i, e) that starts after p positions, the closure size after
+    j' more positions is B(j') = sum_c v[c] * C(i-1-c+j', j') (hockey stick),
+    and the run adds sum_{j' < e} (B(j') - 1) * C(M - j', s) to column j,
+    with s = j - i - 1 and M = d - p - 1 + s.  That share is evaluated in one
+    of two ways, chosen per column from e and s alone:
+
+    - position sum, for e <= s + 3: the e terms as written, with B(j') read
+      off e single prefix sums of v;
+    - closed form, for longer runs: sum_{m=1}^{s+1} C(M+1-e, s+1-m) * G[m]
+      - (C(M+1, s+1) - C(M+1-e, s+1)), where G[m] = sum_c v[c] *
+      C(i-1-c+e, e-m).  The first sum counts (A+s+1)-subsets of
+      {0, ..., M+A}, A = i-1-c, whose (A+1)-th smallest element lies among
+      the first A+e (Vandermonde); the bracket is the hockey stick for the -1.
+
+    The closed form costs s + 3 binomials of d-sized arguments per column,
+    the position sum e, so each takes the runs it is cheaper on.  Across the
+    run, v advances by e single prefix sums when e <= i or when a position
+    sum needs the sizes, and otherwise by v'[c] = sum_{c' <= c}
+    C(c-c'+e-1, c-c') * v[c'] with i binomials.
+    """
+    v = [1]
+    shares = [0] * len(columns)
+    p = 0
+    for i, e in enumerate(exps, start=1):
+        if not e:
+            continue
+        v += [0] * (i - len(v))
+        closed, position = [], []
+        for col, j in enumerate(columns):
+            if j > i:
+                s = j - i - 1
+                (closed if e > s + 3 else position).append((col, s))
+        g = [0]
+        for m in range(1, max((s for _, s in closed), default=-1) + 2):
+            g.append(sum(vc * binom(i - 1 - c + e, i - 1 - c + m) for c, vc in enumerate(v) if vc))
+        sizes = []
+        if e <= i or position:
+            for _ in range(e):
+                sizes.append(sum(v))
+                v = list(accumulate(v))
+        else:
+            w = [binom(k + e - 1, k) for k in range(i)]
+            v = [sum(w[c - c2] * v[c2] for c2 in range(c + 1)) for c in range(i)]
+        for col, s in closed:
+            top = d - p + s  # M + 1
+            low = top - e  # M + 1 - e
+            share = sum(binom(low, s + 1 - m) * g[m] for m in range(1, s + 2))
+            shares[col] += share - binom(top, s + 1) + binom(low, s + 1)
+        for jp, b in enumerate(sizes if position else ()):
+            weight = b - 1
+            if weight:
+                for col, s in position:
+                    shares[col] += weight * binom(d - p + s - 1 - jp, s)  # C(M - j', s)
+        p += e
+    return v, shares
 
 
 def borel_size(u: Monomial) -> int:
     """Size of the Borel closure of u, without enumeration.
 
-    Runs in O(deg(u) * n); independent of the ambient count beyond max_index(u).
+    One step of _run_walk per exponent run: O(n^2) big-integer operations per
+    run, however large the exponents are.
     """
-    idxs = _ascending_indices(u)
-    if not idxs:
-        return 1
-    return prefix_borel_sizes(idxs)[-1]
+    return sum(_run_walk(u.exps)[0])
 
 
 def gap_count(u: Monomial) -> int:

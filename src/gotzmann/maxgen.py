@@ -3,15 +3,28 @@
 maxgen of a set multiplies the largest variable of every element, so its
 degree equals the set size.  For a monomial u, mg(u) is maxgen of the gaps:
 the members of the lexsegment above u that the Borel closure of u misses.
-mg_oracle computes that by enumeration; mg_closed evaluates a product formula
-indexed by the ascending positions of u, and only positions followed by an
-index below the ambient contribute, which keeps it cheap even when u carries
-a huge power of the last variable.
+mg_oracle computes that by enumeration.  mg_closed evaluates a product formula
+over the ascending positions of u: each position followed by an index below
+the ambient contributes binomial columns weighted by the closure size of the
+prefix before it, and positions followed by x_n contribute nothing.
+_mg_by_position spells that sum out one position at a time and is the
+referee for the fast path.
+
+The fast path never visits single positions.  combinatorics._run_walk visits
+each exponent run (i, e) of u once and adds the run's whole share to every
+column, either as the e-term position sum or, for runs longer than the
+column's binomial order s plus three, as a Vandermonde sum of s + 1 terms
+and a hockey-stick correction.  Each evaluation is taken where it needs fewer
+binomials of degree-sized arguments, which the run length and the column
+decide: the closed form alone would slow down inputs made of short runs,
+the position sum alone makes cost grow with the exponents.  Either way a run
+costs O(n^2) big-integer operations.
 
 Shifting u by x_n^t transforms mg by the t-fold prefix-sum map; f_poly_eval
-gives the x_n-degree of the shifted form directly as a polynomial in t, and
-target_decompose splits the shifted form into its x_n-free base times x_n^f,
-cross-checking the two computations against each other.
+gives the x_n-degree of the shifted form directly, as the x_n column of the
+same walk at degree deg(u0) + t, and target_decompose splits the shifted form
+into its x_n-free base times x_n^f, cross-checking the two computations
+against each other.
 """
 
 from __future__ import annotations
@@ -21,12 +34,13 @@ from dataclasses import dataclass
 from .combinatorics import (
     DEFAULT_CAP,
     MonomialSet,
+    _run_walk,
     binom,
     borel_enumerate,
     lexsegment,
     prefix_borel_sizes,
 )
-from .monomial import Monomial, deg, embed, max_index, mul, one, sigma_pow, variable_power
+from .monomial import Monomial, deg, embed, max_index, mul, sigma_pow, variable_power
 
 
 def maxgen_of_set(s: MonomialSet) -> Monomial:
@@ -57,17 +71,22 @@ def mg_closed(u: Monomial) -> Monomial:
         (prod_{j=i_{k+1}+1}^{n} x_j^{C(d-k-2+j-i_{k+1}, d-k-1)}) ^ (b_k - 1)
 
     contributes, where b_k is the Borel closure size of the length-k prefix.
-    Positions followed by x_n contribute nothing, so only the part of u below
-    x_n is ever expanded.
+    Positions followed by x_n contribute nothing, so only the runs of u below
+    x_n are walked.  combinatorics._run_walk sums the factors of a whole run
+    at once, so the cost is O(n^2) big-integer operations per exponent run
+    and does not grow with the exponents.
     """
+    n = u.n
+    shares = _run_walk(u.exps[: n - 1], deg(u), range(2, n + 1))[1]
+    return Monomial(n, (0, *shares))
+
+
+def _mg_by_position(u: Monomial) -> Monomial:
+    """mg_closed's product formula summed one position at a time (test referee)."""
     n = u.n
     d = deg(u)
     out = [0] * n
-    if d <= 1:
-        return one(n)
-    head = []
-    for i, e in enumerate(u.exps[: n - 1], start=1):
-        head.extend([i] * e)
+    head = [i for i, e in enumerate(u.exps[: n - 1], start=1) for _ in range(e)]
     sizes = prefix_borel_sizes(head)
     for k in range(1, len(head)):
         weight = sizes[k - 1] - 1
@@ -93,26 +112,14 @@ def f_poly_eval(u0: Monomial, n: int, t: int) -> int:
 
         sum_{k=1}^{r-1} C(t + r - k - 2 + n - i_{k+1}, n - 1 - i_{k+1}) * (b_k - 1),
 
-    a polynomial in t of degree at most n - 1 - i_2.  Zero when r <= 1.
+    a polynomial in t of degree at most n - 1 - i_2.  Zero when r <= 1.  It is
+    the x_n column of mg_closed(u0 * x_n^t), read off the same run walk.
     """
     if u0.n != n - 1:
         raise ValueError(f"u0 must live in ambient {n - 1}, got {u0.n}")
     if t < 0:
         raise ValueError("shift must be nonnegative")
-    idxs = []
-    for i, e in enumerate(u0.exps, start=1):
-        idxs.extend([i] * e)
-    r = len(idxs)
-    if r <= 1:
-        return 0
-    sizes = prefix_borel_sizes(idxs)
-    total = 0
-    for k in range(1, r):
-        weight = sizes[k - 1] - 1
-        if weight:
-            i_next = idxs[k]
-            total += weight * binom(t + r - k - 2 + n - i_next, n - 1 - i_next)
-    return total
+    return _run_walk(u0.exps, deg(u0) + t, (n,))[1][0]
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gotzmann import __version__
-from gotzmann.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from gotzmann import cli
+from gotzmann.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from gotzmann.monomial import Monomial
+from gotzmann.threshold import report_to_dict, tau
 
 
 def run(capsys, *argv):
@@ -185,6 +189,59 @@ class TestCache:
         cache.write_text("not json\n\n[1, 2]\n")
         _, out, _ = run(capsys, "tau", "--n", "4", "--cache", str(cache), "x2^2")
         assert out == "2\n"
+
+    def test_empty_report_is_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "reports.jsonl"
+        entry = {"version": __version__, "n": 5, "u0": "x2^2*x4", "report": {}}
+        cache.write_text(json.dumps(entry) + "\n")
+        code, out, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
+        assert (code, out) == (EXIT_OK, "6\n")
+        assert len(cache.read_text().splitlines()) == 2
+
+    def test_wrong_tau_is_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "reports.jsonl"
+        report = report_to_dict(tau(Monomial(5, (0, 2, 0, 1, 0)), 5))
+        report["tau"] = "999"
+        entry = {"version": __version__, "n": 5, "u0": "x2^2*x4", "report": report}
+        cache.write_text(json.dumps(entry) + "\n")
+        code, out, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
+        assert (code, out) == (EXIT_OK, "6\n")
+        assert len(cache.read_text().splitlines()) == 2
+        _, hit, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
+        assert hit == "6\n"
+        assert len(cache.read_text().splitlines()) == 2
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.integers(0, 4), min_size=m, max_size=m)))
+@settings(max_examples=40, deadline=None)
+def test_cache_accepts_real_towers_and_rejects_edited_counts(exps):
+    n = len(exps) + 1
+    u0 = Monomial(n, tuple(exps) + (0,))
+    report = report_to_dict(tau(u0, n))
+    assert cli._valid_tower(report, n, str(u0))
+    level, depth = report, 0
+    while level is not None:
+        # k alone is not pinned below the top: a level whose shifted tau is
+        # clamped at 0 hides a change of k
+        keys = ("t_star", "f", "h", "delta", "tau") + (("k",) if depth == 0 else ())
+        for key in keys:
+            kept = level[key]
+            level[key] = str(int(kept) + 1)
+            assert not cli._valid_tower(report, n, str(u0)), (depth, key)
+            level[key] = kept
+        level, depth = level["sub_report"], depth + 1
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("invariant broken"), MemoryError()])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "tau", broken)
+    code, out, err = run(capsys, "tau", "--n", "5", "x2^2*x4")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: ")
 
 
 def test_trace_streams_jsonl(capsys):

@@ -142,6 +142,19 @@ def test_prefix_borel_sizes_growth():
     assert prefix_borel_sizes([]) == []
 
 
+def test_borel_size_cost_ignores_exponent_size():
+    # x2^2*x4*x5^E: sequences j1 <= j2 <= 2 and j2 <= j3 <= 4, then a
+    # nondecreasing run of length E inside [j3, 5]
+    e = 10**30
+    want = sum(
+        binom(e + 5 - j3, 5 - j3)
+        for j1 in range(1, 3)
+        for j2 in range(j1, 3)
+        for j3 in range(j2, 5)
+    )
+    assert borel_size(Monomial(5, (0, 2, 0, 1, e))) == want
+
+
 def test_prefix_borel_sizes_validates():
     with pytest.raises(ValueError):
         prefix_borel_sizes([3, 2])

@@ -1,9 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gotzmann.combinatorics import binom, borel_enumerate, enumerate_monomials
+from gotzmann.combinatorics import (
+    binom,
+    borel_enumerate,
+    borel_size,
+    enumerate_monomials,
+    prefix_borel_sizes,
+)
 from gotzmann.maxgen import (
     MgDecomposition,
+    _mg_by_position,
     f_poly_eval,
     maxgen_of_set,
     mg_closed,
@@ -142,3 +149,34 @@ def test_mg_closed_matches_oracle_random(n, d, t, data):
     u = data.draw(st.sampled_from(sl))
     shifted = mul(u, variable_power(n, t, n)) if t else u
     assert mg_closed(shifted) == mg_oracle(shifted)
+
+
+def _check_against_position_oracles(exps, t):
+    n = len(exps)
+    u = Monomial(n, tuple(exps))
+    positions = [i for i, e in enumerate(exps, start=1) for _ in range(e)]
+    assert borel_size(u) == (prefix_borel_sizes(positions)[-1] if positions else 1)
+    assert mg_closed(u) == _mg_by_position(u)
+    u0 = Monomial(n - 1, tuple(exps[:-1]))
+    shifted = Monomial(n, tuple(exps[:-1]) + (t,))
+    assert f_poly_eval(u0, n, t) == _mg_by_position(shifted).exps[n - 1]
+
+
+@pytest.mark.parametrize("t", [0, 7, 10**30])
+@pytest.mark.parametrize("e", range(1, 9))
+def test_run_evaluations_on_both_sides_of_the_switch(e, t):
+    # the x2 run feeds columns j = 3..6 (s = 0..3), which take the closed form
+    # once e > s + 3: e <= 3 is all position sums, e = 8 all closed forms
+    _check_against_position_oracles([2, e, 0, 1, 0, 5], t)
+
+
+_run_exponents = st.one_of(st.integers(0, 3), st.integers(4, 80))
+
+
+@given(
+    st.integers(2, 10).flatmap(lambda n: st.lists(_run_exponents, min_size=n, max_size=n)),
+    st.integers(0, 10**40),
+)
+@settings(max_examples=150, deadline=None)
+def test_run_walk_matches_position_oracles_random(exps, t):
+    _check_against_position_oracles(exps, t)

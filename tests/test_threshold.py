@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gotzmann.combinatorics import binom, enumerate_monomials
+from gotzmann.maxgen import mg_closed
 from gotzmann.monomial import Monomial, embed, one, parse, variable_power
+from gotzmann.paths import mc
 from gotzmann.threshold import (
     ConjectureScan,
     GotzmannWitness,
@@ -116,6 +118,24 @@ class TestTau:
     def test_oracle_requires_clean_core(self):
         with pytest.raises(ValueError):
             tau_oracle(parse("x3", 3), 3)
+
+
+class TestExponentIndependence:
+    # a closed form that expanded u into single positions would need a list
+    # of 10^12 or more entries for each of these
+
+    def test_five_variable_law_at_a_huge_power(self):
+        d = 10**12
+        assert tau(variable_power(2, d, 5), 5).tau == tau_formula("tau5_x2", d=d)
+
+    def test_four_variable_law_at_a_huge_power(self):
+        b = 10**15
+        assert tau(Monomial(4, (0, b, 3, 0)), 4).tau == tau_formula("tau4", b=b, c=3)
+
+    def test_walk_and_gap_form_agree_at_a_huge_last_power(self):
+        u = Monomial(5, (0, 2, 0, 1, 10**30))
+        assert mc(u) == mg_closed(u)
+        assert is_gotzmann(u).is_gotzmann
 
 
 class TestFormulas:
