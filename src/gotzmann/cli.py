@@ -12,10 +12,12 @@ memory).
 
 Threshold reports can be cached in an append-only JSONL file (--cache or the
 GOTZ_CACHE environment variable), keyed by package version, ambient and the
-x_n-free core; entries from other versions are ignored, and so is any tower
-that is malformed or inconsistent at some level (see _valid_tower).  A cache
-hit replays the stored report byte for byte; a rejected entry counts as a
-miss, so the report is computed again and appended.
+x_n-free core; entries from other versions are ignored.  An entry is replayed
+only if rebuilding its tower from the stored f, h and k (report_from_dict)
+reproduces it byte for byte; any other entry counts as a miss, so the report
+is computed again and appended.  Below the top level, a k whose level
+threshold is lowered to 0 by the split-off power of x_n cannot be re-derived
+without the walk, so it is replayed as stored.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import sys
 from . import __version__
 from .combinatorics import CapExceeded, enumerate_monomials, lex_rank
 from .maxgen import maxgen_of_set, mg_closed, mg_oracle, mg_shifted
-from .monomial import Monomial, ParseError, parse, sigma, sigma_pow
+from .monomial import Monomial, ParseError, div, parse, sigma, sigma_pow, variable_power
 from .paths import (
     DEFAULT_MAX_JUMPS,
     TargetOvershoot,
@@ -42,6 +44,7 @@ from .threshold import (
     conjecture_scan,
     is_gotzmann,
     is_gotzmann_oracle,
+    report_from_dict,
     report_to_dict,
     tau,
     tau_formula,
@@ -54,9 +57,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
-
-_REPORT_KEYS = {"u0", "n", "t_star", "f", "h", "k", "delta", "tau", "sub_report"}
-_REPORT_COUNTS = ("t_star", "f", "h", "k", "delta", "tau")
 
 
 def _tracer(args) -> None:
@@ -79,57 +79,18 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _valid_tower(rep, n, u0_str) -> bool:
-    """Whether a cached report tower could have come from report_to_dict(tau(...)).
-
-    At every level: exactly the report fields; counts written as canonical
-    decimal strings; the u0 and n that the level above implies; delta = f - h;
-    t_star equal to the tau of the level below; and tau = max(delta - k +
-    t_star - e, 0) with delta - k + t_star >= 0, where e is the exponent of
-    the level's last variable in the u0 above (0 at the top).  The
-    two-variable base is all zeros and has no level below.
-    """
-    if n < 2:
-        return False
+def _replays(rep, core: Monomial) -> bool:
+    """Whether rebuilding a stored tower from its f, h and k gives it back byte for byte."""
     try:
-        u0 = parse(u0_str, n)
-    except ValueError:
+        rebuilt = report_from_dict(rep, core)
+    except (LookupError, TypeError, ValueError, ArithmeticError, RuntimeError):
+        # not a tower: missing keys, wrong types, bad digits or a broken invariant
         return False
-    if str(u0) != u0_str or u0.exps[n - 1]:
-        return False
-    shift = 0
-    while True:
-        if not isinstance(rep, dict) or rep.keys() != _REPORT_KEYS:
-            return False
-        if type(rep["n"]) is not int or rep["n"] != n or rep["u0"] != str(u0):
-            return False
-        vals = {}
-        for key in _REPORT_COUNTS:
-            text = rep[key]
-            if not (isinstance(text, str) and text.isascii() and text.isdigit()):
-                return False
-            if text[0] == "0" and text != "0":
-                return False
-            vals[key] = int(text)
-        value = vals["delta"] - vals["k"] + vals["t_star"]
-        if vals["delta"] != vals["f"] - vals["h"] or value < 0:
-            return False
-        if vals["tau"] != max(value - shift, 0):
-            return False
-        sub = rep["sub_report"]
-        if n == 2:
-            return sub is None and not any(vals.values())
-        # both strings are canonical (checked at this level and the next)
-        if not isinstance(sub, dict) or sub.get("tau") != rep["t_star"]:
-            return False
-        shift = u0.exps[n - 2]
-        n -= 1
-        u0 = Monomial(n, u0.exps[: n - 1] + (0,))
-        rep = sub
+    return json.dumps(report_to_dict(rebuilt), sort_keys=True) == json.dumps(rep, sort_keys=True)
 
 
-def _load_cache(path: str, n: int, cores: set) -> dict:
-    """The valid cached towers of the given cores in ambient n, by core; later lines win."""
+def _load_cache(path: str, n: int, cores: dict) -> dict:
+    """The cached towers of the given cores (keyed by string) that replay; later lines win."""
     entries = {}
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -148,44 +109,40 @@ def _load_cache(path: str, n: int, cores: set) -> dict:
                 continue
             u0_str, rep = obj.get("u0"), obj.get("report")
             if obj.get("n") == n and isinstance(u0_str, str) and u0_str in cores:
-                if _valid_tower(rep, n, u0_str):
+                if _replays(rep, cores[u0_str]):
                     entries[u0_str] = rep
     return entries
 
 
-def _append_cache(path: str, n: int, u0_str: str, report: dict) -> None:
-    entry = {"version": __version__, "n": n, "u0": u0_str, "report": report}
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+def _core_reports(args, n: int, cores, compute) -> dict:
+    """The report dict of each x_n-free core, by core string.
 
-
-def _core_report(n: int, core: Monomial, args) -> dict:
-    """Strict report dict for an x_n-free core, cached when a path is set."""
-    core_str = str(core)
-    cache_path = getattr(args, "cache", None) or os.environ.get("GOTZ_CACHE")
-    if cache_path:
-        cached = _load_cache(cache_path, n, {core_str}).get(core_str)
-        if cached is not None:
-            return cached
-    rep = report_to_dict(tau(core, n, max_jumps=args.max_jumps, trace=_tracer(args)))
-    if cache_path:
-        _append_cache(cache_path, n, core_str, rep)
-    return rep
+    With a cache path (--cache or GOTZ_CACHE), a core whose stored tower
+    replays is served from the cache; every other core gets report_to_dict of
+    compute(core), appended to the cache.
+    """
+    path = args.cache or os.environ.get("GOTZ_CACHE")
+    by_str = {str(core): core for core in cores}
+    reports = _load_cache(path, n, by_str) if path else {}
+    for key, core in by_str.items():
+        if key not in reports:
+            reports[key] = report_to_dict(compute(core))
+            if path:
+                entry = {"version": __version__, "n": n, "u0": key, "report": reports[key]}
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    return reports
 
 
 def cmd_tau(args) -> int:
     n = args.n
     u = parse(args.monomial, n)
-    core = Monomial(n, u.exps[: n - 1] + (0,))
-    t = u.exps[n - 1]
-    rep = _core_report(n, core, args)
-    value = max(int(rep["tau"]) - t, 0)
-    out = dict(rep)
-    out["tau"] = str(value)
-    if args.json:
-        print(json.dumps(out, sort_keys=True))
-    else:
-        print(value)
+    core = div(u, variable_power(n, u.exps[n - 1], n))
+    stored = _core_reports(
+        args, n, [core], lambda c: tau(c, n, max_jumps=args.max_jumps, trace=_tracer(args))
+    )
+    rep = report_to_dict(report_from_dict(stored[str(core)], u))
+    print(json.dumps(rep, sort_keys=True) if args.json else rep["tau"])
     return EXIT_OK
 
 
@@ -240,8 +197,10 @@ def cmd_sigma(args) -> int:
 
 
 def _suite_oracle(args):
-    ns = [args.n] if args.n else [3, 4]
+    ns = [args.n] if args.n is not None else [3, 4]
     max_deg = args.max_deg if args.max_deg is not None else 4
+    if max_deg < 0:
+        raise ParseError("--max-deg must be nonnegative")
     checked = 0
     failures = []
     for n in ns:
@@ -264,8 +223,8 @@ def _suite_oracle(args):
 
 
 def _suite_formulas(args):
-    which = [args.which] if args.which else ["tau3", "tau4", "tau5"]
-    lo, hi = _parse_range(args.d) if args.d else (2, 8)
+    which = [args.which] if args.which is not None else ["tau3", "tau4", "tau5"]
+    lo, hi = _parse_range(args.d) if args.d is not None else (2, 8)
     checked = 0
     failures = []
     if "tau3" in which:
@@ -293,6 +252,8 @@ def _suite_formulas(args):
 
 def _suite_walk(args):
     count = args.count if args.count is not None else 200
+    if count < 0:
+        raise ParseError("--count must be nonnegative")
     rng = random.Random(args.seed if args.seed is not None else 20260814)
     checked = 0
     failures = []
@@ -387,13 +348,8 @@ def cmd_verify(args) -> int:
 def cmd_conjecture(args) -> int:
     lo, hi = _parse_range(args.d)
     scan = conjecture_scan(args.n, range(lo, hi + 1), max_jumps=args.max_jumps)
-    cache_path = getattr(args, "cache", None) or os.environ.get("GOTZ_CACHE")
-    if cache_path:
-        cache = _load_cache(cache_path, args.n, {str(row.report.u0) for row in scan.rows})
-        for row in scan.rows:
-            key_u0 = str(row.report.u0)
-            if key_u0 not in cache:
-                _append_cache(cache_path, args.n, key_u0, report_to_dict(row.report))
+    computed = {row.report.u0: row.report for row in scan.rows}
+    _core_reports(args, args.n, computed, computed.__getitem__)
     if args.json:
         rows = []
         for r in scan.rows:
@@ -540,9 +496,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -18,12 +18,13 @@ threshold drops by the shift: max(tau(u0) - t, 0).
 
 tau_oracle scans t upward with the witness test; tau_formula holds the known
 closed laws for small ambients; conjecture_scan probes how tau(x_2^d) grows
-with the ambient, in exact arithmetic.
+with the ambient, in exact arithmetic.  report_from_dict rebuilds a tower
+from the f, h and k that report_to_dict wrote, through the same level rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,7 +38,7 @@ from .combinatorics import (
     lex_rank,
 )
 from .maxgen import f_poly_eval, maxgen_of_set, mg_closed
-from .monomial import Monomial, deg, deg_in, truncate, variable_power
+from .monomial import Monomial, deg, deg_in, div, truncate, variable_power
 from .paths import DEFAULT_MAX_JUMPS, TraceFn, advance, find_z
 
 
@@ -110,12 +111,6 @@ def is_gotzmann_oracle(u: Monomial, cap: int | None = DEFAULT_CAP) -> bool:
     return mg == mc
 
 
-def _split_off_xn(u: Monomial) -> tuple[Monomial, int]:
-    n = u.n
-    core = Monomial(n, u.exps[: n - 1] + (0,))
-    return core, u.exps[n - 1]
-
-
 def tau(
     u: Monomial,
     n: int,
@@ -130,37 +125,47 @@ def tau(
         raise ValueError("thresholds need an ambient of at least 2 variables")
     if u.n != n:
         raise ValueError(f"ambient mismatch: monomial lives in {u.n}, asked for {n}")
-    core, t = _split_off_xn(u)
-    rep = _tau_core(core, n, max_jumps, trace)
-    if t:
-        rep = replace(rep, tau=max(rep.tau - t, 0))
-    return rep
-
-
-def _tau_core(u0: Monomial, n: int, max_jumps: int, trace: TraceFn | None) -> ThresholdReport:
-    # u0 is x_n-free in ambient n
     if n == 2:
-        return ThresholdReport(
-            u0=u0, n=2, t_star=0, f_at_tstar=0, h_at_tstar=0, k_at_tstar=0,
-            delta=0, tau=0, sub_report=None,
-        )
-    u0_prev = truncate(u0, n - 1)
+        return _level(u, 0, 0, 0, None)
+    u0_prev = truncate(u, n - 1)
     sub = tau(u0_prev, n - 1, max_jumps=max_jumps, trace=trace)
-    t_star = sub.tau
-    f_star = f_poly_eval(u0_prev, n, t_star)
-    z, state = find_z(u0_prev, n, t_star, max_jumps=max_jumps, trace=trace)
-    h_star = deg_in(state.cost, n)
-    k_star = deg_in(z, n)
-    delta = f_star - h_star
-    value = delta - k_star + t_star
-    if delta < 0 or value < 0:
+    f_star = f_poly_eval(u0_prev, n, sub.tau)
+    z, state = find_z(u0_prev, n, sub.tau, max_jumps=max_jumps, trace=trace)
+    return _level(u, f_star, deg_in(state.cost, n), deg_in(z, n), sub)
+
+
+def report_from_dict(d: dict, u: Monomial) -> ThresholdReport:
+    """Inverse of report_to_dict: the tower of u rebuilt from its f, h and k.
+
+    Every other field is derived by the level rules of tau(), so
+    report_to_dict(report_from_dict(d, u)) == d exactly when d could be the
+    tower of u.  One gap remains: below the top, a k whose level threshold is
+    lowered to 0 by the split-off power of x_n does not reach the levels
+    above, so it cannot be told apart from the k the walk would give.  A
+    malformed d raises LookupError, TypeError or ValueError; counts that break
+    a level invariant raise RuntimeError, as they would in tau().
+    """
+    if u.n == 2:
+        return _level(u, 0, 0, 0, None)
+    sub = report_from_dict(d["sub_report"], truncate(u, u.n - 1))
+    return _level(u, int(d["f"]), int(d["h"]), int(d["k"]), sub)
+
+
+def _level(u: Monomial, f: int, h: int, k: int, sub: Optional[ThresholdReport]) -> ThresholdReport:
+    # the tower level of u from f, h and k at t* = sub.tau (0 at the base);
+    # the power t of x_n in u lowers the core threshold to max(tau - t, 0)
+    n, t = u.n, u.exps[u.n - 1]
+    t_star = sub.tau if sub is not None else 0
+    delta = f - h
+    value = delta - k + t_star
+    if min(f, h, k, delta, value) < 0:
         raise RuntimeError(
-            f"threshold invariant violated at n={n}, u0={u0}: "
-            f"f={f_star}, h={h_star}, k={k_star}, t*={t_star}"
+            f"threshold invariant violated at n={n}, u={u}: "
+            f"f={f}, h={h}, k={k}, t*={t_star}"
         )
     return ThresholdReport(
-        u0=u0, n=n, t_star=t_star, f_at_tstar=f_star, h_at_tstar=h_star,
-        k_at_tstar=k_star, delta=delta, tau=value, sub_report=sub,
+        u0=div(u, variable_power(n, t, n)), n=n, t_star=t_star, f_at_tstar=f, h_at_tstar=h,
+        k_at_tstar=k, delta=delta, tau=max(value - t, 0), sub_report=sub,
     )
 
 

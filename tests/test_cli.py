@@ -1,3 +1,4 @@
+import copy
 import json
 import shutil
 import subprocess
@@ -122,6 +123,19 @@ class TestVerify:
         assert summary["failures"] == 0
         assert summary["checked"] > 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "oracle", "--n", "0", "--max-deg", "1"),
+            ("verify", "--suite", "oracle", "--max-deg", "-1"),
+            ("verify", "--suite", "walk", "--count", "-5"),
+            ("verify", "--suite", "formulas", "--d", ""),
+        ],
+    )
+    def test_suites_that_would_check_nothing_are_usage_errors(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+
     def test_walk_suite_is_seedable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "walk", "--count", "10", "--seed", "7")
         _, out2, _ = run(capsys, "verify", "--suite", "walk", "--count", "10", "--seed", "7")
@@ -212,24 +226,40 @@ class TestCache:
         assert len(cache.read_text().splitlines()) == 2
 
 
-@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.integers(0, 4), min_size=m, max_size=m)))
+@given(
+    st.integers(1, 6).flatmap(lambda m: st.lists(st.integers(0, 4), min_size=m, max_size=m)),
+    st.integers(1, 6),
+)
 @settings(max_examples=40, deadline=None)
-def test_cache_accepts_real_towers_and_rejects_edited_counts(exps):
+def test_cache_accepts_real_towers_and_rejects_edited_counts(exps, t):
     n = len(exps) + 1
     u0 = Monomial(n, tuple(exps) + (0,))
     report = report_to_dict(tau(u0, n))
-    assert cli._valid_tower(report, n, str(u0))
+    assert cli._replays(report, u0)
+
+    def rejects(depth, key, value):
+        edited = copy.deepcopy(report)
+        level = edited
+        for _ in range(depth):
+            level = level["sub_report"]
+        level[key] = value
+        return not cli._replays(edited, u0)
+
     level, depth = report, 0
     while level is not None:
         # k alone is not pinned below the top: a level whose shifted tau is
         # clamped at 0 hides a change of k
         keys = ("t_star", "f", "h", "delta", "tau") + (("k",) if depth == 0 else ())
         for key in keys:
-            kept = level[key]
-            level[key] = str(int(kept) + 1)
-            assert not cli._valid_tower(report, n, str(u0)), (depth, key)
-            level[key] = kept
+            assert rejects(depth, key, str(int(level[key]) + 1)), (depth, key)
+        for key in ("t_star", "f", "h", "k", "delta", "tau"):
+            for bad in ("-1", "07", "+7", " 7", 7) + (("1",) if level["n"] == 2 else ()):
+                assert rejects(depth, key, bad), (depth, key, bad)
+        for key, bad in (("n", float(level["n"])), ("n", True), ("extra", "0")):
+            assert rejects(depth, key, bad), (depth, key, bad)
         level, depth = level["sub_report"], depth + 1
+    shifted = report_to_dict(tau(Monomial(n, tuple(exps) + (t,)), n))
+    assert cli._replays(shifted, u0) == (shifted == report)
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("invariant broken"), MemoryError()])

@@ -15,6 +15,7 @@ from gotzmann.threshold import (
     interpolate_points,
     is_gotzmann,
     is_gotzmann_oracle,
+    report_from_dict,
     report_to_dict,
     tau,
     tau_formula,
@@ -255,3 +256,12 @@ def test_tau_decomposition_law_random(n, d, t, data):
     core_value = tau(lifted, n).tau
     shifted = lifted * variable_power(n, t, n)
     assert tau(shifted, n).tau == max(core_value - t, 0)
+
+
+@given(st.integers(2, 7).flatmap(lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+@settings(max_examples=60, deadline=None)
+def test_report_from_dict_inverts_report_to_dict(exps):
+    n = len(exps)
+    u = Monomial(n, tuple(exps))
+    rep = tau(u, n)
+    assert report_from_dict(report_to_dict(rep), u) == rep
