@@ -21,7 +21,7 @@ from .combinatorics import (
 )
 from .maxgen import mg_closed, mg_oracle, mg_shifted, target_decompose
 from .monomial import Monomial, ParseError, parse, sigma, sigma_pow
-from .paths import TargetOvershoot, WalkState, advance, cost_between, find_z, mc
+from .paths import TargetOvershoot, WalkState, advance, advance_oracle, cost_between, find_z, mc
 from .threshold import (
     ConjectureScan,
     GotzmannWitness,
@@ -45,6 +45,7 @@ __all__ = [
     "ThresholdReport",
     "WalkState",
     "advance",
+    "advance_oracle",
     "borel_enumerate",
     "borel_size",
     "conjecture_scan",

@@ -150,17 +150,9 @@ def lex_rank(u: Monomial) -> int:
 
 def lexsegment(u: Monomial, cap: int | None = DEFAULT_CAP) -> MonomialSet:
     """All monomials of the slice that are lex >= u, descending, ending at u."""
-    count = lex_rank(u)
-    _check_cap(count, cap, f"the lexsegment above {u}")
-    els = [Monomial(u.n, ((deg(u),) + (0,) * (u.n - 1)))]
-    while els[-1] != u:
-        nxt = _next_below(els[-1])
-        if nxt is None:
-            raise RuntimeError(f"lexsegment fell off the slice before reaching {u}")
-        els.append(nxt)
-    if len(els) != count:
-        raise RuntimeError(f"lexsegment above {u} has {len(els)} elements, lex_rank says {count}")
-    return MonomialSet(u.n, tuple(els))
+    _check_cap(lex_rank(u), cap, f"the lexsegment above {u}")
+    top = Monomial(u.n, (deg(u),) + (0,) * (u.n - 1))
+    return MonomialSet(u.n, (top,) + lexinterval(top, u, cap=None).elements)
 
 
 def lexinterval(v: Monomial, u: Monomial, cap: int | None = DEFAULT_CAP) -> MonomialSet:

@@ -169,11 +169,6 @@ def max_index(u: Monomial) -> int:
     raise ValueError("the unit monomial has no largest variable")
 
 
-def last_variable(u: Monomial) -> Monomial:
-    """The variable x_k where k = max_index(u)."""
-    return variable(max_index(u), u.n)
-
-
 def _require_same_ambient(u: Monomial, v: Monomial) -> None:
     if u.n != v.n:
         raise ValueError(f"ambient mismatch: {u.n} vs {v.n}; embed explicitly")

@@ -3,8 +3,8 @@
 The elementary step from u to pred(u) costs the largest variable of u, and
 costs multiply along a walk, so the cost of climbing from u to some v above
 it is a monomial whose degree counts the steps.  Walking step by step is the
-oracle (advance with engine="elementary"); the block walk below jumps over
-whole runs in closed form and is bit-identical to the stepper.
+oracle (advance_oracle); the block walk below jumps over whole runs in closed
+form and is bit-identical to the stepper.
 
 A block converts part of the top run: from v * x_m^k to v * x_{m-1}^l * x_m^{k-l}
 at a cost of
@@ -43,7 +43,7 @@ from typing import Callable, Iterator
 
 from .combinatorics import CapExceeded, binom, gap_count, lex_rank
 from .maxgen import target_decompose
-from .monomial import Monomial, deg, lex_cmp, max_index, pred, variable
+from .monomial import Monomial, lex_cmp, max_index, pred
 
 DEFAULT_MAX_JUMPS = 1_000_000
 DEFAULT_MAX_ELEMENTARY = 10_000_000
@@ -66,23 +66,6 @@ class WalkState:
     current: Monomial
     cost: Monomial
     steps: int
-
-
-def partial_conversion_cost(v: Monomial, m: int, k: int, l: int, n: int) -> Monomial:
-    """Cost of the walk from v * x_m^k up to v * x_{m-1}^l * x_m^{k-l}.
-
-    v must live below x_m (any monomial with max_index(v) < m, the unit
-    included); the cost itself does not depend on v.
-    """
-    if not 2 <= m <= n:
-        raise ValueError(f"conversion index m={m} out of range for n={n}")
-    if not 1 <= l <= k:
-        raise ValueError(f"conversion amount l={l} out of range for run length {k}")
-    if v.n != n:
-        raise ValueError(f"v must live in ambient {n}, got {v.n}")
-    if deg(v) > 0 and max_index(v) >= m:
-        raise ValueError(f"v = {v} must involve only variables below x{m}")
-    return Monomial(n, (0,) * (m - 1) + tuple(_block_exps(m, k, l, n, [])))
 
 
 def _block_exps(m: int, k: int, l: int, n: int, tops: list[int]) -> Iterator[int]:
@@ -177,6 +160,8 @@ class _Deficit:
 
 def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None) -> WalkState:
     """Walk upward from origin, block by block, until the rule is met."""
+    if max_jumps < 0:
+        raise ValueError(f"the jump cap must be nonnegative, got {max_jumps}")
     n = origin.n
     cur = origin
     cost = [0] * n
@@ -225,22 +210,8 @@ def _emit(trace: TraceFn, frm: Monomial, to: Monomial, cost: Monomial, done: int
     )
 
 
-def advance(
-    origin: Monomial,
-    budget: int,
-    engine: str = "block",
-    max_jumps: int = DEFAULT_MAX_JUMPS,
-    max_elementary: int = DEFAULT_MAX_ELEMENTARY,
-    trace: TraceFn | None = None,
-) -> WalkState:
-    """Walk exactly `budget` elementary steps upward from origin.
-
-    engine="elementary" steps one predecessor at a time; engine="block" takes
-    the largest run conversion fitting the remaining budget and falls back to
-    a single step when even one unit is too expensive.  Both return identical
-    states.  The budget must not exceed the predecessors available above the
-    origin.
-    """
+def _check_budget(origin: Monomial, budget: int) -> None:
+    """A walk of `budget` steps must fit in the predecessors above origin."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     avail = lex_rank(origin) - 1
@@ -248,77 +219,58 @@ def advance(
         raise ValueError(
             f"budget {budget} exceeds the {avail} predecessors above {origin}"
         )
-    n = origin.n
-    if engine == "elementary":
-        if budget > max_elementary:
-            raise CapExceeded(
-                f"elementary walk of {budget} steps exceeds the cap of {max_elementary}"
-            )
-        cur = origin
-        cost = [0] * n
-        for done in range(1, budget + 1):
-            m = max_index(cur)
-            cost[m - 1] += 1
-            nxt = pred(cur)
-            if trace is not None:
-                _emit(trace, cur, nxt, variable(m, n), done)
-            cur = nxt
-        return WalkState(cur, Monomial(n, tuple(cost)), budget)
-    if engine != "block":
-        raise ValueError(f"unknown walk engine {engine!r}")
+
+
+def advance(
+    origin: Monomial,
+    budget: int,
+    max_jumps: int = DEFAULT_MAX_JUMPS,
+    trace: TraceFn | None = None,
+) -> WalkState:
+    """Walk exactly `budget` elementary steps upward from origin.
+
+    Takes the largest run conversion fitting the remaining budget and falls
+    back to a single step when even one unit is too expensive; the result
+    equals advance_oracle's.  The budget must not exceed the predecessors
+    available above the origin.
+    """
+    _check_budget(origin, budget)
     return _walk(origin, _Budget(budget), max_jumps, trace)
+
+
+def advance_oracle(origin: Monomial, budget: int, cap: int = DEFAULT_MAX_ELEMENTARY) -> WalkState:
+    """advance by explicit stepping: one predecessor at a time, each paid in
+    the largest variable it leaves.  Refuses walks longer than cap steps."""
+    _check_budget(origin, budget)
+    if budget > cap:
+        raise CapExceeded(f"elementary walk of {budget} steps exceeds the cap of {cap}")
+    cur = origin
+    cost = [0] * origin.n
+    for _ in range(budget):
+        cost[max_index(cur) - 1] += 1
+        cur = pred(cur)
+    return WalkState(cur, Monomial(origin.n, tuple(cost)), budget)
 
 
 def cost_between(
     u: Monomial,
     v: Monomial,
-    engine: str = "block",
     max_jumps: int = DEFAULT_MAX_JUMPS,
-    max_elementary: int = DEFAULT_MAX_ELEMENTARY,
     trace: TraceFn | None = None,
 ) -> Monomial:
     """Cost of the walk from u up to v (v lex >= u, same degree and ambient)."""
     if lex_cmp(v, u) < 0:
         raise ValueError(f"no upward walk: {v} lies below {u}")
     budget = lex_rank(u) - lex_rank(v)
-    st = advance(u, budget, engine=engine, max_jumps=max_jumps,
-                 max_elementary=max_elementary, trace=trace)
+    st = advance(u, budget, max_jumps=max_jumps, trace=trace)
     if st.current != v:
         raise RuntimeError(f"walk of {budget} steps from {u} ended at {st.current}, not {v}")
     return st.cost
 
 
-def u_tilde(u: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> Monomial:
-    """pred^g(u) where g = gap_count(u)."""
-    return advance(u, gap_count(u), max_jumps=max_jumps).current
-
-
 def mc(u: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS, trace: TraceFn | None = None) -> Monomial:
     """Cost of the walk from u up to pred^g(u), g = gap_count(u)."""
     return advance(u, gap_count(u), max_jumps=max_jumps, trace=trace).cost
-
-
-def xn_power_path(u: Monomial, b: int) -> Monomial:
-    """pred^b(u) when u carries at least b factors of x_n; cost is exactly x_n^b.
-
-    Each step converts one trailing x_n into x_{n-1}, so the result is
-    u * (x_{n-1}/x_n)^b.
-    """
-    n = u.n
-    if b < 0:
-        raise ValueError("step count must be nonnegative")
-    if n < 2 and b > 0:
-        raise ValueError("no predecessors in a single variable")
-    if u.exps[n - 1] < b:
-        raise ValueError(
-            f"{u} carries x{n}^{u.exps[n - 1]}, not enough for {b} cheap steps"
-        )
-    if b == 0:
-        return u
-    e = list(u.exps)
-    e[n - 1] -= b
-    e[n - 2] += b
-    return Monomial(n, tuple(e))
 
 
 def find_z(

@@ -1,8 +1,10 @@
 import copy
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +96,22 @@ class TestExitCodes:
         assert code == EXIT_CAP
         assert "jump cap" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tau", "--n", "5", "x2^2*x4"),
+            ("pred", "--n", "5", "x2^2*x4*x5"),
+            ("conjecture", "--n", "5", "--d", "2..3"),
+        ],
+    )
+    def test_negative_jump_cap_is_a_usage_error(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--max-jumps", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+
+    def test_zero_jump_cap_is_a_cap_hit(self, capsys):
+        code, out, _ = run(capsys, "tau", "--n", "5", "--max-jumps", "0", "x2^2*x4")
+        assert (code, out) == (EXIT_CAP, "")
+
     def test_reversed_cost_order(self, capsys):
         assert run(capsys, "cost", "--n", "3", "x1^2", "x3^2")[0] == EXIT_USAGE
 
@@ -129,6 +147,7 @@ class TestVerify:
             ("verify", "--suite", "oracle", "--n", "0", "--max-deg", "1"),
             ("verify", "--suite", "oracle", "--max-deg", "-1"),
             ("verify", "--suite", "walk", "--count", "-5"),
+            ("verify", "--suite", "walk", "--count", "0"),
             ("verify", "--suite", "formulas", "--d", ""),
         ],
     )
@@ -298,3 +317,27 @@ def test_console_script_or_module():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
+
+
+def _readme_examples():
+    """Each `$ gotz ...` line of README.md with the lines printed under it."""
+    examples = []
+    current = None
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            current = None
+        elif line.startswith("$ gotz "):
+            current = []
+            argv = shlex.split(line[len("$ gotz "):], comments=True)
+            examples.append(pytest.param(argv, current, id=" ".join(argv)))
+        elif current is not None:
+            current.append(line)
+    return examples
+
+
+@pytest.mark.parametrize("argv, printed", _readme_examples())
+def test_readme_examples(capsys, argv, printed):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    if printed:
+        assert out == "".join(line + "\n" for line in printed)

@@ -9,7 +9,6 @@ from gotzmann.monomial import (
     div,
     embed,
     format,
-    last_variable,
     lex_cmp,
     max_index,
     mul,
@@ -120,7 +119,6 @@ def test_degree_helpers():
     assert deg_in(u, 3) == 4
     assert deg_in(u, 2) == 0
     assert max_index(u) == 3
-    assert last_variable(u) == variable(3, 4)
 
 
 def test_max_index_rejects_unit():

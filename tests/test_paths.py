@@ -4,17 +4,8 @@ from hypothesis import given, settings, strategies as st
 from gotzmann.combinatorics import CapExceeded, binom, enumerate_monomials, gap_count, lex_rank, lexinterval
 from gotzmann.maxgen import maxgen_of_set, mg_closed, target_decompose
 from gotzmann.monomial import Monomial, deg, deg_in, max_index, mul, one, parse, pred, sigma, variable
-from gotzmann.paths import (
-    TargetOvershoot,
-    WalkState,
-    advance,
-    cost_between,
-    find_z,
-    mc,
-    partial_conversion_cost,
-    u_tilde,
-    xn_power_path,
-)
+from gotzmann.paths import TargetOvershoot, WalkState, advance, advance_oracle, cost_between, find_z, mc
+from gotzmann.threshold import is_gotzmann
 
 
 def random_slice_pair(data, n_lo=2, n_hi=5, d_lo=1, d_hi=4):
@@ -53,19 +44,19 @@ class TestAdvance:
 
     def test_elementary_cap(self):
         with pytest.raises(CapExceeded):
-            advance(parse("x4^40", 4), 8000, engine="elementary", max_elementary=10)
+            advance_oracle(parse("x4^40", 4), 8000, cap=10)
 
-    def test_unknown_engine(self):
+    def test_negative_jump_cap_is_rejected(self):
         with pytest.raises(ValueError):
-            advance(parse("x2", 2), 1, engine="quantum")
+            advance(parse("x2^2*x4*x5", 5), 3, max_jumps=-1)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_engines_agree(self, data):
         below, above = random_slice_pair(data)
         budget = lex_rank(below) - lex_rank(above)
-        fast = advance(below, budget, engine="block")
-        slow = advance(below, budget, engine="elementary")
+        fast = advance(below, budget)
+        slow = advance_oracle(below, budget)
         assert fast == slow
         assert fast.current == above
 
@@ -78,20 +69,26 @@ class TestAdvance:
         walked = lexinterval(above, below)
         assert st_.cost == maxgen_of_set(walked)
 
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_xn_power_steps_cost_xn_each(self, n, data):
+        # with x_n^a in u, each of the first b <= a steps trades one x_n for x_{n-1}
+        exps = [data.draw(st.integers(0, 3)) for _ in range(n - 1)]
+        a = data.draw(st.integers(1, 12))
+        b = data.draw(st.integers(0, a))
+        u = Monomial(n, tuple(exps) + (a,))
+        current = Monomial(n, tuple(exps[:-1]) + (exps[-1] + b, a - b))
+        want = WalkState(current, Monomial(n, (0,) * (n - 1) + (b,)), b)
+        assert advance(u, b) == want
+        assert advance_oracle(u, b) == want
+
 
 class TestBlockCost:
     def test_known_conversion(self):
         # x2^2*x4^2 -> x2^2*x3*x4 passes through x2^2*x3*x5, total cost x4*x5
-        c = partial_conversion_cost(parse("x2^2", 5), 4, 2, 1, 5)
-        assert c == parse("x4*x5", 5)
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            partial_conversion_cost(parse("x2", 5), 2, 3, 1, 5)
-        with pytest.raises(ValueError):
-            partial_conversion_cost(parse("x2", 5), 3, 2, 3, 5)
-        with pytest.raises(ValueError):
-            partial_conversion_cost(parse("x2", 5), 1, 2, 1, 5)
+        records = []
+        advance(parse("x2^2*x4^2", 5), 2, trace=records.append)
+        assert [(r["to"], r["block_cost"]) for r in records] == [("x2^2*x3*x4", "x4*x5")]
 
     def test_trace_records_jumps(self):
         records = []
@@ -120,7 +117,7 @@ class TestCostBetween:
 
 def test_u_tilde_spans_the_gap_count():
     u = parse("x2^2", 3)
-    ut = u_tilde(u)
+    ut = is_gotzmann(u).u_tilde
     assert lex_rank(u) - lex_rank(ut) == gap_count(u)
 
 
@@ -133,13 +130,6 @@ def test_mc_equals_mg_exactly_when_gotzmann():
 
     for u in enumerate_monomials(3, 3):
         assert (mc(u) == mg_closed(u)) == is_gotzmann_oracle(u)
-
-
-def test_xn_power_path():
-    u = parse("x2*x5^3", 5)
-    assert xn_power_path(u, 2) == parse("x2*x4^2*x5", 5)
-    with pytest.raises(ValueError):
-        xn_power_path(u, 4)
 
 
 def _find_z_elementary(u0, n, t):
