@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 
 from . import __version__
@@ -90,8 +91,16 @@ def _replays(rep, core: Monomial) -> bool:
     return json.dumps(report_to_dict(rebuilt), sort_keys=True) == json.dumps(rep, sort_keys=True)
 
 
+_U0_FIELD = re.compile(r'"u0": ("[^"\\]*")')
+
+
 def _load_cache(path: str, n: int, cores: dict) -> dict:
-    """The cached towers of the given cores (keyed by string) that replay; later lines win."""
+    """The cached towers of the given cores (keyed by string) that replay; later lines win.
+
+    Only lines holding the text "u0": <json.dumps(core)> for a requested core
+    are parsed; a line skipped unparsed can only be a miss.
+    """
+    wanted = {json.dumps(key) for key in cores}
     entries = {}
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -99,8 +108,7 @@ def _load_cache(path: str, n: int, cores: dict) -> dict:
         return entries
     with fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            if wanted.isdisjoint(_U0_FIELD.findall(line)):
                 continue
             try:
                 obj = json.loads(line)

@@ -39,10 +39,11 @@ def binom(a: int, b: int) -> int:
 
     Identities that rely on negative upper arguments are kept out of the code
     on purpose; every formula used here is arranged so both arguments are
-    nonnegative, and a negative argument therefore signals a bug.
+    nonnegative, and a negative argument therefore signals a bug: it raises
+    RuntimeError, an internal error, not the ValueError of bad input.
     """
     if a < 0 or b < 0:
-        raise ValueError(f"binom needs nonnegative arguments, got ({a}, {b})")
+        raise RuntimeError(f"binom needs nonnegative arguments, got ({a}, {b})")
     if a < b:
         return 0
     return math.comb(a, b)
@@ -246,7 +247,9 @@ def _run_walk(
     of two ways, chosen per column from e and s alone:
 
     - position sum, for e <= s + 3: the e terms as written, with B(j') read
-      off e single prefix sums of v;
+      off e single prefix sums of v.  columns must ascend, so that for one
+      position C(M - j', s) = C(K + s, s) follows from the previous column's
+      by one multiply and one exact division;
     - closed form, for longer runs: sum_{m=1}^{s+1} C(M+1-e, s+1-m) * G[m]
       - (C(M+1, s+1) - C(M+1-e, s+1)), where G[m] = sum_c v[c] *
       C(i-1-c+e, e-m).  The first sum counts (A+s+1)-subsets of
@@ -288,10 +291,15 @@ def _run_walk(
             share = sum(binom(low, s + 1 - m) * g[m] for m in range(1, s + 2))
             shares[col] += share - binom(top, s + 1) + binom(low, s + 1)
         for jp, b in enumerate(sizes if position else ()):
-            weight = b - 1
-            if weight:
+            if b > 1:
+                k = d - p - 1 - jp  # C(M - j', s) = C(k + s, s), one binom per position
+                at = position[0][1]
+                c = binom(k + at, at)
                 for col, s in position:
-                    shares[col] += weight * binom(d - p + s - 1 - jp, s)  # C(M - j', s)
+                    while at < s:
+                        at += 1
+                        c = c * (k + at) // at
+                    shares[col] += (b - 1) * c
         p += e
     return v, shares
 

@@ -16,17 +16,17 @@ inside a block lies on the elementary chain, so jumping is exact, and the
 cost exponents are monotone in l.
 
 One kernel, _walk, runs every block walk.  At each jump it takes the largest
-block its rule admits (doubling, then bisection over l), or one elementary
-step when not even l = 1 is admitted, and charges the rule for it.  There
-are two rules:
+block its rule admits, or one elementary step when not even l = 1 is
+admitted, and charges the rule for it.  There are two rules:
 
 - budget (advance): the block's total steps stay within the steps left;
 - deficit (find_z): the block's cost below x_n stays within what is left of
   a target w, component by component.
 
-A probe computes the cost exponents lazily from x_m upward and stops at the
-first one that breaks the rule; the deficit rule never computes the x_n
-exponent.  The l-free terms C(k+s-1, s+1) are computed once per jump.
+Neither rule searches over l.  The block's steps sum to C(k+S, S+1) -
+C(k-l+S, S+1), S = n - m (hockey stick), so each bound on l is one inverse
+binomial, the least N with C(N+c, r) >= X, read off the integer r-th root of
+r! X.  The l-free terms C(k+s-1, s+1) are computed once per jump.
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
 A block whose visible cost would consume the deficit exactly is shrunk by
@@ -38,6 +38,7 @@ deficit cannot pay raises TargetOvershoot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -68,38 +69,44 @@ class WalkState:
     steps: int
 
 
-def _block_exps(m: int, k: int, l: int, n: int, tops: list[int]) -> Iterator[int]:
-    """Exponents of the (m, k, l) block cost from x_m upward, computed on demand.
-
-    tops caches the l-free terms C(k+s-1, s+1); share it between the probes
-    of one jump.
-    """
+def _block_exps(a: int, l: int, tops: list[int]) -> Iterator[int]:
+    """Exponents of the (m, a, l) block cost from x_m upward, computed on demand;
+    tops[s-1] is the l-free term C(a+s-1, s+1), s = 1..n-m."""
     yield l
-    for s in range(1, n - m + 1):
-        if len(tops) < s:
-            tops.append(binom(k + s - 1, s + 1))
-        yield tops[s - 1] - binom(k - l + s - 1, s + 1)
+    for s, top in enumerate(tops, 1):
+        yield top - binom(a - l + s - 1, s + 1)
 
 
-def _largest_l(a: int, fits: Callable[[int], bool]) -> int:
-    """Largest l in [0, a] passing a monotone predicate (doubling, then bisection)."""
-    if a == 0 or not fits(1):
+def _iroot(x: int, r: int) -> int:
+    """The y with y**r <= x < (y+1)**r, by Newton's method from above, started
+    from a float root (up to 1000 bits) or from the root of x's top half."""
+    if r == 1 or x < 2:
+        return x
+    bits = x.bit_length()
+    if bits <= 1000:
+        y = int(float(x) ** (1.0 / r) * (1 + 2.0**-40)) + 2
+    else:
+        h = max(1, bits // (2 * r))
+        y = (_iroot(x >> (h * r), r) + 1) << h
+    while True:
+        z = ((r - 1) * y + x // y ** (r - 1)) // r
+        if z >= y:
+            return y
+        y = z
+
+
+def _least_base(x: int, r: int, c: int) -> int:
+    """Least N >= 0 with C(N+c, r) >= x, for c < r and r >= 2.
+
+    C(y, r) < (y - (r-1)/2)^r / r! (AM-GM), so y = N + c starts above
+    ((r! x)^(1/r) + (r-1)/2) and climbs at most r/2 + 1 steps.
+    """
+    if x <= 0:
         return 0
-    if fits(a):
-        return a
-    lo = 1
-    hi = 2
-    while hi < a and fits(hi):
-        lo = hi
-        hi = min(hi * 2, a)
-    # fits(lo) holds, fits(hi) fails
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    y = (_iroot(math.factorial(r) * x << r, r) + r + 1) // 2
+    while binom(y, r) < x:
+        y += 1
+    return y - c
 
 
 class _Budget:
@@ -111,16 +118,12 @@ class _Budget:
     def met(self) -> bool:
         return self.left == 0
 
-    def fits(self, m: int, exps: Iterator[int]) -> bool:
-        total = 0
-        for e in exps:
-            total += e
-            if total > self.left:
-                return False
-        return True
-
-    def exact_hit(self, m: int, exps: Iterator[int]) -> bool:
-        return False
+    def largest(self, m: int, a: int, tops: list[int]) -> int:
+        """Largest l whose block from x_m^a takes at most the steps left."""
+        if not tops:  # m = n: each unit is one step
+            return min(a, self.left)
+        s = len(tops)  # C(a+s, s+1) = a + sum(tops)
+        return a - _least_base(a + sum(tops) - self.left, s + 1, s)
 
     def take(self, m: int, exps: list[int]) -> None:
         self.left -= sum(exps)
@@ -135,18 +138,19 @@ class _Deficit:
     def met(self) -> bool:
         return not any(self.deficit)
 
-    def fits(self, m: int, exps: Iterator[int]) -> bool:
-        # the deficit comes first, so zip stops before computing the x_n exponent
-        for d, e in zip(self.deficit[m - 1:], exps):
-            if e > d:
-                return False
-        return True
-
-    def exact_hit(self, m: int, exps: Iterator[int]) -> bool:
-        """Would the block consume the whole deficit?  Then it may hide the first hit."""
-        if any(self.deficit[: m - 1]):
-            return False
-        return all(e == d for d, e in zip(self.deficit[m - 1:], exps))
+    def largest(self, m: int, a: int, tops: list[int]) -> int:
+        """Largest l whose block cost below x_n fits the deficit, less one on an exact hit."""
+        if not tops:  # m = n: the block costs nothing below x_n
+            return a
+        l = min(a, self.deficit[m - 1])
+        for s, d in enumerate(self.deficit[m:], 1):  # x_{m+s} below x_n
+            if l:
+                l = min(l, a - _least_base(tops[s - 1] - d, s + 1, s - 1))
+        if l and not any(self.deficit[: m - 1]):
+            # a block that would consume the whole deficit may hide the first hit
+            if all(e == d for d, e in zip(self.deficit[m - 1:], _block_exps(a, l, tops))):
+                l -= 1
+        return l
 
     def take(self, m: int, exps: list[int]) -> None:
         for i, e in zip(range(m - 1, len(self.deficit)), exps):
@@ -175,12 +179,10 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
         if m == 1:
             raise TargetOvershoot(f"slice exhausted above {origin} with target unmet")
         a = cur.exps[m - 1]
-        tops: list[int] = []
-        l = _largest_l(a, lambda l: rule.fits(m, _block_exps(m, a, l, n, tops)))
-        if l and rule.exact_hit(m, _block_exps(m, a, l, n, tops)):
-            l -= 1
+        tops = [binom(a + s - 1, s + 1) for s in range(1, n - m + 1)]
+        l = rule.largest(m, a, tops)
         if l:
-            exps = list(_block_exps(m, a, l, n, tops))
+            exps = list(_block_exps(a, l, tops))
             e = list(cur.exps)
             e[m - 2] += l
             e[m - 1] = a - l

@@ -244,6 +244,24 @@ class TestCache:
         assert hit == "6\n"
         assert len(cache.read_text().splitlines()) == 2
 
+    def test_hit_parses_only_the_matching_line(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "reports.jsonl"
+        report = report_to_dict(tau(Monomial(5, (0, 2, 0, 1, 0)), 5))
+        lines = [
+            json.dumps({"version": __version__, "n": 5, "u0": f"x3^{d}", "report": {"tau": str(d)}})
+            for d in range(1, 2000)
+        ]
+        hit = json.dumps({"version": __version__, "n": 5, "u0": "x2^2*x4", "report": report}, sort_keys=True)
+        lines.insert(1000, hit)
+        cache.write_text("\n".join(lines) + "\n")
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(cli.json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+        code, out, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
+        assert (code, out) == (EXIT_OK, "6\n")
+        assert parsed == [hit + "\n"]
+        assert len(cache.read_text().splitlines()) == 2000
+
 
 @given(
     st.integers(1, 6).flatmap(lambda m: st.lists(st.integers(0, 4), min_size=m, max_size=m)),
@@ -291,6 +309,16 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.startswith("internal error: ")
+
+
+def test_negative_binom_is_an_internal_error(capsys, monkeypatch):
+    from gotzmann import paths
+    from gotzmann.combinatorics import binom
+
+    monkeypatch.setattr(paths, "binom", lambda a, b: binom(-1, b))
+    code, out, err = run(capsys, "tau", "--n", "5", "x2^2*x4")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert "binom needs nonnegative arguments" in err
 
 
 def test_trace_streams_jsonl(capsys):

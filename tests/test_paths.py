@@ -1,10 +1,23 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gotzmann.combinatorics import CapExceeded, binom, enumerate_monomials, gap_count, lex_rank, lexinterval
 from gotzmann.maxgen import maxgen_of_set, mg_closed, target_decompose
 from gotzmann.monomial import Monomial, deg, deg_in, max_index, mul, one, parse, pred, sigma, variable
-from gotzmann.paths import TargetOvershoot, WalkState, advance, advance_oracle, cost_between, find_z, mc
+from gotzmann.paths import (
+    TargetOvershoot,
+    WalkState,
+    _block_exps,
+    _Budget,
+    _Deficit,
+    _iroot,
+    _least_base,
+    advance,
+    advance_oracle,
+    cost_between,
+    find_z,
+    mc,
+)
 from gotzmann.threshold import is_gotzmann
 
 
@@ -206,6 +219,103 @@ class TestFindZ:
     def test_jump_cap(self):
         with pytest.raises(CapExceeded):
             find_z(parse("x2^4", 4), 5, 31, max_jumps=2)
+
+
+def _largest_l(a, fits):
+    """Largest l in [0, a] passing a monotone predicate (doubling, then bisection)."""
+    if a == 0 or not fits(1):
+        return 0
+    if fits(a):
+        return a
+    lo = 1
+    hi = 2
+    while hi < a and fits(hi):
+        lo = hi
+        hi = min(hi * 2, a)
+    # fits(lo) holds, fits(hi) fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _tops(m, a, n):
+    return [binom(a + s - 1, s + 1) for s in range(1, n - m + 1)]
+
+
+def _budget_fits(left, m, a, n):
+    return lambda l: sum(_block_exps(a, l, _tops(m, a, n))) <= left
+
+
+def _deficit_fits(deficit, m, a, n):
+    return lambda l: all(e <= d for d, e in zip(deficit[m - 1:], _block_exps(a, l, _tops(m, a, n))))
+
+
+_sizes = st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 10**30))
+
+
+class TestLargestBlock:
+    """The solved block size against the bisection over l that it replaced,
+    with find_z's exact-hit shrink applied after it."""
+
+    @given(st.integers(2, 20), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_budget_matches_bisection(self, n, data):
+        m = data.draw(st.integers(2, n))
+        a = data.draw(_sizes)
+        if data.draw(st.booleans()):
+            # near the cost of some block, where an off-by-one would show
+            l0 = data.draw(st.integers(0, a))
+            left = max(0, sum(_block_exps(a, l0, _tops(m, a, n))) + data.draw(st.integers(-2, 2)))
+        else:
+            left = data.draw(st.integers(0, 10**60))
+        got = _Budget(left).largest(m, a, _tops(m, a, n))
+        assert got == _largest_l(a, _budget_fits(left, m, a, n))
+
+    @given(st.integers(2, 20), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_deficit_matches_bisection(self, n, data):
+        m = data.draw(st.integers(2, n))
+        a = data.draw(_sizes)
+        l0 = data.draw(st.integers(0, a))
+        near = list(_block_exps(a, l0, _tops(m, a, n)))
+        deficit = [0] * (m - 1) + near[: n - m] if data.draw(st.booleans()) else []  # an exact hit at l0
+        for i in range(len(deficit), n - 1):
+            kind = data.draw(st.sampled_from(["zero", "small", "huge", "near"]))
+            if kind == "near" and i >= m - 1:
+                deficit.append(max(0, near[i - m + 1] + data.draw(st.integers(-2, 2))))
+            elif kind == "huge":
+                deficit.append(data.draw(st.integers(0, 10**60)))
+            elif kind == "small":
+                deficit.append(data.draw(st.integers(0, 40)))
+            else:
+                deficit.append(0)
+        assume(any(deficit))  # the walk stops once the deficit is met
+        got = _Deficit(list(deficit)).largest(m, a, _tops(m, a, n))
+        want = _largest_l(a, _deficit_fits(deficit, m, a, n))
+        if want and not any(deficit[: m - 1]):
+            # a block that would use up the whole deficit is shrunk by one
+            if deficit[m - 1:] == list(_block_exps(a, want, _tops(m, a, n)))[: n - m]:
+                want -= 1
+        assert got == want
+
+    @given(st.integers(1, 20), st.integers(0, 10**3000))
+    @settings(max_examples=200, deadline=None)
+    def test_iroot_brackets_the_root(self, r, x):
+        y = _iroot(x, r)
+        assert y**r <= x < (y + 1) ** r
+
+    @given(st.integers(2, 20), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_least_base_is_least(self, r, data):
+        c = data.draw(st.integers(r - 2, r - 1))
+        x = data.draw(st.one_of(st.integers(-3, 300), st.integers(0, 10**80)))
+        got = _least_base(x, r, c)
+        assert got >= 0 and binom(got + c, r) >= x
+        assert got == 0 or binom(got - 1 + c, r) < x
 
 
 def _jump(frm, to, block_cost, steps_so_far):
