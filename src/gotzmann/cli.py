@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import random
-import re
 import sys
 
 from . import __version__
@@ -91,14 +90,11 @@ def _replays(rep, core: Monomial) -> bool:
     return json.dumps(report_to_dict(rebuilt), sort_keys=True) == json.dumps(rep, sort_keys=True)
 
 
-_U0_FIELD = re.compile(r'"u0": ("[^"\\]*")')
-
-
 def _load_cache(path: str, n: int, cores: dict) -> dict:
     """The cached towers of the given cores (keyed by string) that replay; later lines win.
 
-    Only lines holding the text "u0": <json.dumps(core)> for a requested core
-    are parsed; a line skipped unparsed can only be a miss.
+    Only lines whose last '"u0": ' (sort_keys puts the top-level one after "report")
+    holds json.dumps(core) for a requested core are parsed; the rest can only miss.
     """
     wanted = {json.dumps(key) for key in cores}
     entries = {}
@@ -108,7 +104,8 @@ def _load_cache(path: str, n: int, cores: dict) -> dict:
         return entries
     with fh:
         for line in fh:
-            if wanted.isdisjoint(_U0_FIELD.findall(line)):
+            at = line.rfind('"u0": ') + 6
+            if at < 6 or line[at : line.find('"', at + 1) + 1] not in wanted:
                 continue
             try:
                 obj = json.loads(line)

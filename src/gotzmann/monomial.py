@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from math import comb
 
 
 class ParseError(ValueError):
@@ -254,18 +253,15 @@ def sigma_pow(u: Monomial, t: int) -> Monomial:
     """t-fold iterate of sigma in closed form.
 
     The exponent of x_i in sigma^t(u) is sum_j a_j * C(t-1+i-j, t-1) over
-    j <= i; t = 0 is the identity and t = 1 agrees with sigma.
+    j <= i; t = 0 is the identity and t = 1 agrees with sigma.  Only the n
+    values C(t-1+k, k), k < n, occur, so they are built once as a column.
     """
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
     if t == 0:
         return u
-    out = []
-    for i in range(1, u.n + 1):
-        b = 0
-        for j in range(1, i + 1):
-            a = u.exps[j - 1]
-            if a:
-                b += a * comb(t - 1 + i - j, t - 1)
-        out.append(b)
+    col = [1]  # col[k] = C(t-1+k, k), each from the last by one ratio
+    for k in range(1, u.n):
+        col.append(col[-1] * (t - 1 + k) // k)
+    out = [sum(a * col[i - j] for j, a in enumerate(u.exps[: i + 1]) if a) for i in range(u.n)]
     return Monomial(u.n, tuple(out))

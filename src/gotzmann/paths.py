@@ -26,7 +26,10 @@ admitted, and charges the rule for it.  There are two rules:
 Neither rule searches over l.  The block's steps sum to C(k+S, S+1) -
 C(k-l+S, S+1), S = n - m (hockey stick), so each bound on l is one inverse
 binomial, the least N with C(N+c, r) >= X, read off the integer r-th root of
-r! X.  The l-free terms C(k+s-1, s+1) are computed once per jump.
+r! X.  The rows of terms C(k+s-1, s+1) and C(k-l+s-1, s+1), s = 1..n-m, go by
+C(k+s, s+2) = C(k+s-1, s+1) * (k+s) / (s+2): one multiply and one small exact
+division a column.  After a partial block (0 < l < k) the next jump is at the
+same m with k' = k - l, so it takes the lower row as its l-free row.
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
 A block whose visible cost would consume the deficit exactly is shrunk by
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .combinatorics import CapExceeded, binom, gap_count, lex_rank
 from .maxgen import target_decompose
@@ -69,19 +72,29 @@ class WalkState:
     steps: int
 
 
-def _block_exps(a: int, l: int, tops: list[int]) -> Iterator[int]:
-    """Exponents of the (m, a, l) block cost from x_m upward, computed on demand;
-    tops[s-1] is the l-free term C(a+s-1, s+1), s = 1..n-m."""
-    yield l
-    for s, top in enumerate(tops, 1):
-        yield top - binom(a - l + s - 1, s + 1)
+def _row(a: int, count: int) -> list[int]:
+    """[C(a+s-1, s+1) for s = 1..count]: binom(a, 2), then each column from the
+    last by C(a+s, s+2) = C(a+s-1, s+1) * (a+s) / (s+2)."""
+    row = [binom(a, 2)] if count else []
+    for s in range(1, count):
+        row.append(row[-1] * (a + s) // (s + 2))
+    return row
+
+
+def _block_exps(a: int, l: int, tops: list[int], low: list[int] | None = None) -> list[int]:
+    """Exponents of the (m, a, l) block cost from x_m upward: l, then tops - low,
+    where tops = _row(a, n-m) and low = _row(a-l, n-m) (built when not given)."""
+    low = _row(a - l, len(tops)) if low is None else low
+    return [l] + [top - lo for top, lo in zip(tops, low)]
 
 
 def _iroot(x: int, r: int) -> int:
-    """The y with y**r <= x < (y+1)**r, by Newton's method from above, started
-    from a float root (up to 1000 bits) or from the root of x's top half."""
+    """The y with y**r <= x < (y+1)**r: even r through math.isqrt, odd r by Newton's
+    method from above, from a float root (up to 1000 bits) or the root of x's top half."""
     if r == 1 or x < 2:
         return x
+    if r % 2 == 0:
+        return _iroot(math.isqrt(x), r // 2)
     bits = x.bit_length()
     if bits <= 1000:
         y = int(float(x) ** (1.0 / r) * (1 + 2.0**-40)) + 2
@@ -111,6 +124,7 @@ def _least_base(x: int, r: int, c: int) -> int:
 
 class _Budget:
     """advance's rule: a block's total steps stay within the steps left."""
+    low = None  # builds no lower row
 
     def __init__(self, left: int) -> None:
         self.left = left
@@ -140,6 +154,7 @@ class _Deficit:
 
     def largest(self, m: int, a: int, tops: list[int]) -> int:
         """Largest l whose block cost below x_n fits the deficit, less one on an exact hit."""
+        self.low = None  # the lower row of the admitted block, if the exact-hit check built it
         if not tops:  # m = n: the block costs nothing below x_n
             return a
         l = min(a, self.deficit[m - 1])
@@ -148,8 +163,9 @@ class _Deficit:
                 l = min(l, a - _least_base(tops[s - 1] - d, s + 1, s - 1))
         if l and not any(self.deficit[: m - 1]):
             # a block that would consume the whole deficit may hide the first hit
-            if all(e == d for d, e in zip(self.deficit[m - 1:], _block_exps(a, l, tops))):
-                l -= 1
+            self.low = _row(a - l, len(tops))
+            if self.deficit[m - 1:] == _block_exps(a, l, tops, self.low)[: len(tops)]:
+                l, self.low = l - 1, None
         return l
 
     def take(self, m: int, exps: list[int]) -> None:
@@ -163,42 +179,48 @@ class _Deficit:
 
 
 def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None) -> WalkState:
-    """Walk upward from origin, block by block, until the rule is met."""
+    """Walk upward from origin, block by block, until the rule is met.  Position and
+    cost are exponent lists; Monomials are built for the result and trace records."""
     if max_jumps < 0:
         raise ValueError(f"the jump cap must be nonnegative, got {max_jumps}")
     n = origin.n
-    cur = origin
+    cur = list(origin.exps)
     cost = [0] * n
     done = 0
     jumps = 0
+    carried = None  # after a partial block: its lower row, the next jump's tops
+    frm = origin
     while not rule.met():
         jumps += 1
         if jumps > max_jumps:
             raise CapExceeded(f"walk exceeded the jump cap of {max_jumps}")
-        m = max_index(cur)
+        m = n  # max_index(cur); both rules hold at once on a degree-0 origin
+        while not cur[m - 1]:
+            m -= 1
         if m == 1:
             raise TargetOvershoot(f"slice exhausted above {origin} with target unmet")
-        a = cur.exps[m - 1]
-        tops = [binom(a + s - 1, s + 1) for s in range(1, n - m + 1)]
+        a = cur[m - 1]
+        tops = _row(a, n - m) if carried is None else carried
         l = rule.largest(m, a, tops)
         if l:
-            exps = list(_block_exps(a, l, tops))
-            e = list(cur.exps)
-            e[m - 2] += l
-            e[m - 1] = a - l
-            nxt = Monomial(n, tuple(e))
-        else:
-            # even a one-unit block breaks the rule; one elementary step
+            low = _row(a - l, n - m) if rule.low is None else rule.low
+            exps = _block_exps(a, l, tops, low)
+            cur[m - 2], cur[m - 1] = cur[m - 2] + l, a - l
+            carried = low if l < a else None
+        else:  # even a one-unit block breaks the rule; one elementary step
             exps = [1] + [0] * (n - m)
-            nxt = pred(cur)
+            cur[m - 2], cur[m - 1] = cur[m - 2] + 1, 0
+            cur[n - 1] += a - 1
+            carried = None
         rule.take(m, exps)
-        block = (0,) * (m - 1) + tuple(exps)
-        cost = [c + b for c, b in zip(cost, block)]
+        for i, e in enumerate(exps, m - 1):
+            cost[i] += e
         done += sum(exps)
         if trace is not None:
-            _emit(trace, cur, nxt, Monomial(n, block), done)
-        cur = nxt
-    return WalkState(cur, Monomial(n, tuple(cost)), done)
+            to = Monomial(n, tuple(cur))
+            _emit(trace, frm, to, Monomial(n, (0,) * (m - 1) + tuple(exps)), done)
+            frm = to
+    return WalkState(Monomial(n, tuple(cur)), Monomial(n, tuple(cost)), done)
 
 
 def _emit(trace: TraceFn, frm: Monomial, to: Monomial, cost: Monomial, done: int) -> None:

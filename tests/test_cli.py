@@ -262,6 +262,20 @@ class TestCache:
         assert parsed == [hit + "\n"]
         assert len(cache.read_text().splitlines()) == 2000
 
+    def test_hand_spaced_line_is_a_miss(self, capsys, tmp_path):
+        # the scan looks for '"u0": ' as json.dumps writes it; other spacing is a miss
+        cache = tmp_path / "reports.jsonl"
+        report = report_to_dict(tau(Monomial(4, (0, 2, 0, 0)), 4))
+        entry = {"version": __version__, "n": 4, "report": report, "u0": "x2^2"}
+        cache.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        _, out, _ = run(capsys, "tau", "--n", "4", "--cache", str(cache), "x2^2")
+        assert out == "2\n"
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 2 and json.loads(lines[1]) == entry
+        _, hit, _ = run(capsys, "tau", "--n", "4", "--cache", str(cache), "x2^2")
+        assert hit == "2\n"
+        assert len(cache.read_text().splitlines()) == 2
+
 
 @given(
     st.integers(1, 6).flatmap(lambda m: st.lists(st.integers(0, 4), min_size=m, max_size=m)),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -196,6 +198,18 @@ class TestSigma:
         for _ in range(t):
             v = sigma(v)
         assert sigma_pow(u, t) == v
+
+    @given(
+        st.integers(1, 14).flatmap(lambda n: st.lists(st.integers(0, 10**6), min_size=n, max_size=n)),
+        st.one_of(st.integers(0, 40), st.integers(0, 10**40)),
+    )
+    def test_power_matches_per_term_binomials(self, exps, t):
+        u = Monomial(len(exps), tuple(exps))
+        if t == 0:
+            assert sigma_pow(u, t) == u
+            return
+        want = [sum(exps[j] * math.comb(t - 1 + i - j, t - 1) for j in range(i + 1)) for i in range(len(exps))]
+        assert sigma_pow(u, t) == Monomial(len(exps), tuple(want))
 
     @given(monomials, monomials)
     def test_multiplicative(self, u, v):

@@ -12,6 +12,7 @@ from gotzmann.paths import (
     _Deficit,
     _iroot,
     _least_base,
+    _row,
     advance,
     advance_oracle,
     cost_between,
@@ -308,6 +309,12 @@ class TestLargestBlock:
         y = _iroot(x, r)
         assert y**r <= x < (y + 1) ** r
 
+    @given(st.sampled_from([2, 4, 8, 16]), st.data(), st.integers(-1, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_iroot_even_r_beside_a_power(self, r, data, dx):
+        y = data.draw(st.integers(2 ** (1000 // r + 1), 2 ** (3000 // r)))
+        assert _iroot(y**r + dx, r) == (y - 1 if dx < 0 else y)
+
     @given(st.integers(2, 20), st.data())
     @settings(max_examples=200, deadline=None)
     def test_least_base_is_least(self, r, data):
@@ -316,6 +323,34 @@ class TestLargestBlock:
         got = _least_base(x, r, c)
         assert got >= 0 and binom(got + c, r) >= x
         assert got == 0 or binom(got - 1 + c, r) < x
+
+
+class TestRows:
+    @given(st.one_of(st.integers(0, 3), st.integers(0, 10**40)), st.integers(0, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_row_is_the_l_free_terms(self, a, count):
+        assert _row(a, count) == [binom(a + s - 1, s + 1) for s in range(1, count + 1)]
+
+    def test_no_tops_row_right_after_a_partial_block(self, monkeypatch):
+        from gotzmann import paths
+        from gotzmann.threshold import tau
+
+        rows, seen = [], {"after": None, "checked": 0}  # rows built since the last take
+        row, largest, take = paths._row, _Deficit.largest, _Deficit.take
+
+        def spy_largest(rule, m, a, tops):
+            if seen["after"] == (rule, m, a):  # right after a partial block at x_m
+                seen["checked"] += 1
+                assert (a, 14 - m) not in rows
+            l = largest(rule, m, a, tops)
+            seen["after"] = (rule, m, a - l) if 0 < l < a else None
+            return l
+
+        monkeypatch.setattr(paths, "_row", lambda a, count: rows.append((a, count)) or row(a, count))
+        monkeypatch.setattr(_Deficit, "largest", spy_largest)
+        monkeypatch.setattr(_Deficit, "take", lambda rule, m, exps: rows.clear() or take(rule, m, exps))
+        tau(parse("x2^10", 14), 14)
+        assert seen["checked"] > 50
 
 
 def _jump(frm, to, block_cost, steps_so_far):
