@@ -24,12 +24,18 @@ admitted, and charges the rule for it.  There are two rules:
   a target w, component by component.
 
 Neither rule searches over l.  The block's steps sum to C(k+S, S+1) -
-C(k-l+S, S+1), S = n - m (hockey stick), so each bound on l is one inverse
+C(k-l+S, S+1), S = n - m (hockey stick), so a bound on l is one inverse
 binomial, the least N with C(N+c, r) >= X, read off the integer r-th root of
-r! X.  The rows of terms C(k+s-1, s+1) and C(k-l+s-1, s+1), s = 1..n-m, go by
-C(k+s, s+2) = C(k+s-1, s+1) * (k+s) / (s+2): one multiply and one small exact
-division a column.  After a partial block (0 < l < k) the next jump is at the
-same m with k' = k - l, so it takes the lower row as its l-free row.
+r! X, and only bounds that bind are solved.  The budget rule steps without a
+solve when one unit, C(k+S-1, S) steps, is already too many.  The deficit rule
+solves the bounds from x_m and x_{m+1} (r = 2: one isqrt), checks the others
+on the lower row at that l and solves just those that fail; each fits at every
+smaller l, so the least bound is exact.  Rows of terms C(k+s-1, s+1),
+s = 1..n-m, go by C(k+s, s+2) = C(k+s-1, s+1) * (k+s) / (s+2): one multiply
+and one small exact division a column.  The next jump's row is carried: after
+a partial block (0 < l < k) it is the lower row (same m, k' = k - l); after a
+full block onto an empty x_{m-1}, it is this row and one more column (m - 1,
+same k).
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
 A block whose visible cost would consume the deficit exactly is shrunk by
@@ -112,12 +118,14 @@ def _least_base(x: int, r: int, c: int) -> int:
     """Least N >= 0 with C(N+c, r) >= x, for c < r and r >= 2.
 
     C(y, r) < (y - (r-1)/2)^r / r! (AM-GM), so y = N + c starts above
-    ((r! x)^(1/r) + (r-1)/2) and climbs at most r/2 + 1 steps.
+    ((r! x)^(1/r) + (r-1)/2) and climbs at most r/2 + 1 steps.  For r = 2 the
+    start is exact: C(y, 2) >= x iff 2y - 1 >= ceil(sqrt(8x + 1)) = isqrt(8x) + 1,
+    so the least y is (isqrt(8x) + 3) // 2 and no binomial confirms it.
     """
     if x <= 0:
         return 0
     y = (_iroot(math.factorial(r) * x << r, r) + r + 1) // 2
-    while binom(y, r) < x:
+    while r > 2 and binom(y, r) < x:
         y += 1
     return y - c
 
@@ -136,8 +144,10 @@ class _Budget:
         """Largest l whose block from x_m^a takes at most the steps left."""
         if not tops:  # m = n: each unit is one step
             return min(a, self.left)
-        s = len(tops)  # C(a+s, s+1) = a + sum(tops)
-        return a - _least_base(a + sum(tops) - self.left, s + 1, s)
+        s, total = len(tops), a + sum(tops)  # total = C(a+s, s+1)
+        if total * (s + 1) // (a + s) > self.left:  # one unit takes C(a+s-1, s) steps
+            return 0
+        return a - _least_base(total - self.left, s + 1, s)
 
     def take(self, m: int, exps: list[int]) -> None:
         self.left -= sum(exps)
@@ -154,18 +164,21 @@ class _Deficit:
 
     def largest(self, m: int, a: int, tops: list[int]) -> int:
         """Largest l whose block cost below x_n fits the deficit, less one on an exact hit."""
-        self.low = None  # the lower row of the admitted block, if the exact-hit check built it
+        self.low = None  # the lower row of the admitted block, when one is admitted
         if not tops:  # m = n: the block costs nothing below x_n
             return a
-        l = min(a, self.deficit[m - 1])
-        for s, d in enumerate(self.deficit[m:], 1):  # x_{m+s} below x_n
-            if l:
-                l = min(l, a - _least_base(tops[s - 1] - d, s + 1, s - 1))
-        if l and not any(self.deficit[: m - 1]):
-            # a block that would consume the whole deficit may hide the first hit
+        d = self.deficit[m - 1:]  # d[s] bounds the x_{m+s} exponent, s < n - m
+        l = min(a, d[0])
+        if l and len(d) > 1:
+            l = min(l, a - _least_base(tops[0] - d[1], 2, 0))
+        while l:  # at most twice: a component that fits at l fits at every smaller l
             self.low = _row(a - l, len(tops))
-            if self.deficit[m - 1:] == _block_exps(a, l, tops, self.low)[: len(tops)]:
-                l, self.low = l - 1, None
+            over = [s for s in range(2, len(d)) if tops[s - 1] - self.low[s - 1] > d[s]]
+            if not over:
+                break
+            l = min(a - _least_base(tops[s - 1] - d[s], s + 1, s - 1) for s in over)
+        if l and not any(self.deficit[: m - 1]) and d == _block_exps(a, l, tops, self.low)[: len(tops)]:
+            l, self.low = l - 1, None  # a block that would consume the whole deficit may hide the first hit
         return l
 
     def take(self, m: int, exps: list[int]) -> None:
@@ -188,7 +201,7 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
     cost = [0] * n
     done = 0
     jumps = 0
-    carried = None  # after a partial block: its lower row, the next jump's tops
+    carried = None  # the next jump's tops, when the last block left it known
     frm = origin
     while not rule.met():
         jumps += 1
@@ -207,6 +220,8 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
             exps = _block_exps(a, l, tops, low)
             cur[m - 2], cur[m - 1] = cur[m - 2] + l, a - l
             carried = low if l < a else None
+            if l == a == cur[m - 2]:  # a full block onto an empty x_{m-1}: the next jump is there
+                carried = tops + [tops[-1] * (a + n - m) // (n - m + 2) if tops else binom(a, 2)]
         else:  # even a one-unit block breaks the rule; one elementary step
             exps = [1] + [0] * (n - m)
             cur[m - 2], cur[m - 1] = cur[m - 2] + 1, 0

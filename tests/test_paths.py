@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -267,10 +269,14 @@ class TestLargestBlock:
     def test_budget_matches_bisection(self, n, data):
         m = data.draw(st.integers(2, n))
         a = data.draw(_sizes)
-        if data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from(["near", "unit", "any"]))
+        if kind == "near":
             # near the cost of some block, where an off-by-one would show
             l0 = data.draw(st.integers(0, a))
             left = max(0, sum(_block_exps(a, l0, _tops(m, a, n))) + data.draw(st.integers(-2, 2)))
+        elif kind == "unit":
+            # beside C(a+S-1, S), the steps of a one-unit block, S = n - m
+            left = max(0, binom(a + n - m - 1, n - m) + data.draw(st.integers(-1, 1))) if a else 0
         else:
             left = data.draw(st.integers(0, 10**60))
         got = _Budget(left).largest(m, a, _tops(m, a, n))
@@ -303,6 +309,30 @@ class TestLargestBlock:
                 want -= 1
         assert got == want
 
+    @given(st.integers(5, 20), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_deficit_solves_a_failing_component_above_x_m_plus_1(self, n, data):
+        # x_m and x_{m+1} admit the whole run, so the bound comes from some x_{m+s},
+        # s >= 2: the first lower row fails, and the second is built at the solved l
+        from gotzmann import paths
+
+        m = data.draw(st.integers(2, n - 3))
+        a = data.draw(st.one_of(st.integers(2, 40), st.integers(2, 10**30)))
+        tops = _tops(m, a, n)
+        fit = _block_exps(a, data.draw(st.integers(1, a - 1)), tops)
+        binds = data.draw(st.sets(st.integers(2, n - m - 1), min_size=1))
+        deficit = [data.draw(st.integers(0, 1)) for _ in range(m - 1)] + [a, tops[0]]
+        for s in range(2, n - m):
+            deficit.append(fit[s] + data.draw(st.integers(0, 2)) if s in binds else tops[s - 1])
+        assume(any(deficit[m - 1 + s] < tops[s - 1] for s in binds))
+        with mock.patch.object(paths, "_row", wraps=_row) as rows:
+            got = _Deficit(list(deficit)).largest(m, a, tops)
+        want = _largest_l(a, _deficit_fits(deficit, m, a, n))
+        assert 0 < want < a and rows.call_count == 2
+        if not any(deficit[: m - 1]) and deficit[m - 1:] == _block_exps(a, want, tops)[: n - m]:
+            want -= 1
+        assert got == want
+
     @given(st.integers(1, 20), st.integers(0, 10**3000))
     @settings(max_examples=200, deadline=None)
     def test_iroot_brackets_the_root(self, r, x):
@@ -315,11 +345,14 @@ class TestLargestBlock:
         y = data.draw(st.integers(2 ** (1000 // r + 1), 2 ** (3000 // r)))
         assert _iroot(y**r + dx, r) == (y - 1 if dx < 0 else y)
 
-    @given(st.integers(2, 20), st.data())
+    @given(st.one_of(st.just(2), st.integers(2, 20)), st.data())
     @settings(max_examples=200, deadline=None)
     def test_least_base_is_least(self, r, data):
         c = data.draw(st.integers(r - 2, r - 1))
-        x = data.draw(st.one_of(st.integers(-3, 300), st.integers(0, 10**80)))
+        big = 10**3000 if r == 2 else 10**80  # r = 2 trusts its start without a check
+        y = data.draw(st.integers(r, 10**40))
+        near = st.integers(-1, 1).map(lambda dx: binom(y, r) + dx)  # beside an exact hit
+        x = data.draw(st.one_of(st.integers(-3, 300), st.integers(0, big), near))
         got = _least_base(x, r, c)
         assert got >= 0 and binom(got + c, r) >= x
         assert got == 0 or binom(got - 1 + c, r) < x
@@ -331,7 +364,10 @@ class TestRows:
     def test_row_is_the_l_free_terms(self, a, count):
         assert _row(a, count) == [binom(a + s - 1, s + 1) for s in range(1, count + 1)]
 
-    def test_no_tops_row_right_after_a_partial_block(self, monkeypatch):
+    @staticmethod
+    def _tops_rows_after(monkeypatch, next_jump):
+        """Run tau(x2^10, 14) and check that no jump named by next_jump(m, a, l) for the
+        jump before it builds its own tops row; returns how many such jumps there were."""
         from gotzmann import paths
         from gotzmann.threshold import tau
 
@@ -339,18 +375,47 @@ class TestRows:
         row, largest, take = paths._row, _Deficit.largest, _Deficit.take
 
         def spy_largest(rule, m, a, tops):
-            if seen["after"] == (rule, m, a):  # right after a partial block at x_m
+            if seen["after"] == (rule, m, a):
                 seen["checked"] += 1
                 assert (a, 14 - m) not in rows
             l = largest(rule, m, a, tops)
-            seen["after"] = (rule, m, a - l) if 0 < l < a else None
+            seen["after"] = (rule,) + next_jump(m, a, l)
             return l
 
         monkeypatch.setattr(paths, "_row", lambda a, count: rows.append((a, count)) or row(a, count))
         monkeypatch.setattr(_Deficit, "largest", spy_largest)
         monkeypatch.setattr(_Deficit, "take", lambda rule, m, exps: rows.clear() or take(rule, m, exps))
         tau(parse("x2^10", 14), 14)
-        assert seen["checked"] > 50
+        return seen["checked"]
+
+    def test_no_tops_row_right_after_a_partial_block(self, monkeypatch):
+        # the next jump is at the same x_m with what the block left there
+        assert self._tops_rows_after(monkeypatch, lambda m, a, l: (m, a - l) if 0 < l < a else ()) > 50
+
+    def test_no_tops_row_right_after_a_full_block_onto_an_empty_run(self, monkeypatch):
+        # a jump at x_{m-1} with the same a follows a full block exactly when x_{m-1} was empty
+        assert self._tops_rows_after(monkeypatch, lambda m, a, l: (m - 1, a) if 0 < l == a else ()) > 50
+
+    def test_no_solve_for_a_budget_jump_that_takes_one_step(self, monkeypatch):
+        from gotzmann import paths
+        from gotzmann.threshold import tau
+
+        solves, zeros, largest = [], [], _Budget.largest
+
+        def spy_largest(rule, m, a, tops):
+            solves.clear()
+            l = largest(rule, m, a, tops)
+            if l == 0:
+                zeros.append(m)
+                assert not solves
+            return l
+
+        u0 = parse("x2^10", 8)
+        t = tau(u0, 8).tau
+        monkeypatch.setattr(paths, "_least_base", lambda *args: solves.append(args) or _least_base(*args))
+        monkeypatch.setattr(_Budget, "largest", spy_largest)
+        assert not is_gotzmann(parse(f"x2^10*x8^{t - 1}", 8)).is_gotzmann
+        assert len(zeros) >= 5
 
 
 def _jump(frm, to, block_cost, steps_so_far):
