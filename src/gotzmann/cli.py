@@ -14,10 +14,10 @@ Threshold reports can be cached in an append-only JSONL file (--cache or the
 GOTZ_CACHE environment variable), keyed by package version, ambient and the
 x_n-free core; entries from other versions are ignored.  An entry is replayed
 only if rebuilding its tower from the stored f, h and k (report_from_dict)
-reproduces it byte for byte; any other entry counts as a miss, so the report
-is computed again and appended.  Below the top level, a k whose level
-threshold is lowered to 0 by the split-off power of x_n cannot be re-derived
-without the walk, so it is replayed as stored.
+reproduces it byte for byte and, at each level below the top whose threshold
+is 0, the walk (find_z at that level's t*) gives back the stored h and k;
+any other entry counts as a miss, so the report is computed again and
+appended.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import sys
 from . import __version__
 from .combinatorics import CapExceeded, enumerate_monomials, lex_rank
 from .maxgen import maxgen_of_set, mg_closed, mg_oracle, mg_shifted
-from .monomial import Monomial, ParseError, div, parse, sigma, sigma_pow, variable_power
+from .monomial import Monomial, ParseError, deg_in, div, parse, sigma, sigma_pow, truncate, variable_power
 from .paths import (
     DEFAULT_MAX_JUMPS,
     TargetOvershoot,
@@ -80,17 +80,33 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _replays(rep, core: Monomial) -> bool:
-    """Whether rebuilding a stored tower from its f, h and k gives it back byte for byte."""
+def _replays(rep, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> bool:
+    """Whether a stored tower is the tower of core.
+
+    Rebuilding it from its f, h and k must give it back byte for byte.  Below
+    the top, a level whose threshold is 0 may be clamped there by the
+    split-off power of x_n, which hides its h and k from the levels above, so
+    that level's walk is run again and must give both.
+    """
     try:
         rebuilt = report_from_dict(rep, core)
+        if json.dumps(report_to_dict(rebuilt), sort_keys=True) != json.dumps(rep, sort_keys=True):
+            return False
+        level = rebuilt.sub_report
+        while level is not None and level.n > 2:
+            if level.tau == 0:
+                z, state = find_z(truncate(level.u0, level.n - 1), level.n, level.t_star, max_jumps=max_jumps)
+                if (level.h_at_tstar, level.k_at_tstar) != (deg_in(state.cost, level.n), deg_in(z, level.n)):
+                    return False
+            level = level.sub_report
     except (LookupError, TypeError, ValueError, ArithmeticError, RuntimeError):
-        # not a tower: missing keys, wrong types, bad digits or a broken invariant
+        # not a tower: missing keys, wrong types, bad digits, a broken invariant
+        # or a walk that cannot run (CapExceeded and TargetOvershoot are RuntimeErrors)
         return False
-    return json.dumps(report_to_dict(rebuilt), sort_keys=True) == json.dumps(rep, sort_keys=True)
+    return True
 
 
-def _load_cache(path: str, n: int, cores: dict) -> dict:
+def _load_cache(path: str, n: int, cores: dict, max_jumps: int) -> dict:
     """The cached towers of the given cores (keyed by string) that replay; later lines win.
 
     Only lines whose last '"u0": ' (sort_keys puts the top-level one after "report")
@@ -115,7 +131,7 @@ def _load_cache(path: str, n: int, cores: dict) -> dict:
                 continue
             u0_str, rep = obj.get("u0"), obj.get("report")
             if obj.get("n") == n and isinstance(u0_str, str) and u0_str in cores:
-                if _replays(rep, cores[u0_str]):
+                if _replays(rep, cores[u0_str], max_jumps):
                     entries[u0_str] = rep
     return entries
 
@@ -129,7 +145,7 @@ def _core_reports(args, n: int, cores, compute) -> dict:
     """
     path = args.cache or os.environ.get("GOTZ_CACHE")
     by_str = {str(core): core for core in cores}
-    reports = _load_cache(path, n, by_str) if path else {}
+    reports = _load_cache(path, n, by_str, args.max_jumps) if path else {}
     for key, core in by_str.items():
         if key not in reports:
             reports[key] = report_to_dict(compute(core))

@@ -247,9 +247,14 @@ def _run_walk(
     of two ways, chosen per column from e and s alone:
 
     - position sum, for e <= s + 3: the e terms as written, with B(j') read
-      off e single prefix sums of v.  columns must ascend, so that for one
-      position C(M - j', s) = C(K + s, s) follows from the previous column's
-      by one multiply and one exact division;
+      off e single prefix sums of v.  The binomials C(M - j', s) = C(K + s, s)
+      of one position form a row over s = 0..s_max (columns ascend, so s_max
+      is the last column's s).  The next position, K - 1, steps the row by
+      Pascal's rule C(K-1+s, s) = C(K+s, s) - C(K-1+s, s-1): s_max
+      subtractions instead of a product of s factors of K's size.  The row is
+      carried into the next run, whose s_max is smaller, and built by ratios
+      only where none reaches: at the first position sum and after a run that
+      took the closed form in every column;
     - closed form, for longer runs: sum_{m=1}^{s+1} C(M+1-e, s+1-m) * G[m]
       - (C(M+1, s+1) - C(M+1-e, s+1)), where G[m] = sum_c v[c] *
       C(i-1-c+e, e-m).  The first sum counts (A+s+1)-subsets of
@@ -257,14 +262,15 @@ def _run_walk(
       the first A+e (Vandermonde); the bracket is the hockey stick for the -1.
 
     The closed form costs s + 3 binomials of d-sized arguments per column,
-    the position sum e, so each takes the runs it is cheaper on.  Across the
-    run, v advances by e single prefix sums when e <= i or when a position
-    sum needs the sizes, and otherwise by v'[c] = sum_{c' <= c}
+    the position sum e row steps, so each takes the runs it is cheaper on.
+    Across the run, v advances by e single prefix sums when e <= i or when a
+    position sum needs the sizes, and otherwise by v'[c] = sum_{c' <= c}
     C(c-c'+e-1, c-c') * v[c'] with i binomials.
     """
     v = [1]
     shares = [0] * len(columns)
     p = 0
+    row, row_k = [], None  # row[s] = C(row_k + s, s), carried from position to position
     for i, e in enumerate(exps, start=1):
         if not e:
             continue
@@ -290,16 +296,20 @@ def _run_walk(
             low = top - e  # M + 1 - e
             share = sum(binom(low, s + 1 - m) * g[m] for m in range(1, s + 2))
             shares[col] += share - binom(top, s + 1) + binom(low, s + 1)
+        s_max = position[-1][1] if position else 0  # columns ascend
         for jp, b in enumerate(sizes if position else ()):
-            if b > 1:
-                k = d - p - 1 - jp  # C(M - j', s) = C(k + s, s), one binom per position
-                at = position[0][1]
-                c = binom(k + at, at)
-                for col, s in position:
-                    while at < s:
-                        at += 1
-                        c = c * (k + at) // at
-                    shares[col] += (b - 1) * c
+            if b <= 1:
+                continue
+            k = d - p - 1 - jp  # C(M - j', s) = C(k + s, s)
+            if row_k == k + 1 and len(row) > s_max:  # C(k+s, s) = C(k+1+s, s) - C(k+s, s-1)
+                row = [x - y for x, y in zip(row[: s_max + 1], [0] + row)]
+            else:
+                row = [1]
+                for s in range(1, s_max + 1):
+                    row.append(row[-1] * (k + s) // s)
+            row_k = k
+            for col, s in position:
+                shares[col] += (b - 1) * row[s]
         p += e
     return v, shares
 

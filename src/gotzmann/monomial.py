@@ -39,7 +39,9 @@ class Monomial:
         object.__setattr__(self, "exps", tuple(self.exps))
         if len(self.exps) != self.n:
             raise ValueError(f"expected {self.n} exponents, got {len(self.exps)}")
-        for e in self.exps:
+        if set(map(type, self.exps)) <= {int} and min(self.exps) >= 0:
+            return
+        for e in self.exps:  # a bool, another type or a negative; the loop names it
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
 

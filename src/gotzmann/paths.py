@@ -28,14 +28,16 @@ C(k-l+S, S+1), S = n - m (hockey stick), so a bound on l is one inverse
 binomial, the least N with C(N+c, r) >= X, read off the integer r-th root of
 r! X, and only bounds that bind are solved.  The budget rule steps without a
 solve when one unit, C(k+S-1, S) steps, is already too many.  The deficit rule
-solves the bounds from x_m and x_{m+1} (r = 2: one isqrt), checks the others
-on the lower row at that l and solves just those that fail; each fits at every
-smaller l, so the least bound is exact.  Rows of terms C(k+s-1, s+1),
-s = 1..n-m, go by C(k+s, s+2) = C(k+s-1, s+1) * (k+s) / (s+2): one multiply
-and one small exact division a column.  The next jump's row is carried: after
-a partial block (0 < l < k) it is the lower row (same m, k' = k - l); after a
-full block onto an empty x_{m-1}, it is this row and one more column (m - 1,
-same k).
+first tests the full block, l = k, whose lower row C(s-1, s+1) is zero: its
+cost is x_m^k times the top row, and the kernel charges every full block so,
+building no lower row.  Otherwise the deficit rule solves the bounds from
+x_m and x_{m+1} (r = 2: one isqrt), checks the others on the lower row at that
+l and solves just those that fail; each fits at every smaller l, so the least
+bound is exact.  Rows of terms C(k+s-1, s+1), s = 1..n-m, go by C(k+s, s+2) =
+C(k+s-1, s+1) * (k+s) / (s+2): one multiply and one small exact division a
+column.  The next jump's row is carried: after a partial block (0 < l < k) it
+is the lower row (same m, k' = k - l); after a full block onto an empty
+x_{m-1}, it is this row and one more column (m - 1, same k).
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
 A block whose visible cost would consume the deficit exactly is shrunk by
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .combinatorics import CapExceeded, binom, gap_count, lex_rank
-from .maxgen import target_decompose
+from .maxgen import MgDecomposition, target_decompose
 from .monomial import Monomial, lex_cmp, max_index, pred
 
 DEFAULT_MAX_JUMPS = 1_000_000
@@ -168,17 +170,23 @@ class _Deficit:
         if not tops:  # m = n: the block costs nothing below x_n
             return a
         d = self.deficit[m - 1:]  # d[s] bounds the x_{m+s} exponent, s < n - m
-        l = min(a, d[0])
-        if l and len(d) > 1:
-            l = min(l, a - _least_base(tops[0] - d[1], 2, 0))
-        while l:  # at most twice: a component that fits at l fits at every smaller l
-            self.low = _row(a - l, len(tops))
-            over = [s for s in range(2, len(d)) if tops[s - 1] - self.low[s - 1] > d[s]]
-            if not over:
-                break
-            l = min(a - _least_base(tops[s - 1] - d[s], s + 1, s - 1) for s in over)
-        if l and not any(self.deficit[: m - 1]) and d == _block_exps(a, l, tops, self.low)[: len(tops)]:
-            l, self.low = l - 1, None  # a block that would consume the whole deficit may hide the first hit
+        full = a <= d[0] and all(top <= e for top, e in zip(tops, d[1:]))
+        if full:  # its lower row is zero, so its cost is x_m^a times tops
+            l = a
+        else:
+            l = min(a, d[0])
+            if l and len(d) > 1:
+                l = min(l, a - _least_base(tops[0] - d[1], 2, 0))
+            while l:  # at most twice: a component that fits at l fits at every smaller l
+                self.low = _row(a - l, len(tops))
+                over = [s for s in range(2, len(d)) if tops[s - 1] - self.low[s - 1] > d[s]]
+                if not over:
+                    break
+                l = min(a - _least_base(tops[s - 1] - d[s], s + 1, s - 1) for s in over)
+        if l and not any(self.deficit[: m - 1]):
+            exps = [a] + tops if full else _block_exps(a, l, tops, self.low)
+            if d == exps[: len(tops)]:  # a block that would consume the whole deficit may hide the first hit
+                l, self.low = l - 1, None
         return l
 
     def take(self, m: int, exps: list[int]) -> None:
@@ -199,7 +207,6 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
     n = origin.n
     cur = list(origin.exps)
     cost = [0] * n
-    done = 0
     jumps = 0
     carried = None  # the next jump's tops, when the last block left it known
     frm = origin
@@ -215,13 +222,17 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
         a = cur[m - 1]
         tops = _row(a, n - m) if carried is None else carried
         l = rule.largest(m, a, tops)
-        if l:
+        if l == a:  # a full block: tops is the whole cost above x_m
+            exps = [a] + tops
+            cur[m - 2], cur[m - 1] = cur[m - 2] + a, 0
+            carried = None
+            if a == cur[m - 2]:  # onto an empty x_{m-1}: the next jump is there, with this row
+                carried = tops + [tops[-1] * (a + n - m) // (n - m + 2) if tops else binom(a, 2)]
+        elif l:
             low = _row(a - l, n - m) if rule.low is None else rule.low
             exps = _block_exps(a, l, tops, low)
             cur[m - 2], cur[m - 1] = cur[m - 2] + l, a - l
-            carried = low if l < a else None
-            if l == a == cur[m - 2]:  # a full block onto an empty x_{m-1}: the next jump is there
-                carried = tops + [tops[-1] * (a + n - m) // (n - m + 2) if tops else binom(a, 2)]
+            carried = low
         else:  # even a one-unit block breaks the rule; one elementary step
             exps = [1] + [0] * (n - m)
             cur[m - 2], cur[m - 1] = cur[m - 2] + 1, 0
@@ -230,12 +241,11 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
         rule.take(m, exps)
         for i, e in enumerate(exps, m - 1):
             cost[i] += e
-        done += sum(exps)
         if trace is not None:
             to = Monomial(n, tuple(cur))
-            _emit(trace, frm, to, Monomial(n, (0,) * (m - 1) + tuple(exps)), done)
+            _emit(trace, frm, to, Monomial(n, (0,) * (m - 1) + tuple(exps)), sum(cost))
             frm = to
-    return WalkState(Monomial(n, tuple(cur)), Monomial(n, tuple(cost)), done)
+    return WalkState(Monomial(n, tuple(cur)), Monomial(n, tuple(cost)), sum(cost))
 
 
 def _emit(trace: TraceFn, frm: Monomial, to: Monomial, cost: Monomial, done: int) -> None:
@@ -249,13 +259,17 @@ def _emit(trace: TraceFn, frm: Monomial, to: Monomial, cost: Monomial, done: int
     )
 
 
+class _BeyondSlice(ValueError):
+    """A walk's budget exceeds the predecessors above its origin."""
+
+
 def _check_budget(origin: Monomial, budget: int) -> None:
     """A walk of `budget` steps must fit in the predecessors above origin."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     avail = lex_rank(origin) - 1
     if budget > avail:
-        raise ValueError(
+        raise _BeyondSlice(
             f"budget {budget} exceeds the {avail} predecessors above {origin}"
         )
 
@@ -318,15 +332,19 @@ def find_z(
     t: int,
     max_jumps: int = DEFAULT_MAX_JUMPS,
     trace: TraceFn | None = None,
+    decomp: MgDecomposition | None = None,
 ) -> tuple[Monomial, WalkState]:
     """First monomial z above u0 * x_n^t whose walk cost, truncated below x_n,
     equals the x_n-free base w of mg(u0 * x_n^t).
 
     u0 lives in the ambient below n.  Exists whenever t is at least the
     threshold of u0 one ambient down; otherwise some component of the target
-    runs out mid-walk and TargetOvershoot is raised.
+    runs out mid-walk and TargetOvershoot is raised.  decomp, when given, must
+    be target_decompose(u0, n, t); a caller that also needs the x_n power of
+    mg passes it so that the target is evaluated once.
     """
-    decomp = target_decompose(u0, n, t)
+    if decomp is None:
+        decomp = target_decompose(u0, n, t)
     origin = Monomial(n, u0.exps + (t,))
     state = _walk(origin, _Deficit(list(decomp.base.exps[: n - 1])), max_jumps, trace)
     return state.current, state

@@ -35,11 +35,10 @@ from .combinatorics import (
     binom,
     borel_enumerate,
     lexsegment,
-    lex_rank,
 )
-from .maxgen import f_poly_eval, maxgen_of_set, mg_closed
+from .maxgen import maxgen_of_set, mg_closed, target_decompose
 from .monomial import Monomial, deg, deg_in, div, truncate, variable_power
-from .paths import DEFAULT_MAX_JUMPS, TraceFn, advance, find_z
+from .paths import DEFAULT_MAX_JUMPS, TraceFn, _BeyondSlice, advance, find_z
 
 
 @dataclass(frozen=True)
@@ -85,14 +84,15 @@ def is_gotzmann(
     """Witness test without enumeration: walk deg(mg(u)) steps and compare costs."""
     mg = mg_closed(u)
     g = deg(mg)
-    if g > lex_rank(u) - 1:
+    try:
+        st = advance(u, g, max_jumps=max_jumps, trace=trace)
+    except _BeyondSlice:
         # cannot happen when mg is sound (the closure always reaches x_1^d);
         # reported instead of walking out of the slice
         return GotzmannWitness(
             u=u, mg=mg, u_tilde=None, mc=None, gap_count=g, is_gotzmann=False,
             note="gap count exceeds the predecessors above u",
         )
-    st = advance(u, g, max_jumps=max_jumps, trace=trace)
     return GotzmannWitness(
         u=u, mg=mg, u_tilde=st.current, mc=st.cost, gap_count=g,
         is_gotzmann=(st.cost == mg),
@@ -129,9 +129,9 @@ def tau(
         return _level(u, 0, 0, 0, None)
     u0_prev = truncate(u, n - 1)
     sub = tau(u0_prev, n - 1, max_jumps=max_jumps, trace=trace)
-    f_star = f_poly_eval(u0_prev, n, sub.tau)
-    z, state = find_z(u0_prev, n, sub.tau, max_jumps=max_jumps, trace=trace)
-    return _level(u, f_star, deg_in(state.cost, n), deg_in(z, n), sub)
+    decomp = target_decompose(u0_prev, n, sub.tau)
+    z, state = find_z(u0_prev, n, sub.tau, max_jumps=max_jumps, trace=trace, decomp=decomp)
+    return _level(u, decomp.xn_exp, deg_in(state.cost, n), deg_in(z, n), sub)
 
 
 def report_from_dict(d: dict, u: Monomial) -> ThresholdReport:
@@ -139,11 +139,11 @@ def report_from_dict(d: dict, u: Monomial) -> ThresholdReport:
 
     Every other field is derived by the level rules of tau(), so
     report_to_dict(report_from_dict(d, u)) == d exactly when d could be the
-    tower of u.  One gap remains: below the top, a k whose level threshold is
-    lowered to 0 by the split-off power of x_n does not reach the levels
-    above, so it cannot be told apart from the k the walk would give.  A
-    malformed d raises LookupError, TypeError or ValueError; counts that break
-    a level invariant raise RuntimeError, as they would in tau().
+    tower of u, up to the h and k of a level below the top whose threshold
+    is lowered to 0 by the split-off power of x_n: those reach no level
+    above, so only that level's walk (find_z at its t*) can confirm them.  A
+    malformed d raises LookupError, TypeError or ValueError; counts that
+    break a level invariant raise RuntimeError, as they would in tau().
     """
     if u.n == 2:
         return _level(u, 0, 0, 0, None)

@@ -200,6 +200,22 @@ class TestCache:
         assert out == "7\n"
         assert len(cache.read_text().splitlines()) == 1
 
+    def test_replay_rewalks_levels_at_zero_with_the_jump_cap(self, capsys, tmp_path, monkeypatch):
+        # the n = 4 level of x2^2*x4^3 has its threshold clamped to 0; its walk
+        # runs again on replay, under --max-jumps, and not after a computed tower
+        cache = tmp_path / "reports.jsonl"
+        walks, real = [], cli.find_z
+        monkeypatch.setattr(
+            cli, "find_z", lambda *a, **kw: walks.append((a[1], kw["max_jumps"])) or real(*a, **kw)
+        )
+        argv = ("tau", "--n", "5", "--json", "--max-jumps", "500", "--cache", str(cache), "x2^2*x4^3")
+        _, miss, _ = run(capsys, *argv)
+        assert walks == []
+        _, hit, _ = run(capsys, *argv)
+        assert hit == miss and walks == [(4, 500)]
+        code, out, _ = run(capsys, "tau", "--n", "5", "--json", "x2^2*x4^3")
+        assert (code, out) == (EXIT_OK, miss) and walks == [(4, 500)]
+
     def test_environment_variable(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "reports.jsonl"
         monkeypatch.setenv("GOTZ_CACHE", str(cache))
@@ -298,10 +314,9 @@ def test_cache_accepts_real_towers_and_rejects_edited_counts(exps, t):
 
     level, depth = report, 0
     while level is not None:
-        # k alone is not pinned below the top: a level whose shifted tau is
-        # clamped at 0 hides a change of k
-        keys = ("t_star", "f", "h", "delta", "tau") + (("k",) if depth == 0 else ())
-        for key in keys:
+        # below the top, a level whose shifted tau is clamped at 0 passes no
+        # change of k upward; replay re-walks such a level
+        for key in ("t_star", "f", "h", "k", "delta", "tau"):
             assert rejects(depth, key, str(int(level[key]) + 1)), (depth, key)
         for key in ("t_star", "f", "h", "k", "delta", "tau"):
             for bad in ("-1", "07", "+7", " 7", 7) + (("1",) if level["n"] == 2 else ()):

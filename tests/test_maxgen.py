@@ -159,7 +159,9 @@ def _check_against_position_oracles(exps, t):
     assert mg_closed(u) == _mg_by_position(u)
     u0 = Monomial(n - 1, tuple(exps[:-1]))
     shifted = Monomial(n, tuple(exps[:-1]) + (t,))
-    assert f_poly_eval(u0, n, t) == _mg_by_position(shifted).exps[n - 1]
+    by_position = _mg_by_position(shifted)
+    assert mg_closed(shifted) == by_position
+    assert f_poly_eval(u0, n, t) == by_position.exps[n - 1]
 
 
 @pytest.mark.parametrize("t", [0, 7, 10**30])
@@ -179,4 +181,31 @@ _run_exponents = st.one_of(st.integers(0, 3), st.integers(4, 80))
 )
 @settings(max_examples=150, deadline=None)
 def test_run_walk_matches_position_oracles_random(exps, t):
+    _check_against_position_oracles(exps, t)
+
+
+@given(
+    st.integers(2, 9).flatmap(lambda n: st.lists(_run_exponents, min_size=n, max_size=n)),
+    st.integers(0, 10**1000),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_walk_matches_position_oracles_at_huge_shifts(exps, t):
+    _check_against_position_oracles(exps, t)
+
+
+@pytest.mark.parametrize("t", [0, 7, 10**1000], ids=["t0", "t7", "t1e1000"])
+@pytest.mark.parametrize(
+    "exps",
+    [
+        # a row is built on x2, x3 takes the closed form in every column, and the
+        # position sums of x4 build the row afresh, which x5 then steps on
+        [0, 2, 10, 1, 1, 0, 0, 0, 0, 0],
+        # position sums on every run with s_max falling by one, then by two
+        [1, 3, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0],
+        [2, 0, 1, 0, 3, 0, 1, 0, 0, 0, 0],
+        # a long closed-form run between two position-sum runs, then single positions
+        [0, 3, 40, 2, 0, 1, 1, 1, 0, 0, 0],
+    ],
+)
+def test_run_walk_carries_its_row_across_runs(exps, t):
     _check_against_position_oracles(exps, t)

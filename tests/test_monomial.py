@@ -94,6 +94,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             Monomial(3, (0, -1, 0))
 
+    @pytest.mark.parametrize("bad", [-1, -(10**40), True, False, 1.0, "1", None])
+    def test_each_bad_exponent_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"nonnegative integers, got {bad!r}$"):
+            Monomial(4, (3, 0, bad, 10**40))
+
+    def test_int_subclasses_other_than_bool_pass(self):
+        import enum
+
+        class E(enum.IntEnum):
+            TWO = 2
+
+        assert Monomial(2, (E.TWO, 1)).exps == (2, 1)
+
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             Monomial(3, (0, 1))

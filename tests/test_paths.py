@@ -396,6 +396,23 @@ class TestRows:
         # a jump at x_{m-1} with the same a follows a full block exactly when x_{m-1} was empty
         assert self._tops_rows_after(monkeypatch, lambda m, a, l: (m - 1, a) if 0 < l == a else ()) > 50
 
+    def test_full_blocks_build_no_lower_row(self, monkeypatch):
+        # a full block's lower row C(s-1, s+1) is zero, so no jump builds _row(0, .)
+        from gotzmann import paths
+        from gotzmann.threshold import tau
+
+        rows, full, largest = [], [], _Deficit.largest
+
+        def spy_largest(rule, m, a, tops):
+            l = largest(rule, m, a, tops)
+            full.append(l == a)
+            return l
+
+        monkeypatch.setattr(paths, "_row", lambda a, count: rows.append(a) or _row(a, count))
+        monkeypatch.setattr(_Deficit, "largest", spy_largest)
+        tau(parse("x2^10", 14), 14)
+        assert sum(full) > 200 and rows and 0 not in rows
+
     def test_no_solve_for_a_budget_jump_that_takes_one_step(self, monkeypatch):
         from gotzmann import paths
         from gotzmann.threshold import tau

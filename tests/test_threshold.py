@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gotzmann.combinatorics import binom, enumerate_monomials
+from gotzmann.combinatorics import binom, enumerate_monomials, lex_rank
 from gotzmann.maxgen import mg_closed
 from gotzmann.monomial import Monomial, embed, one, parse, variable_power
-from gotzmann.paths import mc
+from gotzmann.paths import advance, mc
 from gotzmann.threshold import (
     ConjectureScan,
     GotzmannWitness,
@@ -44,6 +44,26 @@ class TestIsGotzmann:
         assert str(w.mc) == "x2"
         assert w.gap_count == 1
         assert not w.is_gotzmann
+
+    def test_ranks_the_slice_once(self, monkeypatch):
+        from gotzmann import paths, threshold
+
+        calls = []
+        spy = lambda u: calls.append(u) or lex_rank(u)
+        monkeypatch.setattr(paths, "lex_rank", spy)
+        monkeypatch.setattr(threshold, "lex_rank", spy, raising=False)
+        assert is_gotzmann(parse("x2^2*x4*x5^6", 5)).is_gotzmann
+        assert len(calls) == 1
+
+    def test_gap_count_beyond_the_slice_is_a_noted_failure(self, monkeypatch):
+        from gotzmann import threshold
+
+        monkeypatch.setattr(threshold, "mg_closed", lambda u: parse("x3^100", 3))
+        w = is_gotzmann(parse("x2^2", 3))
+        assert (w.is_gotzmann, w.mc, w.gap_count) == (False, None, 100)
+        assert w.note == "gap count exceeds the predecessors above u"
+        with pytest.raises(ValueError, match="exceeds the 3 predecessors"):
+            advance(parse("x2^2", 3), 100)
 
     def test_matches_enumeration_oracle(self):
         for n in range(1, 5):
@@ -105,6 +125,27 @@ class TestTau:
         monkeypatch.setattr(maxgen, "mg_closed", lambda u: calls.append(u) or real(u))
         tau(parse("x2^3", 6), 6)
         assert len(calls) == 4
+
+    def test_x_n_power_evaluated_once_per_level(self, monkeypatch):
+        # tau reads f off the decomposition it hands to find_z; nothing evaluates it again
+        from gotzmann import maxgen, threshold
+
+        calls = []
+        real = maxgen.f_poly_eval
+        spy = lambda *args: calls.append(args) or real(*args)
+        monkeypatch.setattr(maxgen, "f_poly_eval", spy)
+        monkeypatch.setattr(threshold, "f_poly_eval", spy, raising=False)
+        tau(parse("x2^3", 6), 6)
+        assert len(calls) == 4
+
+    def test_walks_through_the_public_find_z(self, monkeypatch):
+        # a wrapper bound over threshold.find_z sees the walk of every level
+        from gotzmann import threshold
+
+        calls, real = [], threshold.find_z
+        monkeypatch.setattr(threshold, "find_z", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
+        tau(parse("x2^3", 6), 6)
+        assert calls == [3, 4, 5, 6]
 
     def test_base_case(self):
         assert tau(parse("x1^3", 2), 2).tau == 0
@@ -265,3 +306,19 @@ def test_report_from_dict_inverts_report_to_dict(exps):
     u = Monomial(n, tuple(exps))
     rep = tau(u, n)
     assert report_from_dict(report_to_dict(rep), u) == rep
+
+
+def test_report_from_dict_runs_no_walk(monkeypatch):
+    # a pure rebuild, also of a level whose threshold is clamped to 0 (n = 4 here)
+    from gotzmann import paths
+
+    u = parse("x2^2*x4^3", 5)
+    rep = tau(u, 5)
+    assert rep.sub_report.tau == 0 and rep.sub_report.n == 4
+    d = report_to_dict(rep)
+
+    def no_walk(*args):
+        raise AssertionError("report_from_dict walked")
+
+    monkeypatch.setattr(paths, "_walk", no_walk)
+    assert report_from_dict(d, u) == rep
