@@ -1,7 +1,8 @@
 """Command line front end.
 
 Query commands (tau, is-gotzmann, mg, mc, cost, pred, sigma) print single
-exact values; verify runs self-contained cross-check suites; conjecture scans
+exact values; verify runs one of the cross-check suites of verify.py, which
+holds every check and every oracle the CLI reaches; conjecture scans
 the growth of tau(x_2^d) with the ambient.  All arithmetic is exact, and JSON
 output renders big integers as decimal strings so nothing is ever rounded by
 a consumer.
@@ -25,39 +26,22 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
-from . import __version__
-from .combinatorics import CapExceeded, enumerate_monomials, lex_rank
-from .maxgen import maxgen_of_set, mg_closed, mg_oracle, mg_shifted
-from .monomial import Monomial, ParseError, deg_in, div, parse, sigma, sigma_pow, truncate, variable_power
-from .paths import (
-    DEFAULT_MAX_JUMPS,
-    TargetOvershoot,
-    advance,
-    advance_oracle,
-    cost_between,
-    find_z,
-    mc,
-)
-from .threshold import (
-    conjecture_scan,
-    is_gotzmann,
-    is_gotzmann_oracle,
-    report_from_dict,
-    report_to_dict,
-    tau,
-    tau_formula,
-    tau_oracle,
-    witness_to_dict,
-)
+from . import __version__, verify
+from .combinatorics import CapExceeded
+from .maxgen import mg_closed, mg_shifted
+from .monomial import Monomial, ParseError, deg_in, div, parse, sigma_pow, truncate, variable_power
+from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, advance, cost_between, find_z, mc
+from .threshold import conjecture_scan, is_gotzmann, report_from_dict, report_to_dict, tau, witness_to_dict
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+
+_VERIFY_OPTIONS = ("n", "max_deg", "which", "d", "count", "seed")
 
 
 def _tracer(args) -> None:
@@ -218,151 +202,13 @@ def cmd_sigma(args) -> int:
     return EXIT_OK
 
 
-def _suite_oracle(args):
-    ns = [args.n] if args.n is not None else [3, 4]
-    max_deg = args.max_deg if args.max_deg is not None else 4
-    checked = 0
-    failures = []
-    for n in ns:
-        if n < 3:
-            raise ParseError("the oracle suite needs n >= 3")
-        for d in range(max_deg + 1):
-            for u in enumerate_monomials(n, d):
-                checked += 2
-                if is_gotzmann(u).is_gotzmann != is_gotzmann_oracle(u):
-                    failures.append(f"verdict mismatch at {u} (n={n})")
-                if mg_closed(u) != mg_oracle(u):
-                    failures.append(f"mg mismatch at {u} (n={n})")
-        for d in range(max_deg + 1):
-            for u0 in enumerate_monomials(n - 1, d):
-                cand = Monomial(n, u0.exps + (0,))
-                checked += 1
-                if tau(cand, n).tau != tau_oracle(cand, n):
-                    failures.append(f"tau mismatch at {cand} (n={n})")
-    return checked, failures
-
-
-def _suite_formulas(args):
-    which = [args.which] if args.which is not None else ["tau3", "tau4", "tau5"]
-    lo, hi = _parse_range(args.d) if args.d is not None else (2, 8)
-    checked = 0
-    failures = []
-    if "tau3" in which:
-        for a in range(3):
-            for b in range(13):
-                checked += 1
-                got = tau(Monomial(3, (a, b, 0)), 3).tau
-                if got != tau_formula("tau3", b=b, a=a):
-                    failures.append(f"tau3 at a={a}, b={b}: {got}")
-    if "tau4" in which:
-        for b in range(7):
-            for c in range(7):
-                checked += 1
-                got = tau(Monomial(4, (0, b, c, 0)), 4).tau
-                if got != tau_formula("tau4", b=b, c=c):
-                    failures.append(f"tau4 at b={b}, c={c}: {got}")
-    if "tau5" in which or "tau5_x2" in which:
-        for d in range(lo, hi + 1):
-            checked += 1
-            got = tau(Monomial(5, (0, d, 0, 0, 0)), 5).tau
-            if got != tau_formula("tau5_x2", d=d):
-                failures.append(f"tau5_x2 at d={d}: {got}")
-    return checked, failures
-
-
-def _suite_walk(args):
-    count = args.count if args.count is not None else 200
-    rng = random.Random(args.seed if args.seed is not None else 20260814)
-    checked = 0
-    failures = []
-    for _ in range(count):
-        n = rng.randint(2, 6)
-        exps = [rng.randint(0, 4) for _ in range(n)]
-        if not any(exps):
-            exps[-1] = rng.randint(1, 4)
-        u = Monomial(n, tuple(exps))
-        budget = rng.randint(0, min(10_000, lex_rank(u) - 1))
-        fast = advance(u, budget)
-        slow = advance_oracle(u, budget)
-        checked += 1
-        if (fast.current, fast.cost, fast.steps) != (slow.current, slow.cost, slow.steps):
-            failures.append(f"engines disagree from {u} after {budget} steps")
-    return checked, failures
-
-
-def _suite_reference(args):
-    checks = []
-
-    def chk(desc: str, ok: bool) -> None:
-        checks.append((desc, bool(ok)))
-
-    def M(text: str, n: int) -> Monomial:
-        return parse(text, n)
-
-    from .combinatorics import binom, borel_enumerate, lexinterval
-
-    slice32 = enumerate_monomials(3, 2)
-    chk("slice listing", [str(u) for u in slice32] == ["x1^2", "x1*x2", "x1*x3", "x2^2", "x2*x3", "x3^2"])
-    chk("maxgen of the full slice", str(maxgen_of_set(slice32)) == "x1*x2^2*x3^3")
-    chk("closure of x2^2", [str(u) for u in borel_enumerate(M("x2^2", 3))] == ["x1^2", "x1*x2", "x2^2"])
-    chk("rank of x2*x3", lex_rank(M("x2*x3", 3)) == 5)
-    chk("prefix-sum map", str(sigma(M("x2", 5))) == "x2*x3*x4*x5")
-    chk("prefix-sum map 2", str(sigma(M("x2^2*x3^5", 4))) == "x2^2*x3^7*x4^7")
-    chk("iterated prefix-sum", str(sigma_pow(M("x2", 4), 2)) == "x2*x3^2*x4^3")
-    chk("predecessor", str(advance(M("x2^2*x4*x5", 5), 1).current) == "x2^2*x4^2")
-    got_interval = [str(u) for u in lexinterval(M("x2^2*x3*x4", 5), M("x2^2*x4*x5", 5))]
-    chk("interval", got_interval == ["x2^2*x3*x5", "x2^2*x4^2", "x2^2*x4*x5"])
-    chk("walk cost", str(cost_between(M("x2^2*x4*x5", 5), M("x2^2*x3*x4", 5))) == "x4*x5^2")
-    chk("gap form", str(mg_closed(M("x2^2*x4", 5))) == "x3*x4^2*x5^5")
-    chk("gap form of x2^3", str(mg_closed(M("x2^3", 5))) == "x3^3*x4^4*x5^5")
-    from .maxgen import f_poly_eval
-    ok_f = all(
-        f_poly_eval(M("x2^2*x4", 4), 5, t) == binom(t + 1, 2) + 2 * t + 5
-        for t in range(13)
-    )
-    chk("f polynomial", ok_f)
-    ok_z = True
-    for t in range(1, 7):
-        z, st = find_z(M("x2^2*x4", 4), 5, t)
-        ok_z = ok_z and z == Monomial(5, (0, 3, 1, 0, t - 1))
-        ok_z = ok_z and st.cost.exps[4] == binom(t + 3, 2) - 3
-    chk("first-hit walk", ok_z)
-    try:
-        find_z(M("x2^2", 3), 4, 0)
-        chk("first-hit nonexistence", False)
-    except TargetOvershoot:
-        chk("first-hit nonexistence", True)
-    chk("threshold worked example", tau(M("x2^2*x4", 5), 5).tau == 6)
-    chk("threshold drop under shift", tau(M("x2^2*x4*x5^2", 5), 5).tau == 4)
-    chk("threshold of x2^2 in four", tau(M("x2^2", 4), 4).tau == 2)
-    chk("three-variable law", all(tau(Monomial(3, (0, b, 0)), 3).tau == binom(b, 2) for b in range(9)))
-    chk("two variables always pass", all(is_gotzmann(u).is_gotzmann for d in range(6) for u in enumerate_monomials(2, d)))
-    chk("witness true at 6", is_gotzmann(M("x2^2*x4*x5^6", 5)).is_gotzmann)
-    chk("witness false at 5", not is_gotzmann(M("x2^2*x4*x5^5", 5)).is_gotzmann)
-    chk("four-variable law sample", tau_formula("tau4", b=3, c=0) == 10 and tau(M("x2^3", 4), 4).tau == 10)
-    chk("five-variable law sample", tau_formula("tau5_x2", d=2) == 4 and tau(M("x2^2", 5), 5).tau == 4)
-
-    failures = [desc for desc, ok in checks if not ok]
-    return len(checks), failures
-
-
-_SUITES = {
-    "oracle": _suite_oracle,
-    "formulas": _suite_formulas,
-    "walk": _suite_walk,
-    "paper-examples": _suite_reference,
-}
-
-
 def cmd_verify(args) -> int:
-    checked, failures = _SUITES[args.suite](args)
-    if checked == 0:
-        raise ParseError(f"the {args.suite} suite would check nothing with these options")
-    summary = {"suite": args.suite, "checked": checked, "failures": len(failures)}
-    if failures:
-        summary["examples"] = failures[:10]
+    options = {k: v for k, v in vars(args).items() if k in _VERIFY_OPTIONS and v is not None}
+    if "d" in options:
+        options["d"] = _parse_range(options["d"])
+    summary = verify.run(args.suite, **options)
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_VERIFY if failures else EXIT_OK
+    return EXIT_VERIFY if summary["failures"] else EXIT_OK
 
 
 def cmd_conjecture(args) -> int:
@@ -488,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sigma)
 
     sp = sub.add_parser("verify", help="run a cross-check suite")
-    sp.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    sp.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--max-deg", type=int, default=None)
     sp.add_argument("--which", choices=["tau3", "tau4", "tau5", "tau5_x2"], default=None)

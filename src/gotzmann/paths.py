@@ -81,9 +81,9 @@ class WalkState:
 
 
 def _row(a: int, count: int) -> list[int]:
-    """[C(a+s-1, s+1) for s = 1..count]: binom(a, 2), then each column from the
+    """[C(a+s-1, s+1) for s = 1..count]: C(a, 2), then each column from the
     last by C(a+s, s+2) = C(a+s-1, s+1) * (a+s) / (s+2)."""
-    row = [binom(a, 2)] if count else []
+    row = [a * (a - 1) // 2] if count else []
     for s in range(1, count):
         row.append(row[-1] * (a + s) // (s + 2))
     return row
@@ -227,7 +227,7 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
             cur[m - 2], cur[m - 1] = cur[m - 2] + a, 0
             carried = None
             if a == cur[m - 2]:  # onto an empty x_{m-1}: the next jump is there, with this row
-                carried = tops + [tops[-1] * (a + n - m) // (n - m + 2) if tops else binom(a, 2)]
+                carried = tops + [tops[-1] * (a + n - m) // (n - m + 2) if tops else a * (a - 1) // 2]
         elif l:
             low = _row(a - l, n - m) if rule.low is None else rule.low
             exps = _block_exps(a, l, tops, low)

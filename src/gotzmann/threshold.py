@@ -47,11 +47,10 @@ class GotzmannWitness:
 
     u: Monomial
     mg: Monomial
-    u_tilde: Optional[Monomial]
-    mc: Optional[Monomial]
+    u_tilde: Monomial
+    mc: Monomial
     gap_count: int
     is_gotzmann: bool
-    note: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,9 @@ def is_gotzmann(
     g = deg(mg)
     try:
         st = advance(u, g, max_jumps=max_jumps, trace=trace)
-    except _BeyondSlice:
-        # cannot happen when mg is sound (the closure always reaches x_1^d);
-        # reported instead of walking out of the slice
-        return GotzmannWitness(
-            u=u, mg=mg, u_tilde=None, mc=None, gap_count=g, is_gotzmann=False,
-            note="gap count exceeds the predecessors above u",
-        )
+    except _BeyondSlice as exc:
+        # the closure always reaches x_1^d, so only a broken mg_closed gets here
+        raise RuntimeError(f"gap count of {u} exceeds the predecessors above it") from exc
     return GotzmannWitness(
         u=u, mg=mg, u_tilde=st.current, mc=st.cost, gap_count=g,
         is_gotzmann=(st.cost == mg),
@@ -331,14 +326,11 @@ def report_to_dict(rep: ThresholdReport) -> dict:
 
 
 def witness_to_dict(w: GotzmannWitness) -> dict:
-    out = {
+    return {
         "u": str(w.u),
         "mg": str(w.mg),
-        "u_tilde": str(w.u_tilde) if w.u_tilde is not None else None,
-        "mc": str(w.mc) if w.mc is not None else None,
+        "u_tilde": str(w.u_tilde),
+        "mc": str(w.mc),
         "gap_count": str(w.gap_count),
         "is_gotzmann": w.is_gotzmann,
     }
-    if w.note:
-        out["note"] = w.note
-    return out

@@ -4,15 +4,18 @@ import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gotzmann import __version__
-from gotzmann import cli
+from gotzmann import cli, verify
 from gotzmann.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from gotzmann.monomial import Monomial
+from gotzmann.monomial import Monomial, ParseError
+from gotzmann.paths import advance
 from gotzmann.threshold import report_to_dict, tau
 
 
@@ -116,9 +119,7 @@ class TestExitCodes:
         assert run(capsys, "cost", "--n", "3", "x1^2", "x3^2")[0] == EXIT_USAGE
 
     def test_failing_suite_reports_one(self, capsys, monkeypatch):
-        from gotzmann import cli
-
-        monkeypatch.setitem(cli._SUITES, "walk", lambda args: (1, ["boom"]))
+        monkeypatch.setitem(verify.SUITES, "walk", lambda: (1, ["boom"]))
         code, out, _ = run(capsys, "verify", "--suite", "walk")
         assert code == EXIT_VERIFY
         assert json.loads(out)["failures"] == 1
@@ -149,11 +150,37 @@ class TestVerify:
             ("verify", "--suite", "walk", "--count", "-5"),
             ("verify", "--suite", "walk", "--count", "0"),
             ("verify", "--suite", "formulas", "--d", ""),
+            ("verify", "--suite", "walk", "--n", "3"),
+            ("verify", "--suite", "paper-examples", "--count", "5"),
+            ("verify", "--suite", "oracle", "--n", "3", "--max-deg", "1", "--seed", "4"),
         ],
     )
     def test_suites_that_would_check_nothing_are_usage_errors(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
+
+    def test_unread_option_is_named(self):
+        with pytest.raises(ParseError, match="the walk suite takes no option n$"):
+            verify.run("walk", n=3)
+
+    @pytest.mark.parametrize(
+        "argv, name, fault",
+        [
+            (("formulas", "--d", "2..3"), "tau", lambda u, n: SimpleNamespace(tau=tau(u, n).tau + 1)),
+            (("oracle", "--n", "3", "--max-deg", "2"), "tau", lambda u, n: SimpleNamespace(tau=tau(u, n).tau + 1)),
+            (("walk", "--count", "5"), "advance", lambda u, b: replace(advance(u, b), cost=u)),
+            (("paper-examples",), "mg_closed", lambda u: u),
+        ],
+        ids=["formulas", "oracle", "walk", "paper-examples"],
+    )
+    def test_each_suite_catches_a_planted_fault(self, capsys, monkeypatch, argv, name, fault):
+        # a suite that compared a function with itself would pass here
+        monkeypatch.setattr(verify, name, fault)
+        code, out, _ = run(capsys, "verify", "--suite", *argv)
+        summary = json.loads(out)
+        assert (code, summary["suite"]) == (EXIT_VERIFY, argv[0])
+        assert summary["failures"] > 0
+        assert summary["examples"]
 
     def test_walk_suite_is_seedable(self, capsys):
         _, out1, _ = run(capsys, "verify", "--suite", "walk", "--count", "10", "--seed", "7")
@@ -345,7 +372,8 @@ def test_negative_binom_is_an_internal_error(capsys, monkeypatch):
     from gotzmann.combinatorics import binom
 
     monkeypatch.setattr(paths, "binom", lambda a, b: binom(-1, b))
-    code, out, err = run(capsys, "tau", "--n", "5", "x2^2*x4")
+    # a budget walk that solves a block bound through binom (row heads are products)
+    code, out, err = run(capsys, "pred", "--n", "5", "x5^20", "--steps", "1000")
     assert (code, out) == (EXIT_INTERNAL, "")
     assert "binom needs nonnegative arguments" in err
 

@@ -55,13 +55,15 @@ class TestIsGotzmann:
         assert is_gotzmann(parse("x2^2*x4*x5^6", 5)).is_gotzmann
         assert len(calls) == 1
 
-    def test_gap_count_beyond_the_slice_is_a_noted_failure(self, monkeypatch):
-        from gotzmann import threshold
+    def test_gap_count_beyond_the_slice_is_an_internal_error(self, monkeypatch, capsys):
+        # only a broken mg_closed can ask for more steps than the slice holds
+        from gotzmann import cli, threshold
 
         monkeypatch.setattr(threshold, "mg_closed", lambda u: parse("x3^100", 3))
-        w = is_gotzmann(parse("x2^2", 3))
-        assert (w.is_gotzmann, w.mc, w.gap_count) == (False, None, 100)
-        assert w.note == "gap count exceeds the predecessors above u"
+        with pytest.raises(RuntimeError, match="gap count of x2\\^2 exceeds the predecessors"):
+            is_gotzmann(parse("x2^2", 3))
+        assert cli.main(["is-gotzmann", "--n", "3", "x2^2"]) == cli.EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
         with pytest.raises(ValueError, match="exceeds the 3 predecessors"):
             advance(parse("x2^2", 3), 100)
 
