@@ -18,7 +18,11 @@ only if rebuilding its tower from the stored f, h and k (report_from_dict)
 reproduces it byte for byte and, at each level below the top whose threshold
 is 0, the walk (find_z at that level's t*) gives back the stored h and k;
 any other entry counts as a miss, so the report is computed again and
-appended.
+appended.  These checks catch a malformed or singly edited entry, not a
+forged one: the top level's h, k and tau are re-derived from each other, not
+walked, so a line whose top level has h + 1, delta - 1 and tau - 1 (or k + 1
+and tau - 1) still replays its wrong tau.  Only trusted files belong in the
+cache.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ import json
 import os
 import sys
 
-from . import __version__, verify
+from . import __version__
 from .combinatorics import CapExceeded
 from .maxgen import mg_closed, mg_shifted
 from .monomial import Monomial, ParseError, deg_in, div, parse, sigma_pow, truncate, variable_power
 from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, advance, cost_between, find_z, mc
-from .threshold import conjecture_scan, is_gotzmann, report_from_dict, report_to_dict, tau, witness_to_dict
+from .threshold import (ThresholdReport, _level, conjecture_scan, is_gotzmann,
+                        report_from_dict, report_to_dict, tau, witness_to_dict)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -64,8 +69,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _replays(rep, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> bool:
-    """Whether a stored tower is the tower of core.
+def _replays(rep, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> ThresholdReport | None:
+    """The tower of core that a stored report describes, or None if it is not one.
 
     Rebuilding it from its f, h and k must give it back byte for byte.  Below
     the top, a level whose threshold is 0 may be clamped there by the
@@ -75,23 +80,23 @@ def _replays(rep, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> bool:
     try:
         rebuilt = report_from_dict(rep, core)
         if json.dumps(report_to_dict(rebuilt), sort_keys=True) != json.dumps(rep, sort_keys=True):
-            return False
+            return None
         level = rebuilt.sub_report
         while level is not None and level.n > 2:
             if level.tau == 0:
                 z, state = find_z(truncate(level.u0, level.n - 1), level.n, level.t_star, max_jumps=max_jumps)
                 if (level.h_at_tstar, level.k_at_tstar) != (deg_in(state.cost, level.n), deg_in(z, level.n)):
-                    return False
+                    return None
             level = level.sub_report
     except (LookupError, TypeError, ValueError, ArithmeticError, RuntimeError):
         # not a tower: missing keys, wrong types, bad digits, a broken invariant
         # or a walk that cannot run (CapExceeded and TargetOvershoot are RuntimeErrors)
-        return False
-    return True
+        return None
+    return rebuilt
 
 
 def _load_cache(path: str, n: int, cores: dict, max_jumps: int) -> dict:
-    """The cached towers of the given cores (keyed by string) that replay; later lines win.
+    """The cached towers of the given cores (keyed by string) that replay, rebuilt; later lines win.
 
     Only lines whose last '"u0": ' (sort_keys puts the top-level one after "report")
     holds json.dumps(core) for a requested core are parsed; the rest can only miss.
@@ -115,26 +120,27 @@ def _load_cache(path: str, n: int, cores: dict, max_jumps: int) -> dict:
                 continue
             u0_str, rep = obj.get("u0"), obj.get("report")
             if obj.get("n") == n and isinstance(u0_str, str) and u0_str in cores:
-                if _replays(rep, cores[u0_str], max_jumps):
-                    entries[u0_str] = rep
+                rebuilt = _replays(rep, cores[u0_str], max_jumps)
+                if rebuilt is not None:
+                    entries[u0_str] = rebuilt
     return entries
 
 
 def _core_reports(args, n: int, cores, compute) -> dict:
-    """The report dict of each x_n-free core, by core string.
+    """The report tower of each x_n-free core, by core string.
 
     With a cache path (--cache or GOTZ_CACHE), a core whose stored tower
-    replays is served from the cache; every other core gets report_to_dict of
-    compute(core), appended to the cache.
+    replays is served from the cache; every other core gets compute(core),
+    whose report_to_dict is appended to the cache.
     """
     path = args.cache or os.environ.get("GOTZ_CACHE")
     by_str = {str(core): core for core in cores}
     reports = _load_cache(path, n, by_str, args.max_jumps) if path else {}
     for key, core in by_str.items():
         if key not in reports:
-            reports[key] = report_to_dict(compute(core))
+            reports[key] = compute(core)
             if path:
-                entry = {"version": __version__, "n": n, "u0": key, "report": reports[key]}
+                entry = {"version": __version__, "n": n, "u0": key, "report": report_to_dict(reports[key])}
                 with open(path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return reports
@@ -144,11 +150,11 @@ def cmd_tau(args) -> int:
     n = args.n
     u = parse(args.monomial, n)
     core = div(u, variable_power(n, u.exps[n - 1], n))
-    stored = _core_reports(
+    top = _core_reports(
         args, n, [core], lambda c: tau(c, n, max_jumps=args.max_jumps, trace=_tracer(args))
-    )
-    rep = report_to_dict(report_from_dict(stored[str(core)], u))
-    print(json.dumps(rep, sort_keys=True) if args.json else rep["tau"])
+    )[str(core)]
+    rep = _level(u, top.f_at_tstar, top.h_at_tstar, top.k_at_tstar, top.sub_report)
+    print(json.dumps(report_to_dict(rep), sort_keys=True) if args.json else rep.tau)
     return EXIT_OK
 
 
@@ -203,6 +209,9 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here, not at the top, so that no other command pays for the suites
+    from . import verify
+
     options = {k: v for k, v in vars(args).items() if k in _VERIFY_OPTIONS and v is not None}
     if "d" in options:
         options["d"] = _parse_range(options["d"])
@@ -334,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sigma)
 
     sp = sub.add_parser("verify", help="run a cross-check suite")
-    sp.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
+    sp.add_argument("--suite", required=True, help="cross-check suite; an unknown name lists the valid ones")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--max-deg", type=int, default=None)
     sp.add_argument("--which", choices=["tau3", "tau4", "tau5", "tau5_x2"], default=None)

@@ -231,10 +231,12 @@ class ConjectureScan:
     """Exact data for the growth of tau(x_2^d) with the ambient.
 
     ratio compares tau at level n against C(tau at level n-1, 2); the
-    conjectured degree of d -> tau is 2^(n-2).  The interpolation runs through
-    every computed point; its degree can only certify the conjecture once the
-    point count exceeds the conjectured degree by two, otherwise degree_match
-    stays None.
+    conjectured degree of d -> tau is 2^(n-2).  The rows run over consecutive
+    d, so the fit through every computed point is read off integer forward
+    differences; interp_coeffs are its exact monomial coefficients, low
+    degree first.  Its degree can only certify the conjecture once the point
+    count exceeds the conjectured degree by two, otherwise degree_match stays
+    None.
     """
 
     n: int
@@ -244,41 +246,23 @@ class ConjectureScan:
     degree_match: Optional[bool]
 
 
-def interpolate_points(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
-    """Exact polynomial through the given points, as monomial coefficients.
-
-    Newton divided differences, expanded; returned low degree first with
-    trailing zeros trimmed.
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must have distinct abscissae")
-    diffs = [Fraction(y) for _, y in points]
-    newton = [diffs[0]]
-    for level in range(1, len(points)):
-        diffs = [
-            (diffs[i + 1] - diffs[i]) / (xs[i + level] - xs[i])
-            for i in range(len(diffs) - 1)
-        ]
-        newton.append(diffs[0])
-    poly = [Fraction(0)]
-    basis = [Fraction(1)]
-    for c, x0 in zip(newton, xs):
-        while len(poly) < len(basis):
-            poly.append(Fraction(0))
-        for i in range(len(basis)):
-            poly[i] += c * basis[i]
-        # basis *= (x - x0)
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for i, b in enumerate(basis):
-            nxt[i] -= b * x0
-            nxt[i + 1] += b
-        basis = nxt
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
+def _forward_fit(d0: int, values: list[int]) -> tuple[Fraction, ...]:
+    # the polynomial through (d0 + i, values[i]), as monomial coefficients, low
+    # degree first; the heads of the forward-difference table are its integer
+    # coefficients in the basis C(d - d0, k) (Polya), the last nonzero one sets
+    # the degree K, and Horner over the falling factorials gives K! times the
+    # monomial coefficients in integers, divided by K! once per coefficient
+    heads, row = [], values
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    top = max((k for k, c in enumerate(heads) if c), default=0)
+    poly, scale = [heads[top]], 1
+    for k in range(top - 1, -1, -1):
+        scale *= k + 1  # K!/k!
+        poly = [up - (d0 + k) * c for up, c in zip([0] + poly, poly + [0])]
+        poly[0] += heads[k] * scale
+    return tuple(Fraction(c, scale) for c in poly)
 
 
 def conjecture_scan(
@@ -286,9 +270,12 @@ def conjecture_scan(
     d_values,
     max_jumps: int = DEFAULT_MAX_JUMPS,
 ) -> ConjectureScan:
-    """tau(x_2^d) for each d, with exact growth ratios against the level below."""
+    """tau(x_2^d) for consecutive ascending d, with exact growth ratios against the level below."""
     if n < 3:
         raise ValueError("the scan needs an ambient of at least 3 variables")
+    d_values = list(d_values)
+    if any(b != a + 1 for a, b in zip(d_values, d_values[1:])):
+        raise ValueError("the scan needs consecutive ascending values of d")
     rows = []
     for d in d_values:
         if d < 0:
@@ -301,7 +288,7 @@ def conjecture_scan(
     coeffs = None
     match = None
     if len(rows) >= 2:
-        coeffs = interpolate_points([(r.d, r.tau_n) for r in rows])
+        coeffs = _forward_fit(rows[0].d, [r.tau_n for r in rows])
         if len(rows) >= conj_deg + 2:
             match = (len(coeffs) - 1 == conj_deg)
     return ConjectureScan(

@@ -146,9 +146,11 @@ def run(suite: str, **options) -> dict:
     """Run one suite: {"suite", "checked", "failures"}, plus up to ten
     "examples" of what failed.
 
-    An option the suite does not take, or options that leave it nothing to
-    check, raise ParseError.
+    An unknown suite, an option the suite does not take, or options that
+    leave it nothing to check, raise ParseError.
     """
+    if suite not in SUITES:
+        raise ParseError(f"unknown suite {suite!r}; have {', '.join(sorted(SUITES))}")
     fn = SUITES[suite]
     unread = sorted(set(options) - set(inspect.signature(fn).parameters))
     if unread:

@@ -163,6 +163,21 @@ class TestVerify:
         with pytest.raises(ParseError, match="the walk suite takes no option n$"):
             verify.run("walk", n=3)
 
+    def test_unknown_suite_names_the_valid_ones(self, capsys):
+        with pytest.raises(ParseError, match="unknown suite 'walks'; have formulas, oracle, paper-examples, walk$"):
+            verify.run("walks")
+        code, out, err = run(capsys, "verify", "--suite", "walks")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "paper-examples" in err
+
+    def test_other_commands_do_not_import_the_suites(self):
+        src = str(Path(cli.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, gotzmann.cli; print('gotzmann.verify' in sys.modules)"],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, check=True,
+        )
+        assert proc.stdout == "False\n"
+
     @pytest.mark.parametrize(
         "argv, name, fault",
         [
@@ -279,12 +294,25 @@ class TestCache:
         report = report_to_dict(tau(Monomial(5, (0, 2, 0, 1, 0)), 5))
         report["tau"] = "999"
         entry = {"version": __version__, "n": 5, "u0": "x2^2*x4", "report": report}
-        cache.write_text(json.dumps(entry) + "\n")
+        cache.write_text(json.dumps(entry, sort_keys=True) + "\n")
         code, out, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
         assert (code, out) == (EXIT_OK, "6\n")
         assert len(cache.read_text().splitlines()) == 2
         _, hit, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
         assert hit == "6\n"
+        assert len(cache.read_text().splitlines()) == 2
+
+    @pytest.mark.xfail(strict=True, reason="a hit is not certified: a consistent edit of the top level replays")
+    @pytest.mark.parametrize("edit", [{"h": 1, "delta": -1, "tau": -1}, {"k": 1, "tau": -1}])
+    def test_forged_top_level_is_recomputed(self, capsys, tmp_path, edit):
+        cache = tmp_path / "reports.jsonl"
+        report = report_to_dict(tau(Monomial(5, (0, 2, 0, 1, 0)), 5))
+        for key, step in edit.items():
+            report[key] = str(int(report[key]) + step)
+        entry = {"version": __version__, "n": 5, "u0": "x2^2*x4", "report": report}
+        cache.write_text(json.dumps(entry, sort_keys=True) + "\n")
+        code, out, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
+        assert (code, out) == (EXIT_OK, "6\n")
         assert len(cache.read_text().splitlines()) == 2
 
     def test_hit_parses_only_the_matching_line(self, capsys, tmp_path, monkeypatch):
@@ -329,7 +357,7 @@ def test_cache_accepts_real_towers_and_rejects_edited_counts(exps, t):
     n = len(exps) + 1
     u0 = Monomial(n, tuple(exps) + (0,))
     report = report_to_dict(tau(u0, n))
-    assert cli._replays(report, u0)
+    assert cli._replays(report, u0) is not None
 
     def rejects(depth, key, value):
         edited = copy.deepcopy(report)
@@ -337,7 +365,7 @@ def test_cache_accepts_real_towers_and_rejects_edited_counts(exps, t):
         for _ in range(depth):
             level = level["sub_report"]
         level[key] = value
-        return not cli._replays(edited, u0)
+        return cli._replays(edited, u0) is None
 
     level, depth = report, 0
     while level is not None:
@@ -352,7 +380,7 @@ def test_cache_accepts_real_towers_and_rejects_edited_counts(exps, t):
             assert rejects(depth, key, bad), (depth, key, bad)
         level, depth = level["sub_report"], depth + 1
     shifted = report_to_dict(tau(Monomial(n, tuple(exps) + (t,)), n))
-    assert cli._replays(shifted, u0) == (shifted == report)
+    assert (cli._replays(shifted, u0) is not None) == (shifted == report)
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("invariant broken"), MemoryError()])

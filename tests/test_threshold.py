@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from gotzmann import threshold
 from gotzmann.combinatorics import binom, enumerate_monomials, lex_rank
 from gotzmann.maxgen import mg_closed
 from gotzmann.monomial import Monomial, embed, one, parse, variable_power
@@ -12,7 +14,6 @@ from gotzmann.threshold import (
     GotzmannWitness,
     ThresholdReport,
     conjecture_scan,
-    interpolate_points,
     is_gotzmann,
     is_gotzmann_oracle,
     report_from_dict,
@@ -226,17 +227,44 @@ class TestFormulas:
 
 class TestInterpolation:
     def test_recovers_binomial(self):
-        pts = [(Fraction(d), Fraction(binom(d, 2))) for d in range(2, 8)]
-        coeffs = interpolate_points(pts)
+        coeffs = threshold._forward_fit(2, [binom(d, 2) for d in range(2, 8)])
         assert coeffs == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
 
     def test_constant(self):
-        pts = [(Fraction(d), Fraction(7)) for d in range(4)]
-        assert interpolate_points(pts) == (Fraction(7),)
+        assert threshold._forward_fit(0, [7] * 4) == (Fraction(7),)
 
-    def test_needs_distinct_abscissas(self):
-        with pytest.raises(ValueError):
-            interpolate_points([(Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))])
+    def test_scan_needs_consecutive_ascending_d(self):
+        for d_values in ([2, 3, 5], [4, 3, 2], [3, 3], range(8, 2, -1)):
+            with pytest.raises(ValueError, match="consecutive ascending"):
+                conjecture_scan(4, d_values)
+
+    @pytest.mark.parametrize("n, lo, hi", [(4, 2, 8), (5, 0, 12), (6, 0, 19)])
+    def test_agrees_with_sympy(self, n, lo, hi):
+        scan = conjecture_scan(n, range(lo, hi + 1))
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(sympy.interpolate([(r.d, r.tau_n) for r in scan.rows], x), x)
+        assert scan.interp_coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+        st.integers(0, 50),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_recovers_integer_polynomials(self, coeffs, d0, extra):
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        values = [sum(c * d**i for i, c in enumerate(coeffs)) for d in range(d0, d0 + len(coeffs) + extra)]
+        assert threshold._forward_fit(d0, values) == tuple(Fraction(c) for c in coeffs)
+
+    def test_five_variables_fit_is_the_tau5_law(self, monkeypatch):
+        # _tau5_x2 expanded by sympy: its binomials become falling factorials of a symbol
+        d = sympy.Symbol("d", nonnegative=True, integer=True)
+        monkeypatch.setattr(threshold, "binom", lambda a, k: sympy.Mul(*[a - i for i in range(k)]) / sympy.factorial(k))
+        law = sympy.Poly(sympy.expand(threshold._tau5_x2(d)), d)
+        monkeypatch.undo()
+        expected = tuple(Fraction(int(c.p), int(c.q)) for c in reversed(law.all_coeffs()))
+        assert conjecture_scan(5, range(0, 12)).interp_coeffs == expected
 
 
 class TestConjectureScan:
