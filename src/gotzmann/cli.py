@@ -37,8 +37,8 @@ from .combinatorics import CapExceeded
 from .maxgen import mg_closed, mg_shifted
 from .monomial import Monomial, ParseError, deg_in, div, parse, sigma_pow, truncate, variable_power
 from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, advance, cost_between, find_z, mc
-from .threshold import (ThresholdReport, _level, conjecture_scan, is_gotzmann,
-                        report_from_dict, report_to_dict, tau, witness_to_dict)
+from .threshold import (ThresholdReport, _level, _scan, is_gotzmann, report_from_dict,
+                        report_to_dict, tau, witness_to_dict)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -126,8 +126,8 @@ def _load_cache(path: str, n: int, cores: dict, max_jumps: int) -> dict:
     return entries
 
 
-def _core_reports(args, n: int, cores, compute) -> dict:
-    """The report tower of each x_n-free core, by core string.
+def _core_reports(args, n: int, cores, compute) -> list[ThresholdReport]:
+    """The report tower of each x_n-free core, in the order of cores.
 
     With a cache path (--cache or GOTZ_CACHE), a core whose stored tower
     replays is served from the cache; every other core gets compute(core),
@@ -143,16 +143,14 @@ def _core_reports(args, n: int, cores, compute) -> dict:
                 entry = {"version": __version__, "n": n, "u0": key, "report": report_to_dict(reports[key])}
                 with open(path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return reports
+    return [reports[key] for key in by_str]
 
 
 def cmd_tau(args) -> int:
     n = args.n
     u = parse(args.monomial, n)
     core = div(u, variable_power(n, u.exps[n - 1], n))
-    top = _core_reports(
-        args, n, [core], lambda c: tau(c, n, max_jumps=args.max_jumps, trace=_tracer(args))
-    )[str(core)]
+    [top] = _core_reports(args, n, [core], lambda c: tau(c, n, max_jumps=args.max_jumps, trace=_tracer(args)))
     rep = _level(u, top.f_at_tstar, top.h_at_tstar, top.k_at_tstar, top.sub_report)
     print(json.dumps(report_to_dict(rep), sort_keys=True) if args.json else rep.tau)
     return EXIT_OK
@@ -222,9 +220,12 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     lo, hi = _parse_range(args.d)
-    scan = conjecture_scan(args.n, range(lo, hi + 1), max_jumps=args.max_jumps)
-    computed = {row.report.u0: row.report for row in scan.rows}
-    _core_reports(args, args.n, computed, computed.__getitem__)
+
+    def towers(cores):
+        # called by _scan once n and the d are checked, so a bad query touches no cache
+        return _core_reports(args, args.n, cores, lambda core: tau(core, args.n, max_jumps=args.max_jumps))
+
+    scan = _scan(args.n, range(lo, hi + 1), towers)
     if args.json:
         rows = []
         for r in scan.rows:

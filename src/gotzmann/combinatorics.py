@@ -21,11 +21,10 @@ exponent.  The enumeration oracle certifies it on small grids in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
-from typing import Iterator, Sequence
 
-from .monomial import Monomial, deg, lex_cmp, max_index
+from .monomial import Monomial, _Record, deg, lex_cmp, max_index
 
 DEFAULT_CAP = 5_000_000
 
@@ -49,8 +48,7 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@dataclass(frozen=True)
-class MonomialSet:
+class MonomialSet(_Record):
     """Finitely many monomials of one degree in one ambient, strictly lex-descending."""
 
     n: int

@@ -29,8 +29,6 @@ against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combinatorics import (
     DEFAULT_CAP,
     MonomialSet,
@@ -40,7 +38,7 @@ from .combinatorics import (
     lexsegment,
     prefix_borel_sizes,
 )
-from .monomial import Monomial, deg, embed, max_index, mul, sigma_pow, variable_power
+from .monomial import Monomial, _Record, deg, embed, max_index, mul, sigma_pow, variable_power
 
 
 def maxgen_of_set(s: MonomialSet) -> Monomial:
@@ -122,8 +120,7 @@ def f_poly_eval(u0: Monomial, n: int, t: int) -> int:
     return _run_walk(u0.exps, deg(u0) + t, (n,))[1][0]
 
 
-@dataclass(frozen=True)
-class MgDecomposition:
+class MgDecomposition(_Record):
     """mg(u0 * x_n^t) split as base * x_n^xn_exp, with base free of x_n."""
 
     base: Monomial

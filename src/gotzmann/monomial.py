@@ -16,7 +16,47 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+
+
+class _Record:
+    """Base of the package's immutable value records, in place of @dataclass(frozen=True).
+
+    A subclass lists its fields as annotations of its own.  It gets an
+    __init__ taking them by position or keyword, which calls __post_init__
+    when the class defines one; equality by value within one type; hash and
+    repr in field order; and no assignment.  The three methods are compiled
+    once per class, as dataclasses does, and cost what its methods cost; the
+    import of dataclasses alone took longer than a small gotz query computes.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        mine, theirs = (f"({''.join(f'{who}.{f}, ' for f in cls._fields)})" for who in ("self", "other"))
+        lines = [f"def __init__(self, {', '.join(cls._fields)}):"]
+        lines += [f"    setattr(self, {f!r}, {f})" for f in cls._fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        lines += [
+            "def __eq__(self, other):",
+            f"    return {mine} == {theirs} if other.__class__ is self.__class__ else NotImplemented",
+            "def __hash__(self):",
+            f"    return hash({mine})",
+        ]
+        scope = {"setattr": object.__setattr__}  # keeps the instance's attribute fast path
+        exec("\n".join(lines), scope)
+        for name in ("__init__", "__eq__", "__hash__"):
+            scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, scope[name])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ParseError(ValueError):
@@ -26,8 +66,7 @@ class ParseError(ValueError):
 _TERM_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Record):
     """A monomial x_1^{e_1} * ... * x_n^{e_n}; the all-zero vector is the unit."""
 
     n: int

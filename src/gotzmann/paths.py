@@ -50,12 +50,11 @@ deficit cannot pay raises TargetOvershoot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .combinatorics import CapExceeded, binom, gap_count, lex_rank
 from .maxgen import MgDecomposition, target_decompose
-from .monomial import Monomial, lex_cmp, max_index, pred
+from .monomial import Monomial, _Record, lex_cmp, max_index, pred
 
 DEFAULT_MAX_JUMPS = 1_000_000
 DEFAULT_MAX_ELEMENTARY = 10_000_000
@@ -67,8 +66,7 @@ class TargetOvershoot(RuntimeError):
     """The walk can no longer reach its cost target exactly."""
 
 
-@dataclass(frozen=True)
-class WalkState:
+class WalkState(_Record):
     """Position, accumulated cost and step count of a walk.
 
     deg(cost) == steps, and the cost never contains x_1: no elementary step

@@ -24,9 +24,7 @@ from the f, h and k that report_to_dict wrote, through the same level rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from collections.abc import Callable
 
 from .combinatorics import (
     DEFAULT_CAP,
@@ -37,12 +35,11 @@ from .combinatorics import (
     lexsegment,
 )
 from .maxgen import maxgen_of_set, mg_closed, target_decompose
-from .monomial import Monomial, deg, deg_in, div, truncate, variable_power
+from .monomial import Monomial, _Record, deg, deg_in, div, truncate, variable_power
 from .paths import DEFAULT_MAX_JUMPS, TraceFn, _BeyondSlice, advance, find_z
 
 
-@dataclass(frozen=True)
-class GotzmannWitness:
+class GotzmannWitness(_Record):
     """Both sides of the gap/cogap comparison for one monomial."""
 
     u: Monomial
@@ -53,8 +50,7 @@ class GotzmannWitness:
     is_gotzmann: bool
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(_Record):
     """One level of the threshold recursion.
 
     u0 is the x_n-free core of the query; t_star, f, h and k are evaluated at
@@ -72,7 +68,7 @@ class ThresholdReport:
     k_at_tstar: int
     delta: int
     tau: int
-    sub_report: Optional["ThresholdReport"]
+    sub_report: ThresholdReport | None
 
 
 def is_gotzmann(
@@ -146,7 +142,7 @@ def report_from_dict(d: dict, u: Monomial) -> ThresholdReport:
     return _level(u, int(d["f"]), int(d["h"]), int(d["k"]), sub)
 
 
-def _level(u: Monomial, f: int, h: int, k: int, sub: Optional[ThresholdReport]) -> ThresholdReport:
+def _level(u: Monomial, f: int, h: int, k: int, sub: ThresholdReport | None) -> ThresholdReport:
     # the tower level of u from f, h and k at t* = sub.tau (0 at the base);
     # the power t of x_n in u lowers the core threshold to max(tau - t, 0)
     n, t = u.n, u.exps[u.n - 1]
@@ -217,17 +213,15 @@ def tau_formula(name: str, **params: int) -> int:
     return _FORMULAS[name](**params)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(_Record):
     d: int
     tau_n: int
     tau_prev: int
-    ratio: Optional[Fraction]
+    ratio: Fraction | None
     report: ThresholdReport
 
 
-@dataclass(frozen=True)
-class ConjectureScan:
+class ConjectureScan(_Record):
     """Exact data for the growth of tau(x_2^d) with the ambient.
 
     ratio compares tau at level n against C(tau at level n-1, 2); the
@@ -242,8 +236,8 @@ class ConjectureScan:
     n: int
     rows: tuple[ScanRow, ...]
     conjectured_degree: int
-    interp_coeffs: Optional[tuple[Fraction, ...]]
-    degree_match: Optional[bool]
+    interp_coeffs: tuple[Fraction, ...] | None
+    degree_match: bool | None
 
 
 def _forward_fit(d0: int, values: list[int]) -> tuple[Fraction, ...]:
@@ -252,6 +246,8 @@ def _forward_fit(d0: int, values: list[int]) -> tuple[Fraction, ...]:
     # coefficients in the basis C(d - d0, k) (Polya), the last nonzero one sets
     # the degree K, and Horner over the falling factorials gives K! times the
     # monomial coefficients in integers, divided by K! once per coefficient
+    from fractions import Fraction  # imported here, not at the top, so that only scans pay for it
+
     heads, row = [], values
     while row:
         heads.append(row[0])
@@ -265,22 +261,20 @@ def _forward_fit(d0: int, values: list[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, scale) for c in poly)
 
 
-def conjecture_scan(
-    n: int,
-    d_values,
-    max_jumps: int = DEFAULT_MAX_JUMPS,
-) -> ConjectureScan:
-    """tau(x_2^d) for consecutive ascending d, with exact growth ratios against the level below."""
+def _scan(n: int, d_values, towers: Callable[[list[Monomial]], list[ThresholdReport]]) -> ConjectureScan:
+    # checks n and the d, then builds the scan from towers(cores), the tower
+    # of each core x_2^d in order of d, however the caller obtains them
+    from fractions import Fraction  # imported here, not at the top, so that only scans pay for it
+
     if n < 3:
         raise ValueError("the scan needs an ambient of at least 3 variables")
     d_values = list(d_values)
     if any(b != a + 1 for a, b in zip(d_values, d_values[1:])):
         raise ValueError("the scan needs consecutive ascending values of d")
+    if d_values and d_values[0] < 0:
+        raise ValueError("exponents must be nonnegative")
     rows = []
-    for d in d_values:
-        if d < 0:
-            raise ValueError("exponents must be nonnegative")
-        rep = tau(variable_power(2, d, n), n, max_jumps=max_jumps)
+    for d, rep in zip(d_values, towers([variable_power(2, d, n) for d in d_values])):
         denom = binom(rep.t_star, 2)
         ratio = Fraction(rep.tau, denom) if denom else None
         rows.append(ScanRow(d=d, tau_n=rep.tau, tau_prev=rep.t_star, ratio=ratio, report=rep))
@@ -295,6 +289,11 @@ def conjecture_scan(
         n=n, rows=tuple(rows), conjectured_degree=conj_deg,
         interp_coeffs=coeffs, degree_match=match,
     )
+
+
+def conjecture_scan(n: int, d_values, max_jumps: int = DEFAULT_MAX_JUMPS) -> ConjectureScan:
+    """tau(x_2^d) for consecutive ascending d, with exact growth ratios against the level below."""
+    return _scan(n, d_values, lambda cores: [tau(u, n, max_jumps=max_jumps) for u in cores])
 
 
 def report_to_dict(rep: ThresholdReport) -> dict:

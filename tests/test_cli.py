@@ -4,7 +4,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,11 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gotzmann import __version__
-from gotzmann import cli, verify
+from gotzmann import cli, threshold, verify
 from gotzmann.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from gotzmann.monomial import Monomial, ParseError
-from gotzmann.paths import advance
+from gotzmann.paths import WalkState, advance
 from gotzmann.threshold import report_to_dict, tau
+
+
+def _wrong_cost(u, b):
+    # the walk's answer with the origin planted as its cost
+    st = advance(u, b)
+    return WalkState(st.current, u, st.steps)
 
 
 def run(capsys, *argv):
@@ -171,19 +176,23 @@ class TestVerify:
         assert "paper-examples" in err
 
     def test_other_commands_do_not_import_the_suites(self):
+        # nor the standard modules that would dominate start-up; -S, because
+        # site can preload typing through a .pth file
         src = str(Path(cli.__file__).parent.parent)
+        unwanted = ["gotzmann.verify", "dataclasses", "decimal", "fractions", "inspect", "typing"]
+        code = f"import sys, gotzmann.cli; print([m for m in {unwanted!r} if m in sys.modules])"
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, gotzmann.cli; print('gotzmann.verify' in sys.modules)"],
+            [sys.executable, "-S", "-c", code],
             capture_output=True, text=True, env={"PYTHONPATH": src}, check=True,
         )
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize(
         "argv, name, fault",
         [
             (("formulas", "--d", "2..3"), "tau", lambda u, n: SimpleNamespace(tau=tau(u, n).tau + 1)),
             (("oracle", "--n", "3", "--max-deg", "2"), "tau", lambda u, n: SimpleNamespace(tau=tau(u, n).tau + 1)),
-            (("walk", "--count", "5"), "advance", lambda u, b: replace(advance(u, b), cost=u)),
+            (("walk", "--count", "5"), "advance", _wrong_cost),
             (("paper-examples",), "mg_closed", lambda u: u),
         ],
         ids=["formulas", "oracle", "walk", "paper-examples"],
@@ -257,6 +266,43 @@ class TestCache:
         assert hit == miss and walks == [(4, 500)]
         code, out, _ = run(capsys, "tau", "--n", "5", "--json", "x2^2*x4^3")
         assert (code, out) == (EXIT_OK, miss) and walks == [(4, 500)]
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_warm_conjecture_scan_replays_without_tau(self, capsys, tmp_path, monkeypatch, flags):
+        cache = tmp_path / "reports.jsonl"
+        argv = ("conjecture", "--n", "6", "--d", "0..5", *flags)
+        plain = run(capsys, *argv)
+        assert run(capsys, *argv, "--cache", str(cache)) == plain
+        stored = cache.read_bytes()
+        assert len(stored.splitlines()) == 6
+        for module in (cli, threshold):
+            monkeypatch.setattr(module, "tau", lambda *a, **kw: pytest.fail("tau ran on a warm cache"))
+        assert run(capsys, *argv, "--cache", str(cache)) == plain
+        assert cache.read_bytes() == stored
+
+    def test_conjecture_scan_computes_only_the_rows_it_misses(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "reports.jsonl"
+        run(capsys, "conjecture", "--n", "6", "--d", "0..3", "--cache", str(cache))
+        computed, real = [], threshold.tau
+
+        def counted(u, n, **kw):
+            if n == 6:  # the top of each tower; the recursion below it calls tau too
+                computed.append(str(u))
+            return real(u, n, **kw)
+
+        for module in (cli, threshold):
+            monkeypatch.setattr(module, "tau", counted)
+        code, out, _ = run(capsys, "conjecture", "--n", "6", "--d", "2..5", "--cache", str(cache))
+        assert code == EXIT_OK and computed == ["x2^4", "x2^5"]
+        monkeypatch.undo()
+        assert run(capsys, "conjecture", "--n", "6", "--d", "2..5") == (code, out, "")
+        assert len(cache.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("argv", [("--n", "2", "--d", "0..3"), ("--n", "6", "--d=-1..3")], ids=["n", "d"])
+    def test_bad_conjecture_query_touches_no_cache(self, capsys, tmp_path, argv):
+        cache = tmp_path / "reports.jsonl"
+        assert run(capsys, "conjecture", *argv, "--cache", str(cache))[0] == EXIT_USAGE
+        assert not cache.exists()
 
     def test_environment_variable(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "reports.jsonl"
