@@ -178,6 +178,17 @@ def _parse_exponent_array(s: str, n: int) -> Monomial:
     return Monomial(n, tuple(exps))
 
 
+def _decimal(x: int) -> str:
+    """str(x) for x >= 0 under any int-to-text digit limit, which is never below 640
+    digits: str itself up to 2000 bits, else x split at a power of ten near half its
+    digits, each half rendered so.  The process-wide limit is left as it is."""
+    if x.bit_length() <= 2000:
+        return str(x)
+    k = x.bit_length() * 3 // 20  # below half of x's digits: log10(2) > 0.3
+    hi, lo = divmod(x, 10**k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def format(u: Monomial) -> str:
     """Canonical text form: ascending indices, `^e` only for e >= 2, "1" for the unit."""
     parts = []
@@ -185,7 +196,7 @@ def format(u: Monomial) -> str:
         if e == 1:
             parts.append(f"x{i}")
         elif e >= 2:
-            parts.append(f"x{i}^{e}")
+            parts.append(f"x{i}^{_decimal(e)}")
     return "*".join(parts) if parts else "1"
 
 

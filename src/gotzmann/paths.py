@@ -26,18 +26,23 @@ admitted, and charges the rule for it.  There are two rules:
 Neither rule searches over l.  The block's steps sum to C(k+S, S+1) -
 C(k-l+S, S+1), S = n - m (hockey stick), so a bound on l is one inverse
 binomial, the least N with C(N+c, r) >= X, read off the integer r-th root of
-r! X, and only bounds that bind are solved.  The budget rule steps without a
-solve when one unit, C(k+S-1, S) steps, is already too many.  The deficit rule
-first tests the full block, l = k, whose lower row C(s-1, s+1) is zero: its
-cost is x_m^k times the top row, and the kernel charges every full block so,
-building no lower row.  Otherwise the deficit rule solves the bounds from
-x_m and x_{m+1} (r = 2: one isqrt), checks the others on the lower row at that
-l and solves just those that fail; each fits at every smaller l, so the least
-bound is exact.  Rows of terms C(k+s-1, s+1), s = 1..n-m, go by C(k+s, s+2) =
-C(k+s-1, s+1) * (k+s) / (s+2): one multiply and one small exact division a
-column.  The next jump's row is carried: after a partial block (0 < l < k) it
-is the lower row (same m, k' = k - l); after a full block onto an empty
-x_{m-1}, it is this row and one more column (m - 1, same k).
+r! X, and only bounds that bind are solved.  Both rules first test the full
+block, l = k, whose lower row C(s-1, s+1) is zero: its cost is x_m^k times the
+top row, and the kernel charges every full block so, building no lower row.
+The budget rule admits it when its C(k+S, S+1) steps fit what is left, before
+any other arithmetic.  Else it steps without a solve when one unit,
+C(k+S-1, S) = C(k+S, S+1) (S+1) / (k+S) steps, is too many, compared as a
+product rather than by long division.  Else it solves for N = k - l from the
+AM-GM start, confirms N on the lower row itself, N + sum(_row(N, S)) =
+C(N+S, S+1), and hands that row to the kernel.  Past its full block, the
+deficit rule solves the bounds from x_m and x_{m+1} (r = 2: one isqrt),
+checks the others on the lower row at that l and solves just those that fail;
+each fits at every smaller l, so the least bound is exact.  Rows of terms
+C(k+s-1, s+1), s = 1..n-m, go by C(k+s, s+2) = C(k+s-1, s+1) * (k+s) / (s+2):
+one multiply and one small exact division a column.  The next jump's row is
+carried: after a partial block (0 < l < k) it is the lower row (same m,
+k' = k - l); after a full block onto an empty x_{m-1}, it is this row and one
+more column (m - 1, same k).
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
 A block whose visible cost would consume the deficit exactly is shrunk by
@@ -54,7 +59,7 @@ from collections.abc import Callable
 
 from .combinatorics import CapExceeded, binom, gap_count, lex_rank
 from .maxgen import MgDecomposition, target_decompose
-from .monomial import Monomial, _Record, lex_cmp, max_index, pred
+from .monomial import Monomial, _decimal, _Record, lex_cmp, max_index, pred
 
 DEFAULT_MAX_JUMPS = 1_000_000
 DEFAULT_MAX_ELEMENTARY = 10_000_000
@@ -114,17 +119,24 @@ def _iroot(x: int, r: int) -> int:
         y = z
 
 
-def _least_base(x: int, r: int, c: int) -> int:
-    """Least N >= 0 with C(N+c, r) >= x, for c < r and r >= 2.
+def _start(x: int, r: int) -> int:
+    """A lower bound on the least y with C(y, r) >= x > 0, exact for r = 2.
 
-    C(y, r) < (y - (r-1)/2)^r / r! (AM-GM), so y = N + c starts above
-    ((r! x)^(1/r) + (r-1)/2) and climbs at most r/2 + 1 steps.  For r = 2 the
-    start is exact: C(y, 2) >= x iff 2y - 1 >= ceil(sqrt(8x + 1)) = isqrt(8x) + 1,
-    so the least y is (isqrt(8x) + 3) // 2 and no binomial confirms it.
+    C(y, r) < (y - (r-1)/2)^r / r! (AM-GM), so that y lies above
+    ((r! x)^(1/r) + (r-1)/2); the bound is the least integer there, and the
+    least y is at most r/2 + 1 above it.  For r = 2 it is exact: C(y, 2) >= x iff
+    2y - 1 >= ceil(sqrt(8x + 1)) = isqrt(8x) + 1, so the least y is
+    (isqrt(8x) + 3) // 2.
     """
+    return (_iroot(math.factorial(r) * x << r, r) + r + 1) // 2
+
+
+def _least_base(x: int, r: int, c: int) -> int:
+    """Least N >= 0 with C(N+c, r) >= x, for c < r and r >= 2: the AM-GM start,
+    climbed by binomials for r > 2 (r = 2 needs no check)."""
     if x <= 0:
         return 0
-    y = (_iroot(math.factorial(r) * x << r, r) + r + 1) // 2
+    y = _start(x, r)
     while r > 2 and binom(y, r) < x:
         y += 1
     return y - c
@@ -132,7 +144,6 @@ def _least_base(x: int, r: int, c: int) -> int:
 
 class _Budget:
     """advance's rule: a block's total steps stay within the steps left."""
-    low = None  # builds no lower row
 
     def __init__(self, left: int) -> None:
         self.left = left
@@ -141,13 +152,30 @@ class _Budget:
         return self.left == 0
 
     def largest(self, m: int, a: int, tops: list[int]) -> int:
-        """Largest l whose block from x_m^a takes at most the steps left."""
-        if not tops:  # m = n: each unit is one step
+        """Largest l whose block from x_m^a takes at most the steps left.
+
+        The full block takes total = C(a+s, s+1) steps, one unit total * (s+1) /
+        (a+s).  A partial block leaves the least N = a - l with C(N+s, s+1) =
+        N + sum(_row(N, s)) >= total - left: N starts at the AM-GM bound and
+        steps up until its row confirms it.  That row is the block's lower row,
+        left in self.low for the walk.
+        """
+        if not tops:  # m = n: each unit is one step, and no row lies above x_n
+            self.low = []
             return min(a, self.left)
-        s, total = len(tops), a + sum(tops)  # total = C(a+s, s+1)
-        if total * (s + 1) // (a + s) > self.left:  # one unit takes C(a+s-1, s) steps
+        s, total = len(tops), a + sum(tops)
+        if total <= self.left:
+            return a
+        if total * (s + 1) > self.left * (a + s):
             return 0
-        return a - _least_base(total - self.left, s + 1, s)
+        x = total - self.left  # 0 < x <= C(a-1+s, s+1), so 0 < N < a
+        base = max(1, _start(x, s + 1) - s)  # the start can fall below 1 when s is large
+        while True:
+            low = _row(base, s)
+            if base + sum(low) >= x:
+                self.low = low
+                return a - base
+            base += 1
 
     def take(self, m: int, exps: list[int]) -> None:
         self.left -= sum(exps)
@@ -252,7 +280,7 @@ def _emit(trace: TraceFn, frm: Monomial, to: Monomial, cost: Monomial, done: int
             "from": str(frm),
             "to": str(to),
             "block_cost": str(cost),
-            "steps_so_far": str(done),
+            "steps_so_far": _decimal(done),
         }
     )
 

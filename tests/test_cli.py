@@ -442,11 +442,11 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
 
 
 def test_negative_binom_is_an_internal_error(capsys, monkeypatch):
-    from gotzmann import paths
-    from gotzmann.combinatorics import binom
+    from gotzmann import combinatorics
 
-    monkeypatch.setattr(paths, "binom", lambda a, b: binom(-1, b))
-    # a budget walk that solves a block bound through binom (row heads are products)
+    binom = combinatorics.binom
+    monkeypatch.setattr(combinatorics, "binom", lambda a, b: binom(-1, b))
+    # the budget check ranks the origin through binom (lex_rank) before the walk
     code, out, err = run(capsys, "pred", "--n", "5", "x5^20", "--steps", "1000")
     assert (code, out) == (EXIT_INTERNAL, "")
     assert "binom needs nonnegative arguments" in err

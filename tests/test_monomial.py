@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from gotzmann.monomial import (
     Monomial,
     ParseError,
+    _decimal,
     deg,
     deg_in,
     div,
@@ -87,6 +89,31 @@ class TestFormat:
     def test_str_matches(self):
         u = Monomial(3, (2, 0, 1))
         assert str(u) == format(u) == "x1^2*x3"
+
+    def test_exponent_beyond_the_digit_limit(self):
+        default = sys.int_info.default_max_str_digits
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(default)
+        try:
+            assert str(Monomial(2, (1, 10**5000))) == "x1*x2^1" + "0" * 5000
+            assert sys.get_int_max_str_digits() == default
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @given(
+        st.one_of(
+            st.integers(0, 10**40),
+            st.integers(0, 60_000).flatmap(lambda bits: st.integers(0, 2**bits)),
+            st.tuples(st.integers(600, 20_000), st.integers(-1, 1)).map(lambda kd: 10 ** kd[0] + kd[1]),
+        )
+    )
+    def test_decimal_is_str(self, x):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # so that str(x) can referee any size
+        try:
+            assert _decimal(x) == str(x)
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestValidation:

@@ -279,8 +279,11 @@ class TestLargestBlock:
             left = max(0, binom(a + n - m - 1, n - m) + data.draw(st.integers(-1, 1))) if a else 0
         else:
             left = data.draw(st.integers(0, 10**60))
-        got = _Budget(left).largest(m, a, _tops(m, a, n))
+        rule = _Budget(left)
+        got = rule.largest(m, a, _tops(m, a, n))
         assert got == _largest_l(a, _budget_fits(left, m, a, n))
+        if 0 < got < a:  # a partial block hands the walk its lower row
+            assert rule.low == _row(a - got, n - m)
 
     @given(st.integers(2, 20), st.data())
     @settings(max_examples=150, deadline=None)
@@ -433,6 +436,43 @@ class TestRows:
         monkeypatch.setattr(_Budget, "largest", spy_largest)
         assert not is_gotzmann(parse(f"x2^10*x8^{t - 1}", 8)).is_gotzmann
         assert len(zeros) >= 5
+
+    def test_full_budget_blocks_build_nothing_and_partial_ones_one_lower_row(self, monkeypatch):
+        # a full block calls neither _least_base nor _row; a partial block builds its
+        # lower row once, in the rule, and the walk takes it from there
+        from gotzmann import paths
+        from gotzmann.threshold import tau
+
+        events, largest = [], _Budget.largest
+
+        def spy_largest(rule, m, a, tops):
+            events.append(("enter",))
+            l = largest(rule, m, a, tops)
+            events.append(("exit", m, a, l))
+            return l
+
+        u0 = parse("x2^10", 8)
+        t = tau(u0, 8).tau
+        monkeypatch.setattr(paths, "_row", lambda a, count: events.append(("row", a, count)) or _row(a, count))
+        monkeypatch.setattr(paths, "_least_base", lambda *args: events.append(("solve",)) or _least_base(*args))
+        monkeypatch.setattr(_Budget, "largest", spy_largest)
+        assert not is_gotzmann(parse(f"x2^10*x8^{t - 1}", 8)).is_gotzmann
+        starts = [i for i, e in enumerate(events) if e[0] == "enter"] + [len(events)]
+        kinds = {"full": 0, "partial": 0}
+        for i, j in zip(starts, starts[1:]):
+            jump = events[i + 1 : j]
+            exit_at = next(x for x, e in enumerate(jump) if e[0] == "exit")
+            _, m, a, l = jump[exit_at]
+            if m == 8 or l == 0:
+                continue
+            if l == a:
+                kinds["full"] += 1
+                assert jump[:exit_at] == []
+            else:
+                kinds["partial"] += 1
+                assert jump.count(("row", a - l, 8 - m)) == 1
+                assert ("solve",) not in jump
+        assert kinds["full"] >= 5 and kinds["partial"] >= 5
 
 
 def _jump(frm, to, block_cost, steps_so_far):

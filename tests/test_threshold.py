@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,25 @@ class TestIsGotzmann:
 class TestTau:
     def test_worked_example(self):
         assert tau(parse("x2^2*x4", 5), 5).tau == 6
+
+    def test_traces_beyond_the_digit_limit(self):
+        # steps and exponents in the records of tau(x2^6, 13) pass 4,300 digits
+        def traced(limit):
+            sys.set_int_max_str_digits(limit)
+            records = []
+            rep = tau(parse("x2^6", 13), 13, trace=records.append)
+            u = parse("x2^6", 13) * variable_power(13, rep.tau, 13)
+            assert is_gotzmann(u, trace=records.append).is_gotzmann
+            assert sys.get_int_max_str_digits() == limit
+            return records
+
+        old = sys.get_int_max_str_digits()
+        try:
+            records = traced(sys.int_info.default_max_str_digits)
+            assert max(len(r["steps_so_far"]) for r in records) > 4300
+            assert records == traced(0)  # str with no limit referees every record
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_known_values(self):
         assert tau(parse("x2^2", 4), 4).tau == 2
