@@ -1,0 +1,109 @@
+"""The append-only JSONL cache of threshold towers; the only code that reads or writes it.
+
+A line holds the tower of one x_n-free core, one row [t*, f, h, k, delta, tau]
+per level, top level first, every count in lowercase hex:
+
+    {"key": ["0.1.0", 5, "x2^2*x4"], "rows": [["1", "8", "3", "0", "5", "6"], ...]}
+
+The key (package version, ambient, core) opens the line, so only lines that
+open with a requested key are parsed.  A line is replayed only if rebuilding
+its tower bottom-up from each row's f, h and k (threshold._level) gives back
+every row exactly, which also rejects non-canonical hex, and if each level
+below the top whose threshold is 0 gets back its h and k from its own walk;
+any other line is a miss, so the tower is computed again and appended.  This
+catches a malformed or singly edited line, not a forged one: the top level's
+h, k and tau are re-derived from each other, not walked, so a line whose top
+level has h + 1, delta - 1 and tau - 1 (or k + 1 and tau - 1) replays its
+wrong tau.  Only trusted files belong in the cache.
+"""
+
+from __future__ import annotations
+
+import json
+
+from . import __version__
+from .monomial import Monomial, deg_in, truncate
+from .paths import DEFAULT_MAX_JUMPS, find_z
+from .threshold import ThresholdReport, _level
+
+_KEY_END = '], "rows": '
+
+
+def _line(n: int, key: str, stored: list) -> str:
+    return json.dumps({"key": [__version__, n, key], "rows": stored})
+
+
+def rows(rep: ThresholdReport) -> list[list[str]]:
+    """The hex rows [t*, f, h, k, delta, tau] of a tower, top level first."""
+    counts = (rep.t_star, rep.f_at_tstar, rep.h_at_tstar, rep.k_at_tstar, rep.delta, rep.tau)
+    return [[format(x, "x") for x in counts]] + (rows(rep.sub_report) if rep.sub_report else [])
+
+
+def replay(stored, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> ThresholdReport | None:
+    """The tower of core that stored rows describe, or None if they describe none.
+
+    Below the top, a level whose threshold is 0 may be clamped there by the
+    split-off power of x_n, which hides its h and k from the levels above, so
+    that level's walk is run again and must give both.
+    """
+    n = core.n
+    try:
+        tower = _level(truncate(core, 2), 0, 0, 0, None)
+        for m in range(3, n + 1):
+            _, f, h, k, _, _ = stored[n - m]
+            tower = _level(truncate(core, m), int(f, 16), int(h, 16), int(k, 16), tower)
+        if rows(tower) != stored:
+            return None
+        level = tower.sub_report
+        while level is not None and level.n > 2:
+            if level.tau == 0:
+                z, state = find_z(truncate(level.u0, level.n - 1), level.n, level.t_star, max_jumps=max_jumps)
+                if (level.h_at_tstar, level.k_at_tstar) != (deg_in(state.cost, level.n), deg_in(z, level.n)):
+                    return None
+            level = level.sub_report
+    except (LookupError, TypeError, ValueError, ArithmeticError, RuntimeError):
+        # not a tower: too few rows or columns, wrong types, bad digits, a broken
+        # invariant or a walk that cannot run (CapExceeded and TargetOvershoot
+        # are RuntimeErrors)
+        return None
+    return tower
+
+
+def load(path: str, n: int, cores: dict[str, Monomial], max_jumps: int = DEFAULT_MAX_JUMPS) -> dict:
+    """The towers of the given cores (keyed by their text) whose lines replay; later lines win."""
+    heads = {_line(n, key, [])[:-3]: key for key in cores}  # each line up to its rows
+    towers = {}
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        return towers
+    with fh:
+        for line in fh:
+            key = heads.get(line[: line.find(_KEY_END) + len(_KEY_END)])
+            if key is None:
+                continue
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            tower = replay(entry["rows"], cores[key], max_jumps)
+            if tower is not None:
+                towers[key] = tower
+    return towers
+
+
+def reports(path: str | None, n: int, cores, compute, max_jumps: int = DEFAULT_MAX_JUMPS) -> list[ThresholdReport]:
+    """The tower of each x_n-free core, in the order of cores.
+
+    With a cache path, a core whose line replays is served from the cache;
+    every other core gets compute(core), whose line is appended to the cache.
+    """
+    by_key = {str(core): core for core in cores}
+    towers = load(path, n, by_key, max_jumps) if path else {}
+    for key, core in by_key.items():
+        if key not in towers:
+            towers[key] = compute(core)
+            if path:
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(_line(n, key, rows(towers[key])) + "\n")
+    return [towers[key] for key in by_key]

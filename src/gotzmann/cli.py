@@ -11,18 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource cap exceeded, 4 internal error (a broken invariant or exhausted
 memory).
 
-Threshold reports can be cached in an append-only JSONL file (--cache or the
-GOTZ_CACHE environment variable), keyed by package version, ambient and the
-x_n-free core; entries from other versions are ignored.  An entry is replayed
-only if rebuilding its tower from the stored f, h and k (report_from_dict)
-reproduces it byte for byte and, at each level below the top whose threshold
-is 0, the walk (find_z at that level's t*) gives back the stored h and k;
-any other entry counts as a miss, so the report is computed again and
-appended.  These checks catch a malformed or singly edited entry, not a
-forged one: the top level's h, k and tau are re-derived from each other, not
-walked, so a line whose top level has h + 1, delta - 1 and tau - 1 (or k + 1
-and tau - 1) still replays its wrong tau.  Only trusted files belong in the
-cache.
+Threshold towers can be cached in an append-only JSONL file (--cache or the
+GOTZ_CACHE environment variable) through cache.py.
 """
 
 from __future__ import annotations
@@ -32,13 +22,12 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, cache
 from .combinatorics import CapExceeded
 from .maxgen import mg_closed, mg_shifted
-from .monomial import Monomial, ParseError, deg_in, div, parse, sigma_pow, truncate, variable_power
-from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, advance, cost_between, find_z, mc
-from .threshold import (ThresholdReport, _level, _scan, is_gotzmann, report_from_dict,
-                        report_to_dict, tau, witness_to_dict)
+from .monomial import ParseError, div, parse, sigma_pow, variable_power
+from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, advance, cost_between, mc
+from .threshold import _level, _scan, is_gotzmann, report_to_dict, tau, witness_to_dict
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -69,88 +58,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _replays(rep, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> ThresholdReport | None:
-    """The tower of core that a stored report describes, or None if it is not one.
+def _towers(args, n: int, cores, trace=None) -> list:
+    # the tower of each core, through the cache file that --cache or GOTZ_CACHE names
+    def compute(core):
+        return tau(core, n, max_jumps=args.max_jumps, trace=trace)
 
-    Rebuilding it from its f, h and k must give it back byte for byte.  Below
-    the top, a level whose threshold is 0 may be clamped there by the
-    split-off power of x_n, which hides its h and k from the levels above, so
-    that level's walk is run again and must give both.
-    """
-    try:
-        rebuilt = report_from_dict(rep, core)
-        if json.dumps(report_to_dict(rebuilt), sort_keys=True) != json.dumps(rep, sort_keys=True):
-            return None
-        level = rebuilt.sub_report
-        while level is not None and level.n > 2:
-            if level.tau == 0:
-                z, state = find_z(truncate(level.u0, level.n - 1), level.n, level.t_star, max_jumps=max_jumps)
-                if (level.h_at_tstar, level.k_at_tstar) != (deg_in(state.cost, level.n), deg_in(z, level.n)):
-                    return None
-            level = level.sub_report
-    except (LookupError, TypeError, ValueError, ArithmeticError, RuntimeError):
-        # not a tower: missing keys, wrong types, bad digits, a broken invariant
-        # or a walk that cannot run (CapExceeded and TargetOvershoot are RuntimeErrors)
-        return None
-    return rebuilt
-
-
-def _load_cache(path: str, n: int, cores: dict, max_jumps: int) -> dict:
-    """The cached towers of the given cores (keyed by string) that replay, rebuilt; later lines win.
-
-    Only lines whose last '"u0": ' (sort_keys puts the top-level one after "report")
-    holds json.dumps(core) for a requested core are parsed; the rest can only miss.
-    """
-    wanted = {json.dumps(key) for key in cores}
-    entries = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        return entries
-    with fh:
-        for line in fh:
-            at = line.rfind('"u0": ') + 6
-            if at < 6 or line[at : line.find('"', at + 1) + 1] not in wanted:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(obj, dict) or obj.get("version") != __version__:
-                continue
-            u0_str, rep = obj.get("u0"), obj.get("report")
-            if obj.get("n") == n and isinstance(u0_str, str) and u0_str in cores:
-                rebuilt = _replays(rep, cores[u0_str], max_jumps)
-                if rebuilt is not None:
-                    entries[u0_str] = rebuilt
-    return entries
-
-
-def _core_reports(args, n: int, cores, compute) -> list[ThresholdReport]:
-    """The report tower of each x_n-free core, in the order of cores.
-
-    With a cache path (--cache or GOTZ_CACHE), a core whose stored tower
-    replays is served from the cache; every other core gets compute(core),
-    whose report_to_dict is appended to the cache.
-    """
-    path = args.cache or os.environ.get("GOTZ_CACHE")
-    by_str = {str(core): core for core in cores}
-    reports = _load_cache(path, n, by_str, args.max_jumps) if path else {}
-    for key, core in by_str.items():
-        if key not in reports:
-            reports[key] = compute(core)
-            if path:
-                entry = {"version": __version__, "n": n, "u0": key, "report": report_to_dict(reports[key])}
-                with open(path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return [reports[key] for key in by_str]
+    return cache.reports(args.cache or os.environ.get("GOTZ_CACHE"), n, cores, compute, args.max_jumps)
 
 
 def cmd_tau(args) -> int:
     n = args.n
     u = parse(args.monomial, n)
     core = div(u, variable_power(n, u.exps[n - 1], n))
-    [top] = _core_reports(args, n, [core], lambda c: tau(c, n, max_jumps=args.max_jumps, trace=_tracer(args)))
+    [top] = _towers(args, n, [core], _tracer(args))
     rep = _level(u, top.f_at_tstar, top.h_at_tstar, top.k_at_tstar, top.sub_report)
     print(json.dumps(report_to_dict(rep), sort_keys=True) if args.json else rep.tau)
     return EXIT_OK
@@ -220,12 +140,8 @@ def cmd_verify(args) -> int:
 
 def cmd_conjecture(args) -> int:
     lo, hi = _parse_range(args.d)
-
-    def towers(cores):
-        # called by _scan once n and the d are checked, so a bad query touches no cache
-        return _core_reports(args, args.n, cores, lambda core: tau(core, args.n, max_jumps=args.max_jumps))
-
-    scan = _scan(args.n, range(lo, hi + 1), towers)
+    # _scan asks for the towers once n and the d are checked, so a bad query touches no cache
+    scan = _scan(args.n, range(lo, hi + 1), lambda cores: _towers(args, args.n, cores))
     if args.json:
         rows = []
         for r in scan.rows:
@@ -247,17 +163,8 @@ def cmd_conjecture(args) -> int:
                 "coeffs_den": [str(c.denominator) for c in scan.interp_coeffs],
                 "matches_conjectured_degree": scan.degree_match,
             }
-        print(
-            json.dumps(
-                {
-                    "n": scan.n,
-                    "conjectured_degree": scan.conjectured_degree,
-                    "rows": rows,
-                    "interpolation": interp,
-                },
-                sort_keys=True,
-            )
-        )
+        out = {"n": scan.n, "conjectured_degree": scan.conjectured_degree, "rows": rows, "interpolation": interp}
+        print(json.dumps(out, sort_keys=True))
         return EXIT_OK
     head = ["d", f"tau_{scan.n}", f"tau_{scan.n - 1}", "ratio", "approx"]
     table = [head]

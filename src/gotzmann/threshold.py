@@ -18,8 +18,7 @@ threshold drops by the shift: max(tau(u0) - t, 0).
 
 tau_oracle scans t upward with the witness test; tau_formula holds the known
 closed laws for small ambients; conjecture_scan probes how tau(x_2^d) grows
-with the ambient, in exact arithmetic.  report_from_dict rebuilds a tower
-from the f, h and k that report_to_dict wrote, through the same level rules.
+with the ambient, in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .combinatorics import (
     lexsegment,
 )
 from .maxgen import maxgen_of_set, mg_closed, target_decompose
-from .monomial import Monomial, _Record, deg, deg_in, div, truncate, variable_power
+from .monomial import Monomial, _decimal, _Record, deg, deg_in, div, truncate, variable_power
 from .paths import DEFAULT_MAX_JUMPS, TraceFn, _BeyondSlice, advance, find_z
 
 
@@ -123,23 +122,6 @@ def tau(
     decomp = target_decompose(u0_prev, n, sub.tau)
     z, state = find_z(u0_prev, n, sub.tau, max_jumps=max_jumps, trace=trace, decomp=decomp)
     return _level(u, decomp.xn_exp, deg_in(state.cost, n), deg_in(z, n), sub)
-
-
-def report_from_dict(d: dict, u: Monomial) -> ThresholdReport:
-    """Inverse of report_to_dict: the tower of u rebuilt from its f, h and k.
-
-    Every other field is derived by the level rules of tau(), so
-    report_to_dict(report_from_dict(d, u)) == d exactly when d could be the
-    tower of u, up to the h and k of a level below the top whose threshold
-    is lowered to 0 by the split-off power of x_n: those reach no level
-    above, so only that level's walk (find_z at its t*) can confirm them.  A
-    malformed d raises LookupError, TypeError or ValueError; counts that
-    break a level invariant raise RuntimeError, as they would in tau().
-    """
-    if u.n == 2:
-        return _level(u, 0, 0, 0, None)
-    sub = report_from_dict(d["sub_report"], truncate(u, u.n - 1))
-    return _level(u, int(d["f"]), int(d["h"]), int(d["k"]), sub)
 
 
 def _level(u: Monomial, f: int, h: int, k: int, sub: ThresholdReport | None) -> ThresholdReport:
@@ -301,12 +283,12 @@ def report_to_dict(rep: ThresholdReport) -> dict:
     return {
         "u0": str(rep.u0),
         "n": rep.n,
-        "t_star": str(rep.t_star),
-        "f": str(rep.f_at_tstar),
-        "h": str(rep.h_at_tstar),
-        "k": str(rep.k_at_tstar),
-        "delta": str(rep.delta),
-        "tau": str(rep.tau),
+        "t_star": _decimal(rep.t_star),
+        "f": _decimal(rep.f_at_tstar),
+        "h": _decimal(rep.h_at_tstar),
+        "k": _decimal(rep.k_at_tstar),
+        "delta": _decimal(rep.delta),
+        "tau": _decimal(rep.tau),
         "sub_report": report_to_dict(rep.sub_report) if rep.sub_report else None,
     }
 
@@ -317,6 +299,6 @@ def witness_to_dict(w: GotzmannWitness) -> dict:
         "mg": str(w.mg),
         "u_tilde": str(w.u_tilde),
         "mc": str(w.mc),
-        "gap_count": str(w.gap_count),
+        "gap_count": _decimal(w.gap_count),
         "is_gotzmann": w.is_gotzmann,
     }

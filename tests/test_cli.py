@@ -4,6 +4,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,17 +12,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gotzmann import __version__
-from gotzmann import cli, threshold, verify
+from gotzmann import cache as gcache, cli, threshold, verify
 from gotzmann.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from gotzmann.monomial import Monomial, ParseError
 from gotzmann.paths import WalkState, advance
-from gotzmann.threshold import report_to_dict, tau
+from gotzmann.threshold import tau
 
 
 def _wrong_cost(u, b):
     # the walk's answer with the origin planted as its cost
     st = advance(u, b)
     return WalkState(st.current, u, st.steps)
+
+
+def cache_line(n, core, rows, version=__version__):
+    # a cache line as gotz writes it: the key first, then the hex rows
+    return json.dumps({"key": [version, n, core], "rows": rows})
 
 
 def run(capsys, *argv):
@@ -255,9 +261,9 @@ class TestCache:
         # the n = 4 level of x2^2*x4^3 has its threshold clamped to 0; its walk
         # runs again on replay, under --max-jumps, and not after a computed tower
         cache = tmp_path / "reports.jsonl"
-        walks, real = [], cli.find_z
+        walks, real = [], gcache.find_z
         monkeypatch.setattr(
-            cli, "find_z", lambda *a, **kw: walks.append((a[1], kw["max_jumps"])) or real(*a, **kw)
+            gcache, "find_z", lambda *a, **kw: walks.append((a[1], kw["max_jumps"])) or real(*a, **kw)
         )
         argv = ("tau", "--n", "5", "--json", "--max-jumps", "500", "--cache", str(cache), "x2^2*x4^3")
         _, miss, _ = run(capsys, *argv)
@@ -310,13 +316,11 @@ class TestCache:
         run(capsys, "tau", "--n", "4", "x2^2")
         assert cache.exists()
         entry = json.loads(cache.read_text())
-        assert entry["version"] == __version__
-        assert entry["u0"] == "x2^2"
+        assert entry["key"] == [__version__, 4, "x2^2"]
 
     def test_stale_version_ignored(self, capsys, tmp_path):
         cache = tmp_path / "reports.jsonl"
-        bogus = {"version": "0.0.0", "n": 4, "u0": "x2^2", "report": {"tau": "999"}}
-        cache.write_text(json.dumps(bogus) + "\n")
+        cache.write_text(cache_line(4, "x2^2", gcache.rows(tau(Monomial(4, (0, 2, 0, 0)), 4)), "0.0.0") + "\n")
         _, out, _ = run(capsys, "tau", "--n", "4", "--cache", str(cache), "x2^2")
         assert out == "2\n"
         assert len(cache.read_text().splitlines()) == 2
@@ -329,18 +333,16 @@ class TestCache:
 
     def test_empty_report_is_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "reports.jsonl"
-        entry = {"version": __version__, "n": 5, "u0": "x2^2*x4", "report": {}}
-        cache.write_text(json.dumps(entry) + "\n")
+        cache.write_text(cache_line(5, "x2^2*x4", []) + "\n")
         code, out, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
         assert (code, out) == (EXIT_OK, "6\n")
         assert len(cache.read_text().splitlines()) == 2
 
     def test_wrong_tau_is_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "reports.jsonl"
-        report = report_to_dict(tau(Monomial(5, (0, 2, 0, 1, 0)), 5))
-        report["tau"] = "999"
-        entry = {"version": __version__, "n": 5, "u0": "x2^2*x4", "report": report}
-        cache.write_text(json.dumps(entry, sort_keys=True) + "\n")
+        rows = gcache.rows(tau(Monomial(5, (0, 2, 0, 1, 0)), 5))
+        rows[0][5] = format(999, "x")
+        cache.write_text(cache_line(5, "x2^2*x4", rows) + "\n")
         code, out, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
         assert (code, out) == (EXIT_OK, "6\n")
         assert len(cache.read_text().splitlines()) == 2
@@ -349,48 +351,61 @@ class TestCache:
         assert len(cache.read_text().splitlines()) == 2
 
     @pytest.mark.xfail(strict=True, reason="a hit is not certified: a consistent edit of the top level replays")
-    @pytest.mark.parametrize("edit", [{"h": 1, "delta": -1, "tau": -1}, {"k": 1, "tau": -1}])
+    @pytest.mark.parametrize("edit", [{2: 1, 4: -1, 5: -1}, {3: 1, 5: -1}])
     def test_forged_top_level_is_recomputed(self, capsys, tmp_path, edit):
+        # columns of a row: t*, f, h, k, delta, tau
         cache = tmp_path / "reports.jsonl"
-        report = report_to_dict(tau(Monomial(5, (0, 2, 0, 1, 0)), 5))
-        for key, step in edit.items():
-            report[key] = str(int(report[key]) + step)
-        entry = {"version": __version__, "n": 5, "u0": "x2^2*x4", "report": report}
-        cache.write_text(json.dumps(entry, sort_keys=True) + "\n")
+        rows = gcache.rows(tau(Monomial(5, (0, 2, 0, 1, 0)), 5))
+        for column, step in edit.items():
+            rows[0][column] = format(int(rows[0][column], 16) + step, "x")
+        cache.write_text(cache_line(5, "x2^2*x4", rows) + "\n")
         code, out, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
         assert (code, out) == (EXIT_OK, "6\n")
         assert len(cache.read_text().splitlines()) == 2
 
     def test_hit_parses_only_the_matching_line(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "reports.jsonl"
-        report = report_to_dict(tau(Monomial(5, (0, 2, 0, 1, 0)), 5))
-        lines = [
-            json.dumps({"version": __version__, "n": 5, "u0": f"x3^{d}", "report": {"tau": str(d)}})
-            for d in range(1, 2000)
-        ]
-        hit = json.dumps({"version": __version__, "n": 5, "u0": "x2^2*x4", "report": report}, sort_keys=True)
+        lines = [cache_line(5, f"x3^{d}", [[format(d, "x")] * 6]) for d in range(1, 2000)]
+        hit = cache_line(5, "x2^2*x4", gcache.rows(tau(Monomial(5, (0, 2, 0, 1, 0)), 5)))
         lines.insert(1000, hit)
         cache.write_text("\n".join(lines) + "\n")
         parsed = []
         loads = json.loads
-        monkeypatch.setattr(cli.json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+        monkeypatch.setattr(gcache.json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
         code, out, _ = run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4")
         assert (code, out) == (EXIT_OK, "6\n")
         assert parsed == [hit + "\n"]
         assert len(cache.read_text().splitlines()) == 2000
 
-    def test_hand_spaced_line_is_a_miss(self, capsys, tmp_path):
-        # the scan looks for '"u0": ' as json.dumps writes it; other spacing is a miss
+    def test_line_that_does_not_open_with_its_key_is_a_miss(self, capsys, tmp_path):
+        # only a line that opens with its key as json.dumps writes it is read
         cache = tmp_path / "reports.jsonl"
-        report = report_to_dict(tau(Monomial(4, (0, 2, 0, 0)), 4))
-        entry = {"version": __version__, "n": 4, "report": report, "u0": "x2^2"}
-        cache.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        key, rows = [__version__, 4, "x2^2"], gcache.rows(tau(Monomial(4, (0, 2, 0, 0)), 4))
+        others = [
+            json.dumps({"key": key, "rows": rows}, separators=(",", ":")),
+            json.dumps({"rows": rows, "key": key}),
+        ]
+        cache.write_text("".join(other + "\n" for other in others))
         _, out, _ = run(capsys, "tau", "--n", "4", "--cache", str(cache), "x2^2")
         assert out == "2\n"
-        lines = cache.read_text().splitlines()
-        assert len(lines) == 2 and json.loads(lines[1]) == entry
+        assert cache.read_text().splitlines() == others + [cache_line(4, "x2^2", rows)]
         _, hit, _ = run(capsys, "tau", "--n", "4", "--cache", str(cache), "x2^2")
         assert hit == "2\n"
+        assert len(cache.read_text().splitlines()) == 3
+
+    def test_old_nested_line_is_a_miss(self, capsys, tmp_path, monkeypatch):
+        # the earlier format, the sorted --json tower under "report", is never replayed
+        cache = tmp_path / "reports.jsonl"
+        rep = tau(Monomial(5, (0, 2, 0, 1, 0)), 5)
+        old = json.dumps(
+            {"version": __version__, "n": 5, "u0": "x2^2*x4", "report": threshold.report_to_dict(rep)},
+            sort_keys=True,
+        )
+        cache.write_text(old + "\n")
+        assert run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4") == (EXIT_OK, "6\n", "")
+        assert cache.read_text().splitlines() == [old, cache_line(5, "x2^2*x4", gcache.rows(rep))]
+        monkeypatch.setattr(cli, "tau", lambda *a, **kw: pytest.fail("tau ran on a hit"))
+        assert run(capsys, "tau", "--n", "5", "--cache", str(cache), "x2^2*x4") == (EXIT_OK, "6\n", "")
         assert len(cache.read_text().splitlines()) == 2
 
 
@@ -402,31 +417,41 @@ class TestCache:
 def test_cache_accepts_real_towers_and_rejects_edited_counts(exps, t):
     n = len(exps) + 1
     u0 = Monomial(n, tuple(exps) + (0,))
-    report = report_to_dict(tau(u0, n))
-    assert cli._replays(report, u0) is not None
+    rows = gcache.rows(tau(u0, n))
+    assert gcache.replay(rows, u0) == tau(u0, n)
 
-    def rejects(depth, key, value):
-        edited = copy.deepcopy(report)
-        level = edited
-        for _ in range(depth):
-            level = level["sub_report"]
-        level[key] = value
-        return cli._replays(edited, u0) is None
+    def rejects(edited):
+        return gcache.replay(edited, u0) is None
 
-    level, depth = report, 0
-    while level is not None:
-        # below the top, a level whose shifted tau is clamped at 0 passes no
-        # change of k upward; replay re-walks such a level
-        for key in ("t_star", "f", "h", "k", "delta", "tau"):
-            assert rejects(depth, key, str(int(level[key]) + 1)), (depth, key)
-        for key in ("t_star", "f", "h", "k", "delta", "tau"):
-            for bad in ("-1", "07", "+7", " 7", 7) + (("1",) if level["n"] == 2 else ()):
-                assert rejects(depth, key, bad), (depth, key, bad)
-        for key, bad in (("n", float(level["n"])), ("n", True), ("extra", "0")):
-            assert rejects(depth, key, bad), (depth, key, bad)
-        level, depth = level["sub_report"], depth + 1
-    shifted = report_to_dict(tau(Monomial(n, tuple(exps) + (t,)), n))
-    assert (cli._replays(shifted, u0) is not None) == (shifted == report)
+    # columns t*, f, h, k, delta, tau; below the top, a level whose shifted tau
+    # is clamped at 0 passes no change of k upward, and replay re-walks it
+    for depth, row in enumerate(rows):
+        for column, count in enumerate(row):
+            plus_one = format(int(count, 16) + 1, "x")
+            for bad in (plus_one, "-1", "07", "+7", " 7", 7) + (("1",) if depth == n - 2 else ()):
+                edited = copy.deepcopy(rows)
+                edited[depth][column] = bad
+                assert rejects(edited), (depth, column, bad)
+        edited = copy.deepcopy(rows)
+        edited[depth].append("0")
+        assert rejects(edited), depth
+        assert rejects(rows[:depth] + rows[depth + 1 :]), depth
+    assert rejects(rows + [["0"] * 6])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "reports.jsonl"
+
+        def loads(text):
+            path.write_text(text + "\n")
+            return gcache.load(str(path), n, {str(u0): u0})
+
+        assert loads(cache_line(n, str(u0), rows)) == {str(u0): tau(u0, n)}
+        other = str(Monomial(n, tuple(exps[:-1]) + (exps[-1] + 1, 0)))
+        for m, core, version in ((n + 1, str(u0), __version__), (n, other, __version__), (n, str(u0), "0.0.0")):
+            assert loads(cache_line(m, core, rows, version)) == {}, (m, core, version)
+
+    shifted = gcache.rows(tau(Monomial(n, tuple(exps) + (t,)), n))
+    assert (gcache.replay(shifted, u0) is not None) == (shifted == rows)
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("invariant broken"), MemoryError()])

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import gotzmann
 
 
@@ -14,9 +16,10 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_cli_imports_no_oracle():
-    # oracles are referees: the CLI reaches them only through gotzmann.verify
-    path = Path(gotzmann.__file__).parent / "cli.py"
+@pytest.mark.parametrize("module", ["cli.py", "cache.py"])
+def test_cli_imports_no_oracle(module):
+    # oracles are referees: the CLI and its cache reach them only through gotzmann.verify
+    path = Path(gotzmann.__file__).parent / module
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = [
         alias.name

@@ -17,7 +17,6 @@ from gotzmann.threshold import (
     conjecture_scan,
     is_gotzmann,
     is_gotzmann_oracle,
-    report_from_dict,
     report_to_dict,
     tau,
     tau_formula,
@@ -330,6 +329,23 @@ class TestSerialization:
         assert d["sub_report"]["n"] == 3
         assert isinstance(d["f"], str)
 
+    def test_dicts_beyond_the_digit_limit(self):
+        # f of tau(x2^6, 13) and the witness's gap count at its tau pass 4,300 digits
+        rep = tau(parse("x2^6", 13), 13)
+        w = is_gotzmann(parse("x2^6", 13) * variable_power(13, rep.tau, 13))
+
+        def rendered(limit):
+            sys.set_int_max_str_digits(limit)
+            return report_to_dict(rep), witness_to_dict(w)
+
+        old = sys.get_int_max_str_digits()
+        try:
+            dicts = rendered(sys.int_info.default_max_str_digits)
+            assert len(dicts[0]["f"]) > 4300 and len(dicts[1]["gap_count"]) > 4300
+            assert dicts == rendered(0)  # str with no limit referees both
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_witness_dict(self):
         d = witness_to_dict(is_gotzmann(parse("x2^2", 3)))
         assert d["is_gotzmann"] is False
@@ -347,28 +363,3 @@ def test_tau_decomposition_law_random(n, d, t, data):
     core_value = tau(lifted, n).tau
     shifted = lifted * variable_power(n, t, n)
     assert tau(shifted, n).tau == max(core_value - t, 0)
-
-
-@given(st.integers(2, 7).flatmap(lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n)))
-@settings(max_examples=60, deadline=None)
-def test_report_from_dict_inverts_report_to_dict(exps):
-    n = len(exps)
-    u = Monomial(n, tuple(exps))
-    rep = tau(u, n)
-    assert report_from_dict(report_to_dict(rep), u) == rep
-
-
-def test_report_from_dict_runs_no_walk(monkeypatch):
-    # a pure rebuild, also of a level whose threshold is clamped to 0 (n = 4 here)
-    from gotzmann import paths
-
-    u = parse("x2^2*x4^3", 5)
-    rep = tau(u, 5)
-    assert rep.sub_report.tau == 0 and rep.sub_report.n == 4
-    d = report_to_dict(rep)
-
-    def no_walk(*args):
-        raise AssertionError("report_from_dict walked")
-
-    monkeypatch.setattr(paths, "_walk", no_walk)
-    assert report_from_dict(d, u) == rep
