@@ -74,9 +74,11 @@ def load(path: str, n: int, cores: dict[str, Monomial], max_jumps: int = DEFAULT
     heads = {_line(n, key, [])[:-3]: key for key in cores}  # each line up to its rows
     towers = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="replace")  # a line that is not UTF-8 is a miss
     except FileNotFoundError:
         return towers
+    except OSError as exc:
+        raise _unusable(path, exc) from None
     with fh:
         for line in fh:
             key = heads.get(line[: line.find(_KEY_END) + len(_KEY_END)])
@@ -97,13 +99,27 @@ def reports(path: str | None, n: int, cores, compute, max_jumps: int = DEFAULT_M
 
     With a cache path, a core whose line replays is served from the cache;
     every other core gets compute(core), whose line is appended to the cache.
+    A path that cannot be read, or appended to when some core misses, is a
+    ValueError, raised before anything is computed.
     """
     by_key = {str(core): core for core in cores}
-    towers = load(path, n, by_key, max_jumps) if path else {}
-    for key, core in by_key.items():
-        if key not in towers:
-            towers[key] = compute(core)
-            if path:
-                with open(path, "a", encoding="utf-8") as fh:
-                    fh.write(_line(n, key, rows(towers[key])) + "\n")
+    if not path:
+        return [compute(core) for core in by_key.values()]
+    towers = load(path, n, by_key, max_jumps)
+    missed = [key for key in by_key if key not in towers]
+    if missed:
+        try:
+            fh = open(path, "a", encoding="utf-8")
+        except OSError as exc:
+            raise _unusable(path, exc) from None
+        with fh:
+            for key in missed:
+                towers[key] = compute(by_key[key])
+                fh.write(_line(n, key, rows(towers[key])) + "\n")
+                fh.flush()
     return [towers[key] for key in by_key]
+
+
+def _unusable(path: str, exc: OSError) -> ValueError:
+    # a usage error (exit 2 in gotz): a directory, or a file in a missing directory
+    return ValueError(f"cannot use cache file {path}: {exc.strerror or exc}")

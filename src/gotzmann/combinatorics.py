@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
-from .monomial import Monomial, _Record, deg, lex_cmp, max_index
+from .monomial import Monomial, _Record, deg, lex_cmp
 
 DEFAULT_CAP = 5_000_000
 

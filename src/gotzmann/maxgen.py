@@ -38,7 +38,7 @@ from .combinatorics import (
     lexsegment,
     prefix_borel_sizes,
 )
-from .monomial import Monomial, _Record, deg, embed, max_index, mul, sigma_pow, variable_power
+from .monomial import Monomial, _Record, deg, embed, max_index, sigma_pow
 
 
 def maxgen_of_set(s: MonomialSet) -> Monomial:
@@ -141,7 +141,7 @@ def target_decompose(u0: Monomial, n: int, t: int) -> MgDecomposition:
     mg = mg_shifted(embed(u0, n), t)
     f = f_poly_eval(u0, n, t)
     base = Monomial(n, mg.exps[: n - 1] + (0,))
-    if mul(base, variable_power(n, f, n)) != mg:
+    if mg.exps[n - 1] != f:
         raise RuntimeError(
             f"internal inconsistency: mg({u0}*x{n}^{t}) = {mg} does not split "
             f"as {base} * x{n}^{f}"

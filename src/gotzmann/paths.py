@@ -42,7 +42,13 @@ C(k+s-1, s+1), s = 1..n-m, go by C(k+s, s+2) = C(k+s-1, s+1) * (k+s) / (s+2):
 one multiply and one small exact division a column.  The next jump's row is
 carried: after a partial block (0 < l < k) it is the lower row (same m,
 k' = k - l); after a full block onto an empty x_{m-1}, it is this row and one
-more column (m - 1, same k).
+more column (m - 1, same k).  An elementary step at x_m sends k - 1 units to
+an empty x_n, and the walk climbs back from there by full blocks onto empty
+runs, so the step keeps _row(k - 1, n - m), one Pascal step down from its own
+row, C(k+s-2, s+1) = C(k+s-1, s+1) - C(k+s-2, s), one subtraction a column.
+A full block onto an empty run of k - 1 units then takes its next row as a
+prefix of that one and multiplies out no new column; a row depends only on
+the run, so the prefix is exact wherever the run matches.
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
 A block whose visible cost would consume the deficit exactly is shrunk by
@@ -90,6 +96,12 @@ def _row(a: int, count: int) -> list[int]:
     for s in range(1, count):
         row.append(row[-1] * (a + s) // (s + 2))
     return row
+
+
+def _row_below(a: int, tops: list[int]) -> list[int]:
+    """_row(a - 1, len(tops)) from tops = _row(a, len(tops)) by Pascal's rule,
+    C(a+s-2, s+1) = C(a+s-1, s+1) - C(a+s-2, s): one subtraction a column."""
+    return [top - prev for top, prev in zip(tops, [a - 1] + tops)]
 
 
 def _block_exps(a: int, l: int, tops: list[int], low: list[int] | None = None) -> list[int]:
@@ -196,7 +208,11 @@ class _Deficit:
         if not tops:  # m = n: the block costs nothing below x_n
             return a
         d = self.deficit[m - 1:]  # d[s] bounds the x_{m+s} exponent, s < n - m
-        full = a <= d[0] and all(top <= e for top, e in zip(tops, d[1:]))
+        full = a <= d[0]
+        for s in range(1, len(d) if full else 0):
+            if tops[s - 1] > d[s]:
+                full = False
+                break
         if full:  # its lower row is zero, so its cost is x_m^a times tops
             l = a
         else:
@@ -216,13 +232,15 @@ class _Deficit:
         return l
 
     def take(self, m: int, exps: list[int]) -> None:
-        for i, e in zip(range(m - 1, len(self.deficit)), exps):
-            if e > self.deficit[i]:
+        d = self.deficit
+        for i in range(m - 1, len(d)):
+            left = d[i] - exps[i - m + 1]
+            if left < 0:
                 raise TargetOvershoot(
                     f"target component x{i + 1} is exhausted; no walk realizes "
                     f"the base of mg (t below the lower threshold?)"
                 )
-            self.deficit[i] -= e
+            d[i] = left
 
 
 def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None) -> WalkState:
@@ -235,6 +253,7 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
     cost = [0] * n
     jumps = 0
     carried = None  # the next jump's tops, when the last block left it known
+    below = 0, []  # (a - 1, _row(a - 1, n - m)) from the last elementary step at x_m
     frm = origin
     while not rule.met():
         jumps += 1
@@ -253,7 +272,12 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
             cur[m - 2], cur[m - 1] = cur[m - 2] + a, 0
             carried = None
             if a == cur[m - 2]:  # onto an empty x_{m-1}: the next jump is there, with this row
-                carried = tops + [tops[-1] * (a + n - m) // (n - m + 2) if tops else a * (a - 1) // 2]
+                # and one more column, already known on the climb back from an elementary step
+                b, row = below
+                if a == b and len(row) > n - m:
+                    carried = row[: n - m + 1]
+                else:
+                    carried = tops + [tops[-1] * (a + n - m) // (n - m + 2) if tops else a * (a - 1) // 2]
         elif l:
             low = _row(a - l, n - m) if rule.low is None else rule.low
             exps = _block_exps(a, l, tops, low)
@@ -263,10 +287,11 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
             exps = [1] + [0] * (n - m)
             cur[m - 2], cur[m - 1] = cur[m - 2] + 1, 0
             cur[n - 1] += a - 1
-            carried = None
+            carried = [] if a > 1 else None  # the next jump is at x_n, which no row lies above
+            below = a - 1, _row_below(a, tops)
         rule.take(m, exps)
-        for i, e in enumerate(exps, m - 1):
-            cost[i] += e
+        for i in range(m - 1, n):
+            cost[i] += exps[i - m + 1]
         if trace is not None:
             to = Monomial(n, tuple(cur))
             _emit(trace, frm, to, Monomial(n, (0,) * (m - 1) + tuple(exps)), sum(cost))

@@ -34,7 +34,7 @@ from .combinatorics import (
     lexsegment,
 )
 from .maxgen import maxgen_of_set, mg_closed, target_decompose
-from .monomial import Monomial, _decimal, _Record, deg, deg_in, div, truncate, variable_power
+from .monomial import Monomial, _decimal, _Record, deg, deg_in, truncate, variable_power
 from .paths import DEFAULT_MAX_JUMPS, TraceFn, _BeyondSlice, advance, find_z
 
 
@@ -137,7 +137,7 @@ def _level(u: Monomial, f: int, h: int, k: int, sub: ThresholdReport | None) -> 
             f"f={f}, h={h}, k={k}, t*={t_star}"
         )
     return ThresholdReport(
-        u0=div(u, variable_power(n, t, n)), n=n, t_star=t_star, f_at_tstar=f, h_at_tstar=h,
+        u0=Monomial(n, u.exps[: n - 1] + (0,)), n=n, t_star=t_star, f_at_tstar=f, h_at_tstar=h,
         k_at_tstar=k, delta=delta, tau=max(value - t, 0), sub_report=sub,
     )
 

@@ -1,5 +1,7 @@
 import copy
+import errno
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -317,6 +319,36 @@ class TestCache:
         assert cache.exists()
         entry = json.loads(cache.read_text())
         assert entry["key"] == [__version__, 4, "x2^2"]
+
+    @pytest.mark.parametrize("via", ["option", "environment"])
+    @pytest.mark.parametrize("where", ["directory", "missing_directory"])
+    @pytest.mark.parametrize(
+        "argv", [("tau", "--n", "4", "x2^2"), ("conjecture", "--n", "4", "--d", "0..2")], ids=["tau", "conjecture"]
+    )
+    def test_unusable_cache_path_is_a_usage_error(self, capsys, tmp_path, monkeypatch, argv, where, via):
+        # reported before anything is computed, as exit 2 rather than a traceback
+        if where == "directory":
+            path, reason = tmp_path, os.strerror(errno.EISDIR)
+        else:
+            path, reason = tmp_path / "missing" / "reports.jsonl", os.strerror(errno.ENOENT)
+        if via == "option":
+            argv += ("--cache", str(path))
+        else:
+            monkeypatch.setenv("GOTZ_CACHE", str(path))
+        monkeypatch.setattr(cli, "tau", lambda *a, **kw: pytest.fail("tau ran with an unusable cache"))
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: cannot use cache file {path}: {reason}\n")
+        assert not (tmp_path / "missing").exists()
+
+    def test_line_that_is_not_utf8_is_a_miss(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "reports.jsonl"
+        good = cache_line(4, "x2^2", gcache.rows(tau(Monomial(4, (0, 2, 0, 0)), 4))).encode()
+        bad = b"\xff\xfe not text\n" + good.replace(b'"2"', b'"\xff"', 1) + b"\n"
+        cache.write_bytes(bad)
+        assert run(capsys, "tau", "--n", "4", "--cache", str(cache), "x2^2") == (EXIT_OK, "2\n", "")
+        assert cache.read_bytes() == bad + good + b"\n"
+        monkeypatch.setattr(cli, "tau", lambda *a, **kw: pytest.fail("tau ran on a hit"))
+        assert run(capsys, "tau", "--n", "4", "--cache", str(cache), "x2^2") == (EXIT_OK, "2\n", "")
+        assert cache.read_bytes() == bad + good + b"\n"
 
     def test_stale_version_ignored(self, capsys, tmp_path):
         cache = tmp_path / "reports.jsonl"

@@ -15,6 +15,7 @@ from gotzmann.paths import (
     _iroot,
     _least_base,
     _row,
+    _row_below,
     advance,
     advance_oracle,
     cost_between,
@@ -366,6 +367,61 @@ class TestRows:
     @settings(max_examples=200, deadline=None)
     def test_row_is_the_l_free_terms(self, a, count):
         assert _row(a, count) == [binom(a + s - 1, s + 1) for s in range(1, count + 1)]
+
+    @given(st.one_of(st.integers(1, 3), st.integers(1, 10**40)), st.integers(0, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_pascal_step_is_the_row_one_unit_down(self, a, count):
+        assert _row_below(a, _row(a, count)) == _row(a - 1, count)
+
+    @pytest.mark.parametrize("rule", [_Deficit, _Budget])
+    def test_climb_back_from_xn_builds_no_row(self, monkeypatch, rule):
+        # an elementary step at x_m sends b = a - 1 units to an empty x_n; the walk climbs
+        # back toward x_m by full blocks onto empty runs, and each jump on the way takes
+        # the very columns of the Pascal step, so no _row call and no multiply made them
+        from gotzmann import paths
+        from gotzmann.threshold import tau
+
+        n, events = 14, []
+        walk, largest, below = paths._walk, rule.largest, paths._row_below
+
+        def spy_largest(self, m, a, tops):
+            events.append(("enter", m, a, tops))
+            l = largest(self, m, a, tops)
+            events.append(("exit", m, a, l))
+            return l
+
+        u0 = parse("x2^10", n)
+        t = tau(u0, n).tau
+        monkeypatch.setattr(paths, "_walk", lambda *args: events.append(("walk",)) or walk(*args))
+        monkeypatch.setattr(paths, "_row", lambda a, count: events.append(("row",)) or _row(a, count))
+        monkeypatch.setattr(paths, "_row_below", lambda a, tops: events.append(("below", a, below(a, tops))) or events[-1][2])
+        monkeypatch.setattr(rule, "largest", spy_largest)
+        if rule is _Deficit:
+            assert tau(u0, n).tau == t
+        else:
+            assert not is_gotzmann(parse(f"x2^10*x14^{t - 1}", n)).is_gotzmann
+        climbs = []
+        for i, event in enumerate(events):
+            if event[0] != "below" or event[1] < 2:
+                continue
+            _, m, _, tops = next(e for e in reversed(events[:i]) if e[0] == "enter")  # the elementary step
+            k, b, row = m + len(tops), event[1] - 1, event[2]  # x_k: the next jump, from x_n down
+            jumps, inside = 0, False
+            for e in events[i + 1 :]:
+                if e[0] == "walk":
+                    break
+                if e[0] == "enter":
+                    assert e[1:3] == (k, b) and len(e[3]) == len(tops) - (k - m)
+                    assert all(x is y for x, y in zip(e[3], row))
+                    jumps, inside = jumps + 1, True
+                elif e[0] == "exit":
+                    if k == m or e[3] != b:  # back at x_m, or the rule cut the climb short
+                        break
+                    k, inside = k - 1, False
+                else:
+                    assert inside  # only a rule builds rows (lower rows of partial blocks)
+            climbs.append(jumps)
+        assert sum(climbs) > 50  # jumps checked; a walk may end right after its step
 
     @staticmethod
     def _tops_rows_after(monkeypatch, next_jump):

@@ -16,6 +16,25 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_has_no_unused_imports():
+    # every name a module imports is read in it; __init__.py imports to re-export
+    package = Path(gotzmann.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+    assert sorted(unused) == []
+
+
 @pytest.mark.parametrize("module", ["cli.py", "cache.py"])
 def test_cli_imports_no_oracle(module):
     # oracles are referees: the CLI and its cache reach them only through gotzmann.verify
