@@ -25,7 +25,7 @@ import sys
 from . import __version__, cache
 from .combinatorics import CapExceeded
 from .maxgen import mg_closed, mg_shifted
-from .monomial import ParseError, div, parse, sigma_pow, variable_power
+from .monomial import ParseError, _decimal, div, parse, sigma_pow, variable_power
 from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, advance, cost_between, mc
 from .threshold import _level, _scan, is_gotzmann, report_to_dict, tau, witness_to_dict
 
@@ -90,7 +90,8 @@ def cmd_mg(args) -> int:
     u = parse(args.monomial, args.n)
     result = mg_shifted(u, args.t) if args.t is not None else mg_closed(u)
     if args.json:
-        print(json.dumps({"u": str(u), "t": args.t, "mg": str(result)}, sort_keys=True))
+        t = None if args.t is None else _decimal(args.t)
+        print(json.dumps({"u": str(u), "t": t, "mg": str(result)}, sort_keys=True))
     else:
         print(result)
     return EXIT_OK

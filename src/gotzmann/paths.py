@@ -19,7 +19,8 @@ One kernel, _walk, runs every block walk.  At each jump it takes the largest
 block its rule admits, or one elementary step when not even l = 1 is
 admitted, and charges the rule for it.  There are two rules:
 
-- budget (advance): the block's total steps stay within the steps left;
+- budget (advance, mc, cost_between and the witness test): the block's total
+  steps stay within the steps left;
 - deficit (find_z): the block's cost below x_n stays within what is left of
   a target w, component by component.
 
@@ -32,10 +33,15 @@ top row, and the kernel charges every full block so, building no lower row.
 The budget rule admits it when its C(k+S, S+1) steps fit what is left, before
 any other arithmetic.  Else it steps without a solve when one unit,
 C(k+S-1, S) = C(k+S, S+1) (S+1) / (k+S) steps, is too many, compared as a
-product rather than by long division.  Else it solves for N = k - l from the
-AM-GM start, confirms N on the lower row itself, N + sum(_row(N, S)) =
-C(N+S, S+1), and hands that row to the kernel.  Past its full block, the
-deficit rule solves the bounds from x_m and x_{m+1} (r = 2: one isqrt),
+product rather than by long division.  Else it solves for N = k - l, the
+least N with C(N+S, S+1) = N + sum(_row(N, S)) >= X, X = C(k+S, S+1) less
+the steps left, and hands that lower row to the kernel.  The witness test
+passes mg(u) as a guide: what is left of it bounds the block's x_m and
+x_{m+1} exponents, which guesses N with one isqrt, and the guess holds when
+its row also has C(N+S-1, S+1) = _row(N, S)[-1] < X.  Without a guide, or
+once a guess has missed, N climbs from the AM-GM start until its row
+confirms it.  Past its full block, the deficit rule solves the bounds from
+x_m and x_{m+1} (r = 2: one isqrt),
 checks the others on the lower row at that l and solves just those that fail;
 each fits at every smaller l, so the least bound is exact.  Rows of terms
 C(k+s-1, s+1), s = 1..n-m, go by C(k+s, s+2) = C(k+s-1, s+1) * (k+s) / (s+2):
@@ -155,10 +161,15 @@ def _least_base(x: int, r: int, c: int) -> int:
 
 
 class _Budget:
-    """advance's rule: a block's total steps stay within the steps left."""
+    """The budget rule: a block's total steps stay within the steps left.
 
-    def __init__(self, left: int) -> None:
+    guide, when given, is a componentwise target for the walk's cost (the
+    witness test passes mg); what is left of it only guesses partial blocks.
+    """
+
+    def __init__(self, left: int, guide: list[int] | None = None) -> None:
         self.left = left
+        self.guide = guide
 
     def met(self) -> bool:
         return self.left == 0
@@ -168,9 +179,13 @@ class _Budget:
 
         The full block takes total = C(a+s, s+1) steps, one unit total * (s+1) /
         (a+s).  A partial block leaves the least N = a - l with C(N+s, s+1) =
-        N + sum(_row(N, s)) >= total - left: N starts at the AM-GM bound and
-        steps up until its row confirms it.  That row is the block's lower row,
-        left in self.low for the walk.
+        N + sum(_row(N, s)) >= x = total - left, that is, with C(N+s-1, s+1) =
+        _row(N, s)[-1] < x as well.  The guide guesses N from its x_m and x_{m+1}
+        components, the bounds a block that fits it obeys: l <= g_m and C(N, 2)
+        >= tops[0] - g_{m+1}, one isqrt.  Those two comparisons on the guess's
+        row confirm it; a miss drops the guide, and N starts at the AM-GM bound
+        and steps up until its row confirms it.  That row is the block's lower
+        row, left in self.low for the walk.
         """
         if not tops:  # m = n: each unit is one step, and no row lies above x_n
             self.low = []
@@ -181,6 +196,15 @@ class _Budget:
         if total * (s + 1) > self.left * (a + s):
             return 0
         x = total - self.left  # 0 < x <= C(a-1+s, s+1), so 0 < N < a
+        g = self.guide
+        if g is not None:
+            over = tops[0] - g[m]
+            base = max(1, a - g[m - 1], _start(over, 2) if over > 0 else 1)
+            low = _row(base, s)
+            if base + sum(low) >= x > low[-1]:
+                self.low = low
+                return a - base
+            self.guide = None
         base = max(1, _start(x, s + 1) - s)  # the start can fall below 1 when s is large
         while True:
             low = _row(base, s)
@@ -191,6 +215,13 @@ class _Budget:
 
     def take(self, m: int, exps: list[int]) -> None:
         self.left -= sum(exps)
+        g = self.guide
+        if g is not None:
+            for i in range(m - 1, len(g)):
+                g[i] -= exps[i - m + 1]
+                if g[i] < 0:  # the cost has left the target behind
+                    self.guide = None
+                    break
 
 
 class _Deficit:
@@ -310,19 +341,13 @@ def _emit(trace: TraceFn, frm: Monomial, to: Monomial, cost: Monomial, done: int
     )
 
 
-class _BeyondSlice(ValueError):
-    """A walk's budget exceeds the predecessors above its origin."""
-
-
 def _check_budget(origin: Monomial, budget: int) -> None:
     """A walk of `budget` steps must fit in the predecessors above origin."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     avail = lex_rank(origin) - 1
     if budget > avail:
-        raise _BeyondSlice(
-            f"budget {budget} exceeds the {avail} predecessors above {origin}"
-        )
+        raise ValueError(f"budget {budget} exceeds the {avail} predecessors above {origin}")
 
 
 def advance(
@@ -365,16 +390,18 @@ def cost_between(
     """Cost of the walk from u up to v (v lex >= u, same degree and ambient)."""
     if lex_cmp(v, u) < 0:
         raise ValueError(f"no upward walk: {v} lies below {u}")
-    budget = lex_rank(u) - lex_rank(v)
-    st = advance(u, budget, max_jumps=max_jumps, trace=trace)
+    budget = lex_rank(u) - lex_rank(v)  # at most lex_rank(u) - 1, so advance's guard is moot
+    st = _walk(u, _Budget(budget), max_jumps, trace)
     if st.current != v:
         raise RuntimeError(f"walk of {budget} steps from {u} ended at {st.current}, not {v}")
     return st.cost
 
 
 def mc(u: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS, trace: TraceFn | None = None) -> Monomial:
-    """Cost of the walk from u up to pred^g(u), g = gap_count(u)."""
-    return advance(u, gap_count(u), max_jumps=max_jumps, trace=trace).cost
+    """Cost of the walk from u up to pred^g(u), g = gap_count(u).
+
+    g = lex_rank(u) - borel_size(u) fits in the slice, so the walk needs no guard."""
+    return _walk(u, _Budget(gap_count(u)), max_jumps, trace).cost
 
 
 def find_z(

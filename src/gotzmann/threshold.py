@@ -31,11 +31,12 @@ from .combinatorics import (
     MonomialSet,
     binom,
     borel_enumerate,
+    lex_rank,
     lexsegment,
 )
 from .maxgen import maxgen_of_set, mg_closed, target_decompose
 from .monomial import Monomial, _decimal, _Record, deg, deg_in, truncate, variable_power
-from .paths import DEFAULT_MAX_JUMPS, TraceFn, _BeyondSlice, advance, find_z
+from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, TraceFn, _Budget, _walk, find_z
 
 
 class GotzmannWitness(_Record):
@@ -75,14 +76,20 @@ def is_gotzmann(
     max_jumps: int = DEFAULT_MAX_JUMPS,
     trace: TraceFn | None = None,
 ) -> GotzmannWitness:
-    """Witness test without enumeration: walk deg(mg(u)) steps and compare costs."""
+    """Witness test without enumeration: walk deg(mg(u)) steps and compare costs.
+
+    mg guides the walk's partial blocks.  The slice is ranked only when the walk
+    fails, to tell a broken mg_closed from a jump cap that binds."""
     mg = mg_closed(u)
     g = deg(mg)
     try:
-        st = advance(u, g, max_jumps=max_jumps, trace=trace)
-    except _BeyondSlice as exc:
-        # the closure always reaches x_1^d, so only a broken mg_closed gets here
-        raise RuntimeError(f"gap count of {u} exceeds the predecessors above it") from exc
+        st = _walk(u, _Budget(g, list(mg.exps)), max_jumps, trace)
+    except (TargetOvershoot, CapExceeded) as exc:
+        # the closure always reaches x_1^d, so only a broken mg_closed asks for more
+        # steps than the slice holds; its walk runs off the slice or into the jump cap
+        if g > lex_rank(u) - 1:
+            raise RuntimeError(f"gap count of {u} exceeds the predecessors above it") from exc
+        raise
     return GotzmannWitness(
         u=u, mg=mg, u_tilde=st.current, mc=st.cost, gap_count=g,
         is_gotzmann=(st.cost == mg),

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from gotzmann import __version__
 from gotzmann import cache as gcache, cli, threshold, verify
 from gotzmann.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from gotzmann.monomial import Monomial, ParseError
+from gotzmann.maxgen import mg_shifted
+from gotzmann.monomial import Monomial, ParseError, parse
 from gotzmann.paths import WalkState, advance
 from gotzmann.threshold import tau
 
@@ -78,6 +79,14 @@ class TestQueries:
         assert code == EXIT_OK
         exponents = [factor.partition("^")[2] for factor in out.strip().split("*")]
         assert max(len(e) for e in exponents) > 4300
+
+    def test_mg_json_renders_t_as_a_decimal_string(self, capsys):
+        t = 10**23
+        code, out, _ = run(capsys, "mg", "--n", "5", "--json", "x2^2*x4", "--t", str(t))
+        assert code == EXIT_OK
+        assert json.loads(out) == {"u": "x2^2*x4", "t": str(t), "mg": str(mg_shifted(parse("x2^2*x4", 5), t))}
+        code, out, _ = run(capsys, "mg", "--n", "5", "--json", "x2^2*x4")
+        assert json.loads(out) == {"u": "x2^2*x4", "t": None, "mg": "x3*x4^2*x5^5"}
 
     def test_mc(self, capsys):
         assert run(capsys, "mc", "--n", "3", "x2^2")[1] == "x2\n"

@@ -7,6 +7,7 @@ from gotzmann.combinatorics import CapExceeded, binom, enumerate_monomials, gap_
 from gotzmann.maxgen import maxgen_of_set, mg_closed, target_decompose
 from gotzmann.monomial import Monomial, deg, deg_in, max_index, mul, one, parse, pred, sigma, variable
 from gotzmann.paths import (
+    DEFAULT_MAX_JUMPS,
     TargetOvershoot,
     WalkState,
     _block_exps,
@@ -16,6 +17,7 @@ from gotzmann.paths import (
     _least_base,
     _row,
     _row_below,
+    _walk,
     advance,
     advance_oracle,
     cost_between,
@@ -32,6 +34,11 @@ def random_slice_pair(data, n_lo=2, n_hi=5, d_lo=1, d_hi=4):
     i = data.draw(st.integers(0, len(sl) - 2))
     j = data.draw(st.integers(i + 1, len(sl) - 1))
     return sl[j], sl[i]  # (below, above)
+
+
+def _any_guide(n):
+    """A componentwise target for _Budget: any integers, so that guesses also miss."""
+    return st.lists(st.one_of(st.integers(-2, 40), st.integers(0, 10**40)), min_size=n, max_size=n)
 
 
 class TestAdvance:
@@ -85,6 +92,27 @@ class TestAdvance:
         st_ = advance(below, budget)
         walked = lexinterval(above, below)
         assert st_.cost == maxgen_of_set(walked)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_guide_changes_no_jump(self, data):
+        # the guide only guesses partial blocks, and the budget rule confirms each guess
+        n = data.draw(st.integers(2, 8))
+        exps = data.draw(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 60)), min_size=n, max_size=n))
+        u = Monomial(n, tuple(exps))
+        mg = mg_closed(u)
+        budget = deg(mg) if data.draw(st.booleans()) else data.draw(st.integers(0, lex_rank(u) - 1))
+        kind = data.draw(st.sampled_from(["mg", "zeros", "any"]))
+        if kind == "mg":
+            guide = list(mg.exps)
+        elif kind == "zeros":
+            guide = [0] * n
+        else:
+            guide = data.draw(_any_guide(n))
+        plain, guided = [], []
+        state = _walk(u, _Budget(budget), DEFAULT_MAX_JUMPS, plain.append)
+        assert _walk(u, _Budget(budget, guide), DEFAULT_MAX_JUMPS, guided.append) == state
+        assert guided == plain
 
     @given(st.integers(2, 6), st.data())
     @settings(max_examples=60, deadline=None)
@@ -140,6 +168,21 @@ def test_u_tilde_spans_the_gap_count():
 
 def test_mc_known_value():
     assert mc(parse("x2^2", 3)) == parse("x2", 3)
+
+
+def test_mc_and_cost_between_rank_the_slice_once_each(monkeypatch):
+    # the gap count and a rank difference both fit in the slice, so neither walk is guarded
+    from gotzmann import combinatorics, paths
+
+    calls = []
+    spy = lambda u: calls.append(u) or lex_rank(u)
+    for module in (combinatorics, paths):
+        monkeypatch.setattr(module, "lex_rank", spy)
+    assert mc(parse("x2^2", 3)) == parse("x2", 3)
+    assert len(calls) == 1
+    calls.clear()
+    assert cost_between(parse("x2^2*x4*x5", 5), parse("x2^2*x3*x4", 5)) == parse("x4*x5^2", 5)
+    assert len(calls) == 2
 
 
 def test_mc_equals_mg_exactly_when_gotzmann():
@@ -280,9 +323,16 @@ class TestLargestBlock:
             left = max(0, binom(a + n - m - 1, n - m) + data.draw(st.integers(-1, 1))) if a else 0
         else:
             left = data.draw(st.integers(0, 10**60))
-        rule = _Budget(left)
+        want = _largest_l(a, _budget_fits(left, m, a, n))
+        guide = data.draw(st.sampled_from([None, "near", "any"]))
+        if guide == "near":  # the wanted block's cost, each component give or take one
+            near = _block_exps(a, want, _tops(m, a, n))
+            guide = [0] * (m - 1) + [e + data.draw(st.integers(-1, 1)) for e in near]
+        elif guide == "any":
+            guide = data.draw(_any_guide(n))
+        rule = _Budget(left, guide)
         got = rule.largest(m, a, _tops(m, a, n))
-        assert got == _largest_l(a, _budget_fits(left, m, a, n))
+        assert got == want
         if 0 < got < a:  # a partial block hands the walk its lower row
             assert rule.low == _row(a - got, n - m)
 

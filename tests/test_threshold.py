@@ -46,25 +46,42 @@ class TestIsGotzmann:
         assert w.gap_count == 1
         assert not w.is_gotzmann
 
-    def test_ranks_the_slice_once(self, monkeypatch):
-        from gotzmann import paths, threshold
+    def test_never_ranks_the_slice(self, monkeypatch):
+        from gotzmann import combinatorics, paths, threshold
 
         calls = []
         spy = lambda u: calls.append(u) or lex_rank(u)
-        monkeypatch.setattr(paths, "lex_rank", spy)
-        monkeypatch.setattr(threshold, "lex_rank", spy, raising=False)
+        for module in (combinatorics, paths, threshold):
+            monkeypatch.setattr(module, "lex_rank", spy)
         assert is_gotzmann(parse("x2^2*x4*x5^6", 5)).is_gotzmann
-        assert len(calls) == 1
+        assert not is_gotzmann(parse("x2^2*x4*x5^5", 5)).is_gotzmann
+        assert calls == []
+
+    @pytest.mark.parametrize("n", range(10, 15))
+    def test_x2_powers_certify_with_square_roots_only(self, n, monkeypatch):
+        # mg guesses every partial block of the walk at tau; each guess is one isqrt
+        from gotzmann import paths
+
+        u0 = parse("x2^3", n)
+        t = tau(u0, n).tau
+        orders = []
+        start = paths._start
+        monkeypatch.setattr(paths, "_start", lambda x, r: orders.append(r) or start(x, r))
+        assert is_gotzmann(u0 * variable_power(n, t, n)).is_gotzmann
+        assert orders and set(orders) == {2}
+        assert not is_gotzmann(u0 * variable_power(n, t - 1, n)).is_gotzmann
 
     def test_gap_count_beyond_the_slice_is_an_internal_error(self, monkeypatch, capsys):
         # only a broken mg_closed can ask for more steps than the slice holds
         from gotzmann import cli, threshold
 
         monkeypatch.setattr(threshold, "mg_closed", lambda u: parse("x3^100", 3))
-        with pytest.raises(RuntimeError, match="gap count of x2\\^2 exceeds the predecessors"):
-            is_gotzmann(parse("x2^2", 3))
-        assert cli.main(["is-gotzmann", "--n", "3", "x2^2"]) == cli.EXIT_INTERNAL
-        assert capsys.readouterr().out == ""
+        for max_jumps in (10**6, 1):  # the walk leaves the slice, or the jump cap binds first
+            with pytest.raises(RuntimeError, match="gap count of x2\\^2 exceeds the predecessors"):
+                is_gotzmann(parse("x2^2", 3), max_jumps=max_jumps)
+            argv = ["is-gotzmann", "--n", "3", "--max-jumps", str(max_jumps), "x2^2"]
+            assert cli.main(argv) == cli.EXIT_INTERNAL
+            assert capsys.readouterr().out == ""
         with pytest.raises(ValueError, match="exceeds the 3 predecessors"):
             advance(parse("x2^2", 3), 100)
 
