@@ -52,12 +52,17 @@ def maxgen_of_set(s: MonomialSet) -> Monomial:
     return Monomial(s.n, tuple(exps))
 
 
-def mg_oracle(u: Monomial, cap: int | None = DEFAULT_CAP) -> Monomial:
-    """mg(u) by explicit enumeration of the lexsegment and the Borel closure."""
+def _segment_gaps(u: Monomial, cap: int | None) -> tuple[MonomialSet, tuple[Monomial, ...]]:
+    """The lexsegment above u and, in its order, its members that the Borel closure
+    of u misses, both by explicit enumeration (for the oracles)."""
     seg = lexsegment(u, cap)
     closure = {v.exps for v in borel_enumerate(u, cap)}
-    gaps = tuple(z for z in seg.elements if z.exps not in closure)
-    return maxgen_of_set(MonomialSet(u.n, gaps))
+    return seg, tuple(z for z in seg.elements if z.exps not in closure)
+
+
+def mg_oracle(u: Monomial, cap: int | None = DEFAULT_CAP) -> Monomial:
+    """mg(u) by explicit enumeration of the lexsegment and the Borel closure."""
+    return maxgen_of_set(MonomialSet(u.n, _segment_gaps(u, cap)[1]))
 
 
 def mg_closed(u: Monomial) -> Monomial:

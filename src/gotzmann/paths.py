@@ -27,34 +27,33 @@ admitted, and charges the rule for it.  There are two rules:
 Neither rule searches over l.  The block's steps sum to C(k+S, S+1) -
 C(k-l+S, S+1), S = n - m (hockey stick), so a bound on l is one inverse
 binomial, the least N with C(N+c, r) >= X, read off the integer r-th root of
-r! X, and only bounds that bind are solved.  Both rules first test the full
-block, l = k, whose lower row C(s-1, s+1) is zero: its cost is x_m^k times the
-top row, and the kernel charges every full block so, building no lower row.
-The budget rule admits it when its C(k+S, S+1) steps fit what is left, before
-any other arithmetic.  Else it steps without a solve when one unit,
-C(k+S-1, S) = C(k+S, S+1) (S+1) / (k+S) steps, is too many, compared as a
-product rather than by long division.  Else it solves for N = k - l, the
-least N with C(N+S, S+1) = N + sum(_row(N, S)) >= X, X = C(k+S, S+1) less
-the steps left, and hands that lower row to the kernel.  The witness test
-passes mg(u) as a guide: what is left of it bounds the block's x_m and
-x_{m+1} exponents, which guesses N with one isqrt, and the guess holds when
-its row also has C(N+S-1, S+1) = _row(N, S)[-1] < X.  Without a guide, or
-once a guess has missed, N climbs from the AM-GM start until its row
-confirms it.  Past its full block, the deficit rule solves the bounds from
-x_m and x_{m+1} (r = 2: one isqrt),
-checks the others on the lower row at that l and solves just those that fail;
-each fits at every smaller l, so the least bound is exact.  Rows of terms
-C(k+s-1, s+1), s = 1..n-m, go by C(k+s, s+2) = C(k+s-1, s+1) * (k+s) / (s+2):
-one multiply and one small exact division a column.  The next jump's row is
-carried: after a partial block (0 < l < k) it is the lower row (same m,
-k' = k - l); after a full block onto an empty x_{m-1}, it is this row and one
-more column (m - 1, same k).  An elementary step at x_m sends k - 1 units to
-an empty x_n, and the walk climbs back from there by full blocks onto empty
-runs, so the step keeps _row(k - 1, n - m), one Pascal step down from its own
-row, C(k+s-2, s+1) = C(k+s-1, s+1) - C(k+s-2, s), one subtraction a column.
-A full block onto an empty run of k - 1 units then takes its next row as a
-prefix of that one and multiplies out no new column; a row depends only on
-the run, so the prefix is exact wherever the run matches.
+r! X (_least_base), and only bounds that bind are solved.  Both rules first
+test the full block, l = k, whose lower row C(s-1, s+1) is zero: its cost is
+x_m^k times the top row, and the kernel charges every full block so, building
+no lower row.  The budget rule admits it when its C(k+S, S+1) steps fit what
+is left, before any other arithmetic.  Else it steps without a solve when one
+unit, C(k+S-1, S) = C(k+S, S+1) (S+1) / (k+S) steps, is too many, compared as
+a product rather than by long division.  Else it solves for N = k - l, the
+least N with C(N+S, S+1) >= X, X = C(k+S, S+1) less the steps left.  Past its
+full block, the deficit rule takes the x_m and x_{m+1} bounds (_bound: r = 2,
+one isqrt), checks the others on the lower row at that l and solves just those
+that fail; each fits at every smaller l, so the least bound is exact.  The
+witness test hands the budget rule mg(u) as a guide, which it spends as the
+deficit rule spends its target (_spend); _bound on what is left of it guesses
+N, kept when its row also has C(N+S-1, S+1) = _row(N, S)[-1] < X, and a miss
+drops the guide.  A rule that admits a partial block hands the kernel its
+lower row _row(N, S).
+
+Rows of terms C(k+s-1, s+1), s = 1..n-m, go by C(k+s, s+2) = C(k+s-1, s+1) *
+(k+s) / (s+2): one multiply and one small exact division a column.  A row
+depends only on the run k, so the kernel holds one row, the longest it has
+built for one run, and each jump on that run takes a prefix of it: after a
+partial block (0 < l < k) the lower row, for k - l units at x_m; after a full
+block onto an empty x_{m-1}, its own row, one column short.  An elementary
+step at x_m sends k - 1 units to an empty x_n, and the walk climbs back from
+there by full blocks onto empty runs, so the step holds _row(k - 1, n - m),
+one Pascal step down from its row, C(k+s-2, s+1) = C(k+s-1, s+1) -
+C(k+s-2, s): one subtraction a column.
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
 A block whose visible cost would consume the deficit exactly is shrunk by
@@ -96,11 +95,17 @@ class WalkState(_Record):
 
 
 def _row(a: int, count: int) -> list[int]:
-    """[C(a+s-1, s+1) for s = 1..count]: C(a, 2), then each column from the
-    last by C(a+s, s+2) = C(a+s-1, s+1) * (a+s) / (s+2)."""
-    row = [a * (a - 1) // 2] if count else []
-    for s in range(1, count):
-        row.append(row[-1] * (a + s) // (s + 2))
+    """[C(a+s-1, s+1) for s = 1..count]."""
+    return _grow([], a, count)
+
+
+def _grow(row: list[int], a: int, count: int) -> list[int]:
+    """Extend row, a prefix of _row(a, count), in place to all count columns: each from
+    the one before by C(a+s, s+2) = C(a+s-1, s+1) * (a+s) / (s+2), from C(a-1, 1) = a - 1."""
+    last = row[-1] if row else a - 1
+    for s in range(len(row), count):
+        last = last * (a + s) // (s + 2)
+        row.append(last)
     return row
 
 
@@ -160,6 +165,26 @@ def _least_base(x: int, r: int, c: int) -> int:
     return y - c
 
 
+def _bound(a: int, tops: list[int], d: list[int]) -> int:
+    """Largest l <= a whose block from x_m^a, tops = _row(a, .), keeps its x_m and
+    x_{m+1} exponents within d[0] and d[1]: l <= d[0], and the least N = a - l
+    with C(N, 2) >= tops[0] - d[1] (one isqrt)."""
+    l = min(a, d[0])
+    if l and len(d) > 1 and tops[0] > d[1]:
+        l = min(l, a - _start(tops[0] - d[1], 2))
+    return l
+
+
+def _spend(target: list[int], m: int, exps: list[int]) -> int | None:
+    """Take a block's exponents from x_m upward out of target; the index of the
+    first component that goes negative (the rest are left as they were), or None."""
+    for i in range(m - 1, len(target)):
+        target[i] -= exps[i - m + 1]
+        if target[i] < 0:
+            return i
+    return None
+
+
 class _Budget:
     """The budget rule: a block's total steps stay within the steps left.
 
@@ -180,12 +205,11 @@ class _Budget:
         The full block takes total = C(a+s, s+1) steps, one unit total * (s+1) /
         (a+s).  A partial block leaves the least N = a - l with C(N+s, s+1) =
         N + sum(_row(N, s)) >= x = total - left, that is, with C(N+s-1, s+1) =
-        _row(N, s)[-1] < x as well.  The guide guesses N from its x_m and x_{m+1}
-        components, the bounds a block that fits it obeys: l <= g_m and C(N, 2)
-        >= tops[0] - g_{m+1}, one isqrt.  Those two comparisons on the guess's
-        row confirm it; a miss drops the guide, and N starts at the AM-GM bound
-        and steps up until its row confirms it.  That row is the block's lower
-        row, left in self.low for the walk.
+        _row(N, s)[-1] < x as well.  The guide guesses N as a - _bound on what is
+        left of it, and the guess's row confirms it by those two comparisons; a
+        miss drops the guide.  Else N is one inverse binomial, _least_base(x,
+        s+1, s).  Either way its row is the block's lower row, left in self.low
+        for the walk.
         """
         if not tops:  # m = n: each unit is one step, and no row lies above x_n
             self.low = []
@@ -198,30 +222,20 @@ class _Budget:
         x = total - self.left  # 0 < x <= C(a-1+s, s+1), so 0 < N < a
         g = self.guide
         if g is not None:
-            over = tops[0] - g[m]
-            base = max(1, a - g[m - 1], _start(over, 2) if over > 0 else 1)
+            base = max(1, a - _bound(a, tops, g[m - 1:]))
             low = _row(base, s)
             if base + sum(low) >= x > low[-1]:
                 self.low = low
                 return a - base
             self.guide = None
-        base = max(1, _start(x, s + 1) - s)  # the start can fall below 1 when s is large
-        while True:
-            low = _row(base, s)
-            if base + sum(low) >= x:
-                self.low = low
-                return a - base
-            base += 1
+        base = _least_base(x, s + 1, s)
+        self.low = _row(base, s)
+        return a - base
 
     def take(self, m: int, exps: list[int]) -> None:
         self.left -= sum(exps)
-        g = self.guide
-        if g is not None:
-            for i in range(m - 1, len(g)):
-                g[i] -= exps[i - m + 1]
-                if g[i] < 0:  # the cost has left the target behind
-                    self.guide = None
-                    break
+        if self.guide is not None and _spend(self.guide, m, exps) is not None:
+            self.guide = None  # the cost has left the target behind
 
 
 class _Deficit:
@@ -234,8 +248,8 @@ class _Deficit:
         return not any(self.deficit)
 
     def largest(self, m: int, a: int, tops: list[int]) -> int:
-        """Largest l whose block cost below x_n fits the deficit, less one on an exact hit."""
-        self.low = None  # the lower row of the admitted block, when one is admitted
+        """Largest l whose block cost below x_n fits the deficit, less one on an exact hit.
+        A partial block's lower row is left in self.low for the walk."""
         if not tops:  # m = n: the block costs nothing below x_n
             return a
         d = self.deficit[m - 1:]  # d[s] bounds the x_{m+s} exponent, s < n - m
@@ -247,9 +261,7 @@ class _Deficit:
         if full:  # its lower row is zero, so its cost is x_m^a times tops
             l = a
         else:
-            l = min(a, d[0])
-            if l and len(d) > 1:
-                l = min(l, a - _least_base(tops[0] - d[1], 2, 0))
+            l = _bound(a, tops, d)
             while l:  # at most twice: a component that fits at l fits at every smaller l
                 self.low = _row(a - l, len(tops))
                 over = [s for s in range(2, len(d)) if tops[s - 1] - self.low[s - 1] > d[s]]
@@ -259,19 +271,17 @@ class _Deficit:
         if l and not any(self.deficit[: m - 1]):
             exps = [a] + tops if full else _block_exps(a, l, tops, self.low)
             if d == exps[: len(tops)]:  # a block that would consume the whole deficit may hide the first hit
-                l, self.low = l - 1, None
+                l -= 1
+                self.low = _row(a - l, len(tops)) if l else None
         return l
 
     def take(self, m: int, exps: list[int]) -> None:
-        d = self.deficit
-        for i in range(m - 1, len(d)):
-            left = d[i] - exps[i - m + 1]
-            if left < 0:
-                raise TargetOvershoot(
-                    f"target component x{i + 1} is exhausted; no walk realizes "
-                    f"the base of mg (t below the lower threshold?)"
-                )
-            d[i] = left
+        i = _spend(self.deficit, m, exps)
+        if i is not None:
+            raise TargetOvershoot(
+                f"target component x{i + 1} is exhausted; no walk realizes "
+                f"the base of mg (t below the lower threshold?)"
+            )
 
 
 def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None) -> WalkState:
@@ -283,8 +293,7 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
     cur = list(origin.exps)
     cost = [0] * n
     jumps = 0
-    carried = None  # the next jump's tops, when the last block left it known
-    below = 0, []  # (a - 1, _row(a - 1, n - m)) from the last elementary step at x_m
+    b, known = 0, []  # the longest row built for run size b; no run is empty
     frm = origin
     while not rule.met():
         jumps += 1
@@ -296,30 +305,24 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
         if m == 1:
             raise TargetOvershoot(f"slice exhausted above {origin} with target unmet")
         a = cur[m - 1]
-        tops = _row(a, n - m) if carried is None else carried
+        if a != b:
+            b, known = a, _row(a, n - m)
+        elif len(known) < n - m:  # only after a full block onto an empty run
+            _grow(known, a, n - m)
+        tops = known[: n - m]
         l = rule.largest(m, a, tops)
         if l == a:  # a full block: tops is the whole cost above x_m
             exps = [a] + tops
             cur[m - 2], cur[m - 1] = cur[m - 2] + a, 0
-            carried = None
-            if a == cur[m - 2]:  # onto an empty x_{m-1}: the next jump is there, with this row
-                # and one more column, already known on the climb back from an elementary step
-                b, row = below
-                if a == b and len(row) > n - m:
-                    carried = row[: n - m + 1]
-                else:
-                    carried = tops + [tops[-1] * (a + n - m) // (n - m + 2) if tops else a * (a - 1) // 2]
-        elif l:
-            low = _row(a - l, n - m) if rule.low is None else rule.low
-            exps = _block_exps(a, l, tops, low)
+        elif l:  # the rule hands the lower row, the next jump's row at x_m
+            exps = _block_exps(a, l, tops, rule.low)
             cur[m - 2], cur[m - 1] = cur[m - 2] + l, a - l
-            carried = low
+            b, known = a - l, rule.low
         else:  # even a one-unit block breaks the rule; one elementary step
             exps = [1] + [0] * (n - m)
             cur[m - 2], cur[m - 1] = cur[m - 2] + 1, 0
             cur[n - 1] += a - 1
-            carried = [] if a > 1 else None  # the next jump is at x_n, which no row lies above
-            below = a - 1, _row_below(a, tops)
+            b, known = a - 1, _row_below(a, tops)
         rule.take(m, exps)
         for i in range(m - 1, n):
             cost[i] += exps[i - m + 1]

@@ -30,11 +30,9 @@ from .combinatorics import (
     CapExceeded,
     MonomialSet,
     binom,
-    borel_enumerate,
     lex_rank,
-    lexsegment,
 )
-from .maxgen import maxgen_of_set, mg_closed, target_decompose
+from .maxgen import _segment_gaps, maxgen_of_set, mg_closed, target_decompose
 from .monomial import Monomial, _decimal, _Record, deg, deg_in, truncate, variable_power
 from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, TraceFn, _Budget, _walk, find_z
 
@@ -98,9 +96,7 @@ def is_gotzmann(
 
 def is_gotzmann_oracle(u: Monomial, cap: int | None = DEFAULT_CAP) -> bool:
     """The same verdict from fully enumerated gap and cogap sets."""
-    seg = lexsegment(u, cap)
-    closure = {v.exps for v in borel_enumerate(u, cap)}
-    gaps = tuple(z for z in seg.elements if z.exps not in closure)
+    seg, gaps = _segment_gaps(u, cap)
     mg = maxgen_of_set(MonomialSet(u.n, gaps))
     g = len(gaps)
     cogaps = seg.elements[len(seg.elements) - g:] if g else ()

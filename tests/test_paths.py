@@ -12,11 +12,13 @@ from gotzmann.paths import (
     WalkState,
     _block_exps,
     _Budget,
+    _bound,
     _Deficit,
     _iroot,
     _least_base,
     _row,
     _row_below,
+    _spend,
     _walk,
     advance,
     advance_oracle,
@@ -232,7 +234,7 @@ class TestFindZ:
             assert deg_in(st_.cost, 4) == t
 
     def test_no_hit_below_threshold(self):
-        with pytest.raises(TargetOvershoot):
+        with pytest.raises(TargetOvershoot, match=r"^target component x2 is exhausted; "):
             find_z(parse("x2^2", 3), 4, 0)
 
     def test_successive_hits_differ_by_last_variable(self):
@@ -387,6 +389,26 @@ class TestLargestBlock:
             want -= 1
         assert got == want
 
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bound_matches_bisection(self, count, data):
+        # both rules' x_m and x_{m+1} bounds: the largest l whose block exponents there
+        # stay within d[0] and d[1] (d[1] absent at m = n - 1 in find_z)
+        a = data.draw(_sizes)
+        tops = _row(a, count)
+        near = _block_exps(a, data.draw(st.integers(0, a)), tops)
+        d = [data.draw(st.one_of(st.just(0), st.integers(0, 10**60), st.integers(max(0, e - 2), e + 2))) for e in near]
+        d = d[: data.draw(st.sampled_from([1, count, count + 1]))]
+        want = _largest_l(a, lambda l: all(e <= x for e, x in zip(_block_exps(a, l, tops)[:2], d)))
+        assert _bound(a, tops, d) == want
+
+    def test_spend_returns_the_first_negative_index(self):
+        target = [5, 3, 2, 7]
+        assert _spend(target, 2, [1, 2, 1]) is None and target == [5, 2, 0, 6]
+        assert _spend(target, 3, [0, 7]) == 3 and target == [5, 2, 0, -1]
+        assert _spend([1, 0, 4], 1, [1, 1, 9]) == 1  # x2 goes negative first; x3 is not reached
+        assert _spend([4, 4], 2, [4, 9]) is None  # exponents beyond the target (x_n in find_z) are ignored
+
     @given(st.integers(1, 20), st.integers(0, 10**3000))
     @settings(max_examples=200, deadline=None)
     def test_iroot_brackets_the_root(self, r, x):
@@ -521,6 +543,23 @@ class TestRows:
         monkeypatch.setattr(_Deficit, "largest", spy_largest)
         tau(parse("x2^10", 14), 14)
         assert sum(full) > 200 and rows and 0 not in rows
+
+    def test_row_builds_are_pinned(self, monkeypatch):
+        # the rows that tau(x2^10, 14) and the witness pair of x2^3 at n = 16 build,
+        # and no inverse binomial beyond the isqrt of _bound
+        from gotzmann import paths
+        from gotzmann.threshold import tau
+
+        rows, solves = [], []
+        monkeypatch.setattr(paths, "_row", lambda a, count: rows.append(count) or _row(a, count))
+        monkeypatch.setattr(paths, "_least_base", lambda *args: solves.append(args) or _least_base(*args))
+        tau(parse("x2^10", 14), 14)
+        assert len(rows) <= 97 and sum(rows) <= 326 and solves == []
+        u0 = parse("x2^3", 16)
+        t = tau(u0, 16).tau
+        rows.clear()
+        verdicts = [is_gotzmann(Monomial(16, u0.exps[:-1] + (s,))).is_gotzmann for s in (t, t - 1)]
+        assert verdicts == [True, False] and len(rows) <= 28
 
     def test_no_solve_for_a_budget_jump_that_takes_one_step(self, monkeypatch):
         from gotzmann import paths
