@@ -32,17 +32,17 @@ test the full block, l = k, whose lower row C(s-1, s+1) is zero: its cost is
 x_m^k times the top row, and the kernel charges every full block so, building
 no lower row.  The budget rule admits it when its C(k+S, S+1) steps fit what
 is left, before any other arithmetic.  Else it steps without a solve when one
-unit, C(k+S-1, S) = C(k+S, S+1) (S+1) / (k+S) steps, is too many, compared as
-a product rather than by long division.  Else it solves for N = k - l, the
-least N with C(N+S, S+1) >= X, X = C(k+S, S+1) less the steps left.  Past its
-full block, the deficit rule takes the x_m and x_{m+1} bounds (_bound: r = 2,
-one isqrt), checks the others on the lower row at that l and solves just those
-that fail; each fits at every smaller l, so the least bound is exact.  The
-witness test hands the budget rule mg(u) as a guide, which it spends as the
-deficit rule spends its target (_spend); _bound on what is left of it guesses
-N, kept when its row also has C(N+S-1, S+1) = _row(N, S)[-1] < X, and a miss
-drops the guide.  A rule that admits a partial block hands the kernel its
-lower row _row(N, S).
+unit, C(k+S-1, S) = C(k+S, S+1) - C(k+S-1, S+1) steps (the full block less
+the top row's last column, by Pascal's rule), is too many.  Else it solves for
+N = k - l, the least N with C(N+S, S+1) >= X, X = C(k+S, S+1) less the steps
+left.  Past its full block, the deficit rule takes the x_m and x_{m+1} bounds
+(_bound: r = 2, one isqrt), checks the others on the lower row at that l and
+solves just those that fail; each fits at every smaller l, so the least bound
+is exact.  The witness test hands the budget rule mg(u) as a guide, which it
+spends as the deficit rule spends its target (_spend); _bound on what is left
+of it guesses N, kept when its row also has C(N+S-1, S+1) = _row(N, S)[-1] <
+X, and a miss drops the guide.  A rule that admits a partial block hands the
+kernel its lower row _row(N, S).
 
 Rows of terms C(k+s-1, s+1), s = 1..n-m, go by C(k+s, s+2) = C(k+s-1, s+1) *
 (k+s) / (s+2): one multiply and one small exact division a column.  A row
@@ -54,6 +54,18 @@ step at x_m sends k - 1 units to an empty x_n, and the walk climbs back from
 there by full blocks onto empty runs, so the step holds _row(k - 1, n - m),
 one Pascal step down from its row, C(k+s-2, s+1) = C(k+s-1, s+1) -
 C(k+s-2, s): one subtraction a column.
+
+The climb's first n - m - 1 blocks, at x_n .. x_{m+2}, carry the k - 1 units
+back to x_{m+1}, and the step takes them in its own jump when its rule admits
+them all (climbs).  By the hockey stick they cost k - 1 at x_{m+2} and the
+step's own row above it, C(k+s-1, s+1) at x_{m+2+s}, so the climb needs no
+new arithmetic.  The budget rule admits it when its steps fit what is left;
+the deficit rule when it fits the deficit componentwise and some component
+below x_{m+2}, which the climb leaves alone, is nonzero, so that no block of
+it could be an exact hit.  A climb counts its blocks against the jump cap
+and is taken only when they all fit under it, and a trace still gets one
+record a block; else the walk takes the blocks one by one, so every jump,
+record and error is the same either way.
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
 A block whose visible cost would consume the deficit exactly is shrunk by
@@ -115,10 +127,9 @@ def _row_below(a: int, tops: list[int]) -> list[int]:
     return [top - prev for top, prev in zip(tops, [a - 1] + tops)]
 
 
-def _block_exps(a: int, l: int, tops: list[int], low: list[int] | None = None) -> list[int]:
+def _block_exps(a: int, l: int, tops: list[int], low: list[int]) -> list[int]:
     """Exponents of the (m, a, l) block cost from x_m upward: l, then tops - low,
-    where tops = _row(a, n-m) and low = _row(a-l, n-m) (built when not given)."""
-    low = _row(a - l, len(tops)) if low is None else low
+    where tops = _row(a, n-m) and low = _row(a-l, n-m)."""
     return [l] + [top - lo for top, lo in zip(tops, low)]
 
 
@@ -202,14 +213,14 @@ class _Budget:
     def largest(self, m: int, a: int, tops: list[int]) -> int:
         """Largest l whose block from x_m^a takes at most the steps left.
 
-        The full block takes total = C(a+s, s+1) steps, one unit total * (s+1) /
-        (a+s).  A partial block leaves the least N = a - l with C(N+s, s+1) =
-        N + sum(_row(N, s)) >= x = total - left, that is, with C(N+s-1, s+1) =
-        _row(N, s)[-1] < x as well.  The guide guesses N as a - _bound on what is
-        left of it, and the guess's row confirms it by those two comparisons; a
-        miss drops the guide.  Else N is one inverse binomial, _least_base(x,
-        s+1, s).  Either way its row is the block's lower row, left in self.low
-        for the walk.
+        The full block takes total = C(a+s, s+1) steps, one unit C(a+s-1, s) =
+        total - tops[-1] (Pascal's rule).  A partial block leaves the least N =
+        a - l with C(N+s, s+1) = N + sum(_row(N, s)) >= x = total - left, that
+        is, with C(N+s-1, s+1) = _row(N, s)[-1] < x as well.  The guide guesses
+        N as a - _bound on what is left of it, and the guess's row confirms it
+        by those two comparisons; a miss drops the guide.  Else N is one inverse
+        binomial, _least_base(x, s+1, s).  Either way its row is the block's
+        lower row, left in self.low for the walk.
         """
         if not tops:  # m = n: each unit is one step, and no row lies above x_n
             self.low = []
@@ -217,7 +228,7 @@ class _Budget:
         s, total = len(tops), a + sum(tops)
         if total <= self.left:
             return a
-        if total * (s + 1) > self.left * (a + s):
+        if total - tops[-1] > self.left:  # one unit takes C(a+s-1, s) = total - C(a+s-1, s+1) steps
             return 0
         x = total - self.left  # 0 < x <= C(a-1+s, s+1), so 0 < N < a
         g = self.guide
@@ -231,6 +242,10 @@ class _Budget:
         base = _least_base(x, s + 1, s)
         self.low = _row(base, s)
         return a - base
+
+    def climbs(self, j: int, exps: list[int]) -> bool:
+        """Whether every block of a climb, exps from x_j upward, fits: their steps together do."""
+        return sum(exps) <= self.left
 
     def take(self, m: int, exps: list[int]) -> None:
         self.left -= sum(exps)
@@ -274,6 +289,12 @@ class _Deficit:
                 l -= 1
                 self.low = _row(a - l, len(tops)) if l else None
         return l
+
+    def climbs(self, j: int, exps: list[int]) -> bool:
+        """Whether every block of a climb, exps from x_j upward, fits unshrunk: their sum fits,
+        and a nonzero component below x_j, which the climb leaves alone, rules out an exact hit."""
+        d = self.deficit
+        return any(d[: j - 1]) and all(e <= x for e, x in zip(exps, d[j - 1:]))
 
     def take(self, m: int, exps: list[int]) -> None:
         i = _spend(self.deficit, m, exps)
@@ -330,7 +351,32 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
             to = Monomial(n, tuple(cur))
             _emit(trace, frm, to, Monomial(n, (0,) * (m - 1) + tuple(exps)), sum(cost))
             frm = to
+        k = n - m - 1  # full blocks at x_n .. x_{m+2} carry a step's a - 1 units back to x_{m+1}
+        if not l and a > 1 and k and jumps + k <= max_jumps:
+            climb = [a - 1] + tops[: k - 1]  # their summed cost from x_{m+2}, by the hockey stick
+            if rule.climbs(m + 2, climb):
+                if trace is not None:
+                    frm = _emit_climb(trace, frm, m, known, sum(cost))
+                rule.take(m + 2, climb)
+                for i in range(m + 1, n):
+                    cost[i] += climb[i - m - 1]
+                cur[m], cur[n - 1] = a - 1, 0
+                jumps += k
     return WalkState(Monomial(n, tuple(cur)), Monomial(n, tuple(cost)), sum(cost))
+
+
+def _emit_climb(trace: TraceFn, frm: Monomial, m: int, row: list[int], done: int) -> Monomial:
+    """One record a full block of the climb from frm, the state right after an elementary
+    step at x_m, with row = _row(a - 1, n - m) and done steps so far; the last state."""
+    n, at, b = frm.n, list(frm.exps), frm.exps[-1]  # b = a - 1 units at x_n
+    for j in range(n, m + 1, -1):
+        exps = [b] + row[: n - j]
+        at[j - 2], at[j - 1] = b, 0
+        done += sum(exps)
+        to = Monomial(n, tuple(at))
+        _emit(trace, frm, to, Monomial(n, (0,) * (j - 1) + tuple(exps)), done)
+        frm = to
+    return frm
 
 
 def _emit(trace: TraceFn, frm: Monomial, to: Monomial, cost: Monomial, done: int) -> None:

@@ -291,16 +291,21 @@ def _largest_l(a, fits):
     return lo
 
 
+def _exps(a, l, tops):
+    """_block_exps with its lower row built here, from _row(a - l, .)."""
+    return _block_exps(a, l, tops, _row(a - l, len(tops)))
+
+
 def _tops(m, a, n):
     return [binom(a + s - 1, s + 1) for s in range(1, n - m + 1)]
 
 
 def _budget_fits(left, m, a, n):
-    return lambda l: sum(_block_exps(a, l, _tops(m, a, n))) <= left
+    return lambda l: sum(_exps(a, l, _tops(m, a, n))) <= left
 
 
 def _deficit_fits(deficit, m, a, n):
-    return lambda l: all(e <= d for d, e in zip(deficit[m - 1:], _block_exps(a, l, _tops(m, a, n))))
+    return lambda l: all(e <= d for d, e in zip(deficit[m - 1:], _exps(a, l, _tops(m, a, n))))
 
 
 _sizes = st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 10**30))
@@ -319,7 +324,7 @@ class TestLargestBlock:
         if kind == "near":
             # near the cost of some block, where an off-by-one would show
             l0 = data.draw(st.integers(0, a))
-            left = max(0, sum(_block_exps(a, l0, _tops(m, a, n))) + data.draw(st.integers(-2, 2)))
+            left = max(0, sum(_exps(a, l0, _tops(m, a, n))) + data.draw(st.integers(-2, 2)))
         elif kind == "unit":
             # beside C(a+S-1, S), the steps of a one-unit block, S = n - m
             left = max(0, binom(a + n - m - 1, n - m) + data.draw(st.integers(-1, 1))) if a else 0
@@ -328,7 +333,7 @@ class TestLargestBlock:
         want = _largest_l(a, _budget_fits(left, m, a, n))
         guide = data.draw(st.sampled_from([None, "near", "any"]))
         if guide == "near":  # the wanted block's cost, each component give or take one
-            near = _block_exps(a, want, _tops(m, a, n))
+            near = _exps(a, want, _tops(m, a, n))
             guide = [0] * (m - 1) + [e + data.draw(st.integers(-1, 1)) for e in near]
         elif guide == "any":
             guide = data.draw(_any_guide(n))
@@ -344,7 +349,7 @@ class TestLargestBlock:
         m = data.draw(st.integers(2, n))
         a = data.draw(_sizes)
         l0 = data.draw(st.integers(0, a))
-        near = list(_block_exps(a, l0, _tops(m, a, n)))
+        near = list(_exps(a, l0, _tops(m, a, n)))
         deficit = [0] * (m - 1) + near[: n - m] if data.draw(st.booleans()) else []  # an exact hit at l0
         for i in range(len(deficit), n - 1):
             kind = data.draw(st.sampled_from(["zero", "small", "huge", "near"]))
@@ -361,7 +366,7 @@ class TestLargestBlock:
         want = _largest_l(a, _deficit_fits(deficit, m, a, n))
         if want and not any(deficit[: m - 1]):
             # a block that would use up the whole deficit is shrunk by one
-            if deficit[m - 1:] == list(_block_exps(a, want, _tops(m, a, n)))[: n - m]:
+            if deficit[m - 1:] == list(_exps(a, want, _tops(m, a, n)))[: n - m]:
                 want -= 1
         assert got == want
 
@@ -375,7 +380,7 @@ class TestLargestBlock:
         m = data.draw(st.integers(2, n - 3))
         a = data.draw(st.one_of(st.integers(2, 40), st.integers(2, 10**30)))
         tops = _tops(m, a, n)
-        fit = _block_exps(a, data.draw(st.integers(1, a - 1)), tops)
+        fit = _exps(a, data.draw(st.integers(1, a - 1)), tops)
         binds = data.draw(st.sets(st.integers(2, n - m - 1), min_size=1))
         deficit = [data.draw(st.integers(0, 1)) for _ in range(m - 1)] + [a, tops[0]]
         for s in range(2, n - m):
@@ -385,7 +390,7 @@ class TestLargestBlock:
             got = _Deficit(list(deficit)).largest(m, a, tops)
         want = _largest_l(a, _deficit_fits(deficit, m, a, n))
         assert 0 < want < a and rows.call_count == 2
-        if not any(deficit[: m - 1]) and deficit[m - 1:] == _block_exps(a, want, tops)[: n - m]:
+        if not any(deficit[: m - 1]) and deficit[m - 1:] == _exps(a, want, tops)[: n - m]:
             want -= 1
         assert got == want
 
@@ -396,10 +401,10 @@ class TestLargestBlock:
         # stay within d[0] and d[1] (d[1] absent at m = n - 1 in find_z)
         a = data.draw(_sizes)
         tops = _row(a, count)
-        near = _block_exps(a, data.draw(st.integers(0, a)), tops)
+        near = _exps(a, data.draw(st.integers(0, a)), tops)
         d = [data.draw(st.one_of(st.just(0), st.integers(0, 10**60), st.integers(max(0, e - 2), e + 2))) for e in near]
         d = d[: data.draw(st.sampled_from([1, count, count + 1]))]
-        want = _largest_l(a, lambda l: all(e <= x for e, x in zip(_block_exps(a, l, tops)[:2], d)))
+        want = _largest_l(a, lambda l: all(e <= x for e, x in zip(_exps(a, l, tops)[:2], d)))
         assert _bound(a, tops, d) == want
 
     def test_spend_returns_the_first_negative_index(self):
@@ -408,6 +413,15 @@ class TestLargestBlock:
         assert _spend(target, 3, [0, 7]) == 3 and target == [5, 2, 0, -1]
         assert _spend([1, 0, 4], 1, [1, 1, 9]) == 1  # x2 goes negative first; x3 is not reached
         assert _spend([4, 4], 2, [4, 9]) is None  # exponents beyond the target (x_n in find_z) are ignored
+
+    @given(st.one_of(st.integers(1, 40), st.integers(1, 10**40)), st.integers(1, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_one_unit_is_the_full_block_less_the_last_column(self, a, s):
+        # the budget rule's one-unit test: C(a+s-1, s) = C(a+s, s+1) - C(a+s-1, s+1)
+        tops = _row(a, s)
+        total = a + sum(tops)
+        assert total == binom(a + s, s + 1)
+        assert total - tops[-1] == binom(a + s - 1, s) == sum(_exps(a, 1, tops))
 
     @given(st.integers(1, 20), st.integers(0, 10**3000))
     @settings(max_examples=200, deadline=None)
@@ -448,13 +462,15 @@ class TestRows:
     @pytest.mark.parametrize("rule", [_Deficit, _Budget])
     def test_climb_back_from_xn_builds_no_row(self, monkeypatch, rule):
         # an elementary step at x_m sends b = a - 1 units to an empty x_n; the walk climbs
-        # back toward x_m by full blocks onto empty runs, and each jump on the way takes
-        # the very columns of the Pascal step, so no _row call and no multiply made them
+        # back toward x_m by full blocks onto empty runs.  The climb to x_{m+1} is taken
+        # in the step's own iteration from the step's own row, and each jump after it
+        # (or each block of a climb the rule refused) takes the very columns of the
+        # Pascal step, so no _row or _least_base call and no multiply made them
         from gotzmann import paths
         from gotzmann.threshold import tau
 
         n, events = 14, []
-        walk, largest, below = paths._walk, rule.largest, paths._row_below
+        walk, largest, climbs, below = paths._walk, rule.largest, rule.climbs, paths._row_below
 
         def spy_largest(self, m, a, tops):
             events.append(("enter", m, a, tops))
@@ -462,17 +478,23 @@ class TestRows:
             events.append(("exit", m, a, l))
             return l
 
+        def spy_climbs(self, j, exps):
+            events.append(("climb", j, exps, climbs(self, j, exps)))
+            return events[-1][3]
+
         u0 = parse("x2^10", n)
         t = tau(u0, n).tau
         monkeypatch.setattr(paths, "_walk", lambda *args: events.append(("walk",)) or walk(*args))
         monkeypatch.setattr(paths, "_row", lambda a, count: events.append(("row",)) or _row(a, count))
+        monkeypatch.setattr(paths, "_least_base", lambda *args: events.append(("solve",)) or _least_base(*args))
         monkeypatch.setattr(paths, "_row_below", lambda a, tops: events.append(("below", a, below(a, tops))) or events[-1][2])
         monkeypatch.setattr(rule, "largest", spy_largest)
+        monkeypatch.setattr(rule, "climbs", spy_climbs)
         if rule is _Deficit:
             assert tau(u0, n).tau == t
         else:
             assert not is_gotzmann(parse(f"x2^10*x14^{t - 1}", n)).is_gotzmann
-        climbs = []
+        climbs, taken = [], 0
         for i, event in enumerate(events):
             if event[0] != "below" or event[1] < 2:
                 continue
@@ -482,7 +504,13 @@ class TestRows:
             for e in events[i + 1 :]:
                 if e[0] == "walk":
                     break
-                if e[0] == "enter":
+                if e[0] == "climb":  # the blocks at x_n .. x_{m+2}, summed from x_{m+2} by the hockey stick
+                    _, j, exps, ok = e
+                    assert not inside and k == m + len(tops) and j == m + 2 and len(exps) == len(tops) - 1 and exps[0] == b
+                    assert all(x is y for x, y in zip(exps[1:], tops))  # the step's own row
+                    if ok:
+                        jumps, k, taken = jumps + len(exps), m + 1, taken + 1
+                elif e[0] == "enter":
                     assert e[1:3] == (k, b) and len(e[3]) == len(tops) - (k - m)
                     assert all(x is y for x, y in zip(e[3], row))
                     jumps, inside = jumps + 1, True
@@ -493,7 +521,7 @@ class TestRows:
                 else:
                     assert inside  # only a rule builds rows (lower rows of partial blocks)
             climbs.append(jumps)
-        assert sum(climbs) > 50  # jumps checked; a walk may end right after its step
+        assert sum(climbs) > 50 and taken  # jumps checked; a walk may end right after its step
 
     @staticmethod
     def _tops_rows_after(monkeypatch, next_jump):
@@ -532,15 +560,21 @@ class TestRows:
         from gotzmann import paths
         from gotzmann.threshold import tau
 
-        rows, full, largest = [], [], _Deficit.largest
+        rows, full, largest, climbs = [], [], _Deficit.largest, _Deficit.climbs
 
         def spy_largest(rule, m, a, tops):
             l = largest(rule, m, a, tops)
             full.append(l == a)
             return l
 
+        def spy_climbs(rule, j, exps):  # a climb is len(exps) full blocks
+            ok = climbs(rule, j, exps)
+            full.extend([True] * len(exps) if ok else [])
+            return ok
+
         monkeypatch.setattr(paths, "_row", lambda a, count: rows.append(a) or _row(a, count))
         monkeypatch.setattr(_Deficit, "largest", spy_largest)
+        monkeypatch.setattr(_Deficit, "climbs", spy_climbs)
         tau(parse("x2^10", 14), 14)
         assert sum(full) > 200 and rows and 0 not in rows
 
@@ -588,7 +622,7 @@ class TestRows:
         from gotzmann import paths
         from gotzmann.threshold import tau
 
-        events, largest = [], _Budget.largest
+        events, largest, climbs = [], _Budget.largest, _Budget.climbs
 
         def spy_largest(rule, m, a, tops):
             events.append(("enter",))
@@ -596,11 +630,16 @@ class TestRows:
             events.append(("exit", m, a, l))
             return l
 
+        def spy_climbs(rule, j, exps):
+            events.append(("climb", len(exps), climbs(rule, j, exps)))
+            return events[-1][2]
+
         u0 = parse("x2^10", 8)
         t = tau(u0, 8).tau
         monkeypatch.setattr(paths, "_row", lambda a, count: events.append(("row", a, count)) or _row(a, count))
         monkeypatch.setattr(paths, "_least_base", lambda *args: events.append(("solve",)) or _least_base(*args))
         monkeypatch.setattr(_Budget, "largest", spy_largest)
+        monkeypatch.setattr(_Budget, "climbs", spy_climbs)
         assert not is_gotzmann(parse(f"x2^10*x8^{t - 1}", 8)).is_gotzmann
         starts = [i for i, e in enumerate(events) if e[0] == "enter"] + [len(events)]
         kinds = {"full": 0, "partial": 0}
@@ -608,6 +647,10 @@ class TestRows:
             jump = events[i + 1 : j]
             exit_at = next(x for x, e in enumerate(jump) if e[0] == "exit")
             _, m, a, l = jump[exit_at]
+            after = jump[exit_at + 1 :]
+            if after:  # only an elementary step tries a climb, which builds nothing
+                assert l == 0 and len(after) == 1 and after[0][0] == "climb"
+                kinds["full"] += after[0][1] if after[0][2] else 0  # a climb is that many full blocks
             if m == 8 or l == 0:
                 continue
             if l == a:
@@ -618,6 +661,99 @@ class TestRows:
                 assert jump.count(("row", a - l, 8 - m)) == 1
                 assert ("solve",) not in jump
         assert kinds["full"] >= 5 and kinds["partial"] >= 5
+
+
+def _outcome(call):
+    """call(trace)'s result, or the CapExceeded or TargetOvershoot it raised, and its trace records."""
+    records = []
+    try:
+        out = call(records.append)
+    except (CapExceeded, TargetOvershoot) as exc:
+        out = (type(exc), str(exc))
+    return out, records
+
+
+def _refused(call):
+    """_outcome with every climb refused, so that the walk takes a climb's blocks one by one."""
+    no = lambda rule, j, exps: False
+    with mock.patch.object(_Budget, "climbs", no), mock.patch.object(_Deficit, "climbs", no):
+        return _outcome(call)
+
+
+class TestClimb:
+    """An elementary step at x_m and the full blocks that carry its a - 1 units from x_n
+    back to x_{m+1} are one jump of the kernel, and the same walk as block by block."""
+
+    @given(st.integers(4, 20), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_climb_is_the_sum_of_its_blocks(self, n, data):
+        m = data.draw(st.integers(2, n - 2))
+        a = data.draw(st.one_of(st.integers(2, 40), st.integers(2, 10**30)))
+        blocks = [0] * (n - m - 1)  # x_{m+2} .. x_n
+        for j in range(m + 2, n + 1):  # the full block at x_j on a - 1 units
+            for i, e in enumerate([a - 1] + _tops(j, a - 1, n)):
+                blocks[j - m - 2 + i] += e
+        assert blocks == [a - 1] + _row(a, n - m)[: n - m - 2]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_refused_climbs_change_nothing(self, data):
+        # states, witnesses, errors and trace records, with caps and budgets that may end inside a climb
+        n = data.draw(st.integers(3, 9))
+        head = tuple(data.draw(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 30)), min_size=n - 1, max_size=n - 1)))
+        t = data.draw(st.integers(0, 40))
+        u = Monomial(n, head + (t,))
+        assume(deg(u))
+        cap = data.draw(st.one_of(st.just(DEFAULT_MAX_JUMPS), st.integers(0, 40)))
+        kind = data.draw(st.sampled_from(["advance", "mc", "find_z", "is_gotzmann"]))
+        if kind == "advance":
+            budget = data.draw(st.integers(0, lex_rank(u) - 1))
+            call = lambda trace: advance(u, budget, cap, trace)
+        elif kind == "mc":
+            call = lambda trace: mc(u, cap, trace)
+        elif kind == "find_z":
+            call = lambda trace: find_z(Monomial(n - 1, head), n, t, cap, trace)
+        else:
+            call = lambda trace: is_gotzmann(u, cap, trace)
+        assert _outcome(call) == _refused(call)
+
+    def test_walks_ending_inside_a_climb(self):
+        # from x3^6 at n = 7 a budget under 126 steps, one unit's, cannot take one unit, so
+        # the walk steps to x2*x7^5 and climbs to x2*x4^5 in 3 blocks of 5, 15 and 35 steps
+        u = parse("x3^6", 7)
+        out, records = _outcome(lambda trace: advance(u, 56, trace=trace))
+        assert out == WalkState(parse("x2*x4^5", 7), parse("x3*x5^5*x6^15*x7^35", 7), 56)
+        assert [r["to"] for r in records] == ["x2*x7^5", "x2*x6^5", "x2*x5^5", "x2*x4^5"]
+        assert [r["block_cost"] for r in records] == ["x3", "x7^5", "x6^5*x7^10", "x5^5*x6^10*x7^20"]
+        calls = [lambda trace, b=b: advance(u, b, trace=trace) for b in range(1, 58)]
+        calls += [lambda trace, cap=cap: advance(u, 100, cap, trace) for cap in range(6)]
+        calls += [lambda trace, cap=cap: mc(u, cap, trace) for cap in range(6)]
+        # a deficit that the step and its climb use up exactly: the block at x5 would hit
+        # it, so it is shrunk by one and the walk reaches x2*x4^5 by one more step
+        calls += [lambda trace, d=d: _walk(u, _Deficit(list(d)), DEFAULT_MAX_JUMPS, trace) for d in
+                  ([0, 0, 1, 0, 5, 15], [0, 0, 1, 0, 5, 16], [0, 0, 2, 0, 5, 15], [0, 0, 1, 0, 4, 15])]
+        for call in calls:
+            assert _outcome(call) == _refused(call)
+        assert len(_outcome(calls[-4])[1]) == 5
+
+    def test_deep_tau_climbs(self, monkeypatch):
+        # tau(x2^10, 14) walks 418 jumps; 220 of them are the blocks of 55 climbs,
+        # so a guard that refused every climb would need 418 kernel iterations
+        from gotzmann import paths
+        from gotzmann.threshold import tau
+
+        iterations, blocks = [], []
+        largest, climbs = _Deficit.largest, _Deficit.climbs
+
+        def spy_climbs(rule, j, exps):
+            ok = climbs(rule, j, exps)
+            blocks.append(len(exps) if ok else 0)
+            return ok
+
+        monkeypatch.setattr(_Deficit, "largest", lambda rule, *args: iterations.append(1) or largest(rule, *args))
+        monkeypatch.setattr(_Deficit, "climbs", spy_climbs)
+        tau(parse("x2^10", 14), 14)
+        assert len(iterations) <= 200 and len(iterations) + sum(blocks) == 418
 
 
 def _jump(frm, to, block_cost, steps_so_far):
