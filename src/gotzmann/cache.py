@@ -9,12 +9,12 @@ The key (package version, ambient, core) opens the line, so only lines that
 open with a requested key are parsed.  A line is replayed only if rebuilding
 its tower bottom-up from each row's f, h and k (threshold._level) gives back
 every row exactly, which also rejects non-canonical hex, and if each level
-below the top whose threshold is 0 gets back its h and k from its own walk;
+below the top whose threshold is 0 gets back its f, h and k from its own walk;
 any other line is a miss, so the tower is computed again and appended.  This
-catches a malformed or singly edited line, not a forged one: the top level's
-h, k and tau are re-derived from each other, not walked, so a line whose top
-level has h + 1, delta - 1 and tau - 1 (or k + 1 and tau - 1) replays its
-wrong tau.  Only trusted files belong in the cache.
+catches a malformed or singly edited line, not a forged one: the top level's h,
+k and tau are re-derived from each other, not walked, so a line whose top level
+has h + 1, delta - 1 and tau - 1 (or k + 1 and tau - 1) replays its wrong tau.
+Only trusted files belong in the cache.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .monomial import Monomial, deg_in, truncate
-from .paths import DEFAULT_MAX_JUMPS, find_z
-from .threshold import ThresholdReport, _level
+from .monomial import Monomial, truncate
+from .paths import DEFAULT_MAX_JUMPS
+from .threshold import ThresholdReport, _counts, _level
 
 _KEY_END = '], "rows": '
 
@@ -43,8 +43,8 @@ def replay(stored, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> Thresh
     """The tower of core that stored rows describe, or None if they describe none.
 
     Below the top, a level whose threshold is 0 may be clamped there by the
-    split-off power of x_n, which hides its h and k from the levels above, so
-    that level's walk is run again and must give both.
+    split-off power of x_n, which hides its f, h and k from the levels above,
+    so threshold._counts walks that level again and must give all three.
     """
     n = core.n
     try:
@@ -57,8 +57,8 @@ def replay(stored, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> Thresh
         level = tower.sub_report
         while level is not None and level.n > 2:
             if level.tau == 0:
-                z, state = find_z(truncate(level.u0, level.n - 1), level.n, level.t_star, max_jumps=max_jumps)
-                if (level.h_at_tstar, level.k_at_tstar) != (deg_in(state.cost, level.n), deg_in(z, level.n)):
+                walked = _counts(truncate(level.u0, level.n - 1), level.n, level.t_star, max_jumps, None)
+                if walked != (level.f_at_tstar, level.h_at_tstar, level.k_at_tstar):
                     return None
             level = level.sub_report
     except (LookupError, TypeError, ValueError, ArithmeticError, RuntimeError):

@@ -96,15 +96,6 @@ def one(n: int) -> Monomial:
     return Monomial(n, (0,) * n)
 
 
-def variable(i: int, n: int) -> Monomial:
-    """The monomial x_i in n variables."""
-    if not 1 <= i <= n:
-        raise ValueError(f"variable index {i} out of range for n={n}")
-    exps = [0] * n
-    exps[i - 1] = 1
-    return Monomial(n, tuple(exps))
-
-
 def variable_power(i: int, a: int, n: int) -> Monomial:
     """The monomial x_i^a in n variables (a may be 0)."""
     if not 1 <= i <= n:

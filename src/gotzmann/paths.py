@@ -63,8 +63,8 @@ new arithmetic.  The budget rule admits it when its steps fit what is left;
 the deficit rule when it fits the deficit componentwise and some component
 below x_{m+2}, which the climb leaves alone, is nonzero, so that no block of
 it could be an exact hit.  A climb counts its blocks against the jump cap
-and is taken only when they all fit under it, and a trace still gets one
-record a block; else the walk takes the blocks one by one, so every jump,
+and is taken only when they all fit under it and the walk is untraced; else
+the walk takes the blocks one by one, a trace record each, so every jump,
 record and error is the same either way.
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
@@ -348,46 +348,19 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
         for i in range(m - 1, n):
             cost[i] += exps[i - m + 1]
         if trace is not None:
-            to = Monomial(n, tuple(cur))
-            _emit(trace, frm, to, Monomial(n, (0,) * (m - 1) + tuple(exps)), sum(cost))
+            to, block = Monomial(n, tuple(cur)), Monomial(n, (0,) * (m - 1) + tuple(exps))
+            trace({"from": str(frm), "to": str(to), "block_cost": str(block), "steps_so_far": _decimal(sum(cost))})
             frm = to
         k = n - m - 1  # full blocks at x_n .. x_{m+2} carry a step's a - 1 units back to x_{m+1}
-        if not l and a > 1 and k and jumps + k <= max_jumps:
+        if not l and a > 1 and k and trace is None and jumps + k <= max_jumps:  # traced: one by one
             climb = [a - 1] + tops[: k - 1]  # their summed cost from x_{m+2}, by the hockey stick
             if rule.climbs(m + 2, climb):
-                if trace is not None:
-                    frm = _emit_climb(trace, frm, m, known, sum(cost))
                 rule.take(m + 2, climb)
                 for i in range(m + 1, n):
                     cost[i] += climb[i - m - 1]
                 cur[m], cur[n - 1] = a - 1, 0
                 jumps += k
     return WalkState(Monomial(n, tuple(cur)), Monomial(n, tuple(cost)), sum(cost))
-
-
-def _emit_climb(trace: TraceFn, frm: Monomial, m: int, row: list[int], done: int) -> Monomial:
-    """One record a full block of the climb from frm, the state right after an elementary
-    step at x_m, with row = _row(a - 1, n - m) and done steps so far; the last state."""
-    n, at, b = frm.n, list(frm.exps), frm.exps[-1]  # b = a - 1 units at x_n
-    for j in range(n, m + 1, -1):
-        exps = [b] + row[: n - j]
-        at[j - 2], at[j - 1] = b, 0
-        done += sum(exps)
-        to = Monomial(n, tuple(at))
-        _emit(trace, frm, to, Monomial(n, (0,) * (j - 1) + tuple(exps)), done)
-        frm = to
-    return frm
-
-
-def _emit(trace: TraceFn, frm: Monomial, to: Monomial, cost: Monomial, done: int) -> None:
-    trace(
-        {
-            "from": str(frm),
-            "to": str(to),
-            "block_cost": str(cost),
-            "steps_so_far": _decimal(done),
-        }
-    )
 
 
 def _check_budget(origin: Monomial, budget: int) -> None:

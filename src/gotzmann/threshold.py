@@ -120,11 +120,17 @@ def tau(
         raise ValueError(f"ambient mismatch: monomial lives in {u.n}, asked for {n}")
     if n == 2:
         return _level(u, 0, 0, 0, None)
-    u0_prev = truncate(u, n - 1)
-    sub = tau(u0_prev, n - 1, max_jumps=max_jumps, trace=trace)
-    decomp = target_decompose(u0_prev, n, sub.tau)
-    z, state = find_z(u0_prev, n, sub.tau, max_jumps=max_jumps, trace=trace, decomp=decomp)
-    return _level(u, decomp.xn_exp, deg_in(state.cost, n), deg_in(z, n), sub)
+    u0 = truncate(u, n - 1)
+    sub = tau(u0, n - 1, max_jumps=max_jumps, trace=trace)
+    return _level(u, *_counts(u0, n, sub.tau, max_jumps, trace), sub)
+
+
+def _counts(u0: Monomial, n: int, t: int, max_jumps: int, trace: TraceFn | None) -> tuple[int, int, int]:
+    # f, h and k at t of the level n above u0: the x_n power of mg(u0 * x_n^t),
+    # then the x_n cost and x_n degree of find_z's first hit
+    decomp = target_decompose(u0, n, t)
+    z, state = find_z(u0, n, t, max_jumps=max_jumps, trace=trace, decomp=decomp)
+    return decomp.xn_exp, deg_in(state.cost, n), deg_in(z, n)
 
 
 def _level(u: Monomial, f: int, h: int, k: int, sub: ThresholdReport | None) -> ThresholdReport:

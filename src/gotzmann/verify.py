@@ -45,10 +45,15 @@ def oracle(n: int | None = None, max_deg: int = 4) -> tuple[int, list[str]]:
     return checked, failures
 
 
-def formulas(which: str | None = None, d: tuple[int, int] = (2, 8)) -> tuple[int, list[str]]:
+def formulas(which: str | None = None, d: tuple[int, int] | None = None) -> tuple[int, list[str]]:
     """Thresholds against the closed laws: tau3, tau4, and tau5 (alias tau5_x2)
-    over exponents d = (lo, hi); every law when which is None."""
-    which = ["tau3", "tau4", "tau5"] if which is None else [which]
+    over exponents d = (lo, hi), (2, 8) when None; every law when which is None.
+    Only tau5 reads d, so d with another law is a ParseError."""
+    which = ["tau3", "tau4", "tau5"] if which is None else ["tau5" if which == "tau5_x2" else which]
+    if d is None:
+        d = (2, 8)
+    elif "tau5" not in which:
+        raise ParseError(f"the {which[0]} law takes no option d; only tau5 does")
     checked = 0
     failures = []
     if "tau3" in which:
@@ -65,7 +70,7 @@ def formulas(which: str | None = None, d: tuple[int, int] = (2, 8)) -> tuple[int
                 got = tau(Monomial(4, (0, b, c, 0)), 4).tau
                 if got != tau_formula("tau4", b=b, c=c):
                     failures.append(f"tau4 at b={b}, c={c}: {got}")
-    if "tau5" in which or "tau5_x2" in which:
+    if "tau5" in which:
         for e in range(d[0], d[1] + 1):
             checked += 1
             got = tau(Monomial(5, (0, e, 0, 0, 0)), 5).tau
@@ -146,7 +151,7 @@ def run(suite: str, **options) -> dict:
     """Run one suite: {"suite", "checked", "failures"}, plus up to ten
     "examples" of what failed.
 
-    An unknown suite, an option the suite does not take, or options that
+    An unknown suite, an option the suite does not read, or options that
     leave it nothing to check, raise ParseError.
     """
     if suite not in SUITES:

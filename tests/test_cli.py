@@ -181,6 +181,14 @@ class TestVerify:
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
 
+    def test_range_for_a_law_that_reads_none_is_a_usage_error(self, capsys):
+        # only tau5 reads --d; tau3 and tau4 check fixed grids
+        for which in ("tau3", "tau4"):
+            code, out, err = run(capsys, "verify", "--suite", "formulas", "--which", which, "--d", "3..4")
+            assert (code, out) == (EXIT_USAGE, "") and f"the {which} law takes no option d" in err
+        code, out, _ = run(capsys, "verify", "--suite", "formulas", "--which", "tau5", "--d", "3..4")
+        assert (code, json.loads(out)["checked"]) == (EXIT_OK, 2)
+
     def test_unread_option_is_named(self):
         with pytest.raises(ParseError, match="the walk suite takes no option n$"):
             verify.run("walk", n=3)
@@ -272,10 +280,8 @@ class TestCache:
         # the n = 4 level of x2^2*x4^3 has its threshold clamped to 0; its walk
         # runs again on replay, under --max-jumps, and not after a computed tower
         cache = tmp_path / "reports.jsonl"
-        walks, real = [], gcache.find_z
-        monkeypatch.setattr(
-            gcache, "find_z", lambda *a, **kw: walks.append((a[1], kw["max_jumps"])) or real(*a, **kw)
-        )
+        walks, real = [], gcache._counts
+        monkeypatch.setattr(gcache, "_counts", lambda *a: walks.append((a[1], a[3])) or real(*a))
         argv = ("tau", "--n", "5", "--json", "--max-jumps", "500", "--cache", str(cache), "x2^2*x4^3")
         _, miss, _ = run(capsys, *argv)
         assert walks == []
@@ -283,6 +289,20 @@ class TestCache:
         assert hit == miss and walks == [(4, 500)]
         code, out, _ = run(capsys, "tau", "--n", "5", "--json", "x2^2*x4^3")
         assert (code, out) == (EXIT_OK, miss) and walks == [(4, 500)]
+
+    def test_edited_f_of_a_level_at_zero_is_recomputed(self, capsys, tmp_path):
+        # the n = 4 level of x2^2*x4^3 is clamped to 0, so f + 1 and delta + 1 there
+        # rebuild every row; its walk gives back f = 2, so the line is a miss
+        cache = tmp_path / "reports.jsonl"
+        rows = gcache.rows(tau(Monomial(5, (0, 2, 0, 3, 0)), 5))
+        assert rows[1] == ["1", "2", "1", "0", "1", "0"]
+        rows[1][1], rows[1][4] = "3", "2"
+        cache.write_text(cache_line(5, "x2^2*x4^3", rows) + "\n")
+        code, out, _ = run(capsys, "tau", "--n", "5", "--json", "--cache", str(cache), "x2^2*x4^3")
+        assert (code, out) == run(capsys, "tau", "--n", "5", "--json", "x2^2*x4^3")[:2]
+        level = json.loads(out)["sub_report"]
+        assert (level["n"], level["f"], level["delta"]) == (4, "2", "1")
+        assert len(cache.read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
     def test_warm_conjecture_scan_replays_without_tau(self, capsys, tmp_path, monkeypatch, flags):

@@ -22,7 +22,6 @@ from gotzmann.monomial import (
     sigma,
     sigma_pow,
     truncate,
-    variable,
     variable_power,
 )
 
@@ -41,7 +40,7 @@ class TestParse:
         assert parse("1", 4) == one(4)
 
     def test_plain_term(self):
-        assert parse("x3", 4) == variable(3, 4)
+        assert parse("x3", 4) == variable_power(3, 1, 4)
 
     def test_power(self):
         assert parse("x2^5", 3) == variable_power(2, 5, 3)

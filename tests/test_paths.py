@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gotzmann.combinatorics import CapExceeded, binom, enumerate_monomials, gap_count, lex_rank, lexinterval
 from gotzmann.maxgen import maxgen_of_set, mg_closed, target_decompose
-from gotzmann.monomial import Monomial, deg, deg_in, max_index, mul, one, parse, pred, sigma, variable
+from gotzmann.monomial import Monomial, deg, deg_in, max_index, mul, one, parse, pred, sigma, variable_power
 from gotzmann.paths import (
     DEFAULT_MAX_JUMPS,
     TargetOvershoot,
@@ -214,7 +214,7 @@ def _find_z_elementary(u0, n, t):
             if deficit[m - 1] == 0:
                 raise TargetOvershoot("component exhausted")
             deficit[m - 1] -= 1
-        cost = mul(cost, variable(m, n))
+        cost = mul(cost, variable_power(m, 1, n))
         w = pred(w)
         steps += 1
     return w, WalkState(w, cost, steps)
@@ -664,17 +664,24 @@ class TestRows:
 
 
 def _outcome(call):
-    """call(trace)'s result, or the CapExceeded or TargetOvershoot it raised, and its trace records."""
+    """call(trace)'s result, or the CapExceeded or TargetOvershoot it raised, and its trace
+    records; call(None), which may climb where the traced walk goes block by block, must
+    give the same result or error."""
+
+    def result(trace):
+        try:
+            return call(trace)
+        except (CapExceeded, TargetOvershoot) as exc:
+            return type(exc), str(exc)
+
     records = []
-    try:
-        out = call(records.append)
-    except (CapExceeded, TargetOvershoot) as exc:
-        out = (type(exc), str(exc))
+    out = result(records.append)
+    assert result(None) == out
     return out, records
 
 
 def _refused(call):
-    """_outcome with every climb refused, so that the walk takes a climb's blocks one by one."""
+    """_outcome with every climb refused, so that the untraced walk too takes a climb's blocks one by one."""
     no = lambda rule, j, exps: False
     with mock.patch.object(_Budget, "climbs", no), mock.patch.object(_Deficit, "climbs", no):
         return _outcome(call)
@@ -726,7 +733,7 @@ class TestClimb:
         assert [r["to"] for r in records] == ["x2*x7^5", "x2*x6^5", "x2*x5^5", "x2*x4^5"]
         assert [r["block_cost"] for r in records] == ["x3", "x7^5", "x6^5*x7^10", "x5^5*x6^10*x7^20"]
         calls = [lambda trace, b=b: advance(u, b, trace=trace) for b in range(1, 58)]
-        calls += [lambda trace, cap=cap: advance(u, 100, cap, trace) for cap in range(6)]
+        calls += [lambda trace, cap=cap: advance(u, 100, cap, trace) for cap in range(9)]  # it takes 8 jumps
         calls += [lambda trace, cap=cap: mc(u, cap, trace) for cap in range(6)]
         # a deficit that the step and its climb use up exactly: the block at x5 would hit
         # it, so it is shrunk by one and the walk reaches x2*x4^5 by one more step
@@ -735,6 +742,18 @@ class TestClimb:
         for call in calls:
             assert _outcome(call) == _refused(call)
         assert len(_outcome(calls[-4])[1]) == 5
+
+    def test_only_untraced_walks_climb(self, monkeypatch):
+        from gotzmann.threshold import tau
+
+        taken = []
+        for rule in (_Budget, _Deficit):
+            real = rule.climbs
+            monkeypatch.setattr(rule, "climbs", lambda r, *a, real=real: taken.append(real(r, *a)) or taken[-1])
+        u = parse("x2^10", 14)
+        traced = tau(u, 14, trace=lambda record: None)
+        assert taken == []
+        assert tau(u, 14) == traced and any(taken)
 
     def test_deep_tau_climbs(self, monkeypatch):
         # tau(x2^10, 14) walks 418 jumps; 220 of them are the blocks of 55 climbs,

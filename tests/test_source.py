@@ -47,3 +47,11 @@ def test_cli_imports_no_oracle(module):
         for alias in node.names
     ]
     assert imported and [name for name in imported if name.endswith("_oracle")] == []
+
+
+def test_cache_reaches_walks_only_through_threshold():
+    # a clamped level is walked again by threshold._counts, the same level walk as tau's
+    path = Path(gotzmann.__file__).parent / "cache.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert "_counts" in imported and {"find_z", "_walk"}.isdisjoint(imported)
