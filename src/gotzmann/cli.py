@@ -8,8 +8,8 @@ output renders big integers as decimal strings so nothing is ever rounded by
 a consumer.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource cap exceeded, 4 internal error (a broken invariant or exhausted
-memory).
+3 resource cap exceeded (Python's recursion limit included), 4 internal
+error (a broken invariant or exhausted memory).
 
 Threshold towers can be cached in an append-only JSONL file (--cache or the
 GOTZ_CACHE environment variable) through cache.py.
@@ -34,8 +34,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
-
-_VERIFY_OPTIONS = ("n", "max_deg", "which", "d", "count", "seed")
 
 
 def _tracer(args) -> None:
@@ -131,7 +129,7 @@ def cmd_verify(args) -> int:
     # imported here, not at the top, so that no other command pays for the suites
     from . import verify
 
-    options = {k: v for k, v in vars(args).items() if k in _VERIFY_OPTIONS and v is not None}
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "suite")}
     if "d" in options:
         options["d"] = _parse_range(options["d"])
     summary = verify.run(args.suite, **options)
@@ -188,13 +186,6 @@ def cmd_conjecture(args) -> int:
     return EXIT_OK
 
 
-def _add_walk_options(sp) -> None:
-    sp.add_argument("--max-jumps", type=int, default=DEFAULT_MAX_JUMPS,
-                    help="cap on walk iterations before giving up")
-    sp.add_argument("--trace", action="store_true",
-                    help="stream walk jumps to stderr as JSON lines")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gotz",
@@ -203,71 +194,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("tau", help="threshold of a monomial")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("monomial")
-    sp.add_argument("--json", action="store_true", help="print the full report tower")
-    sp.add_argument("--cache", help="JSONL report cache (default: $GOTZ_CACHE)")
-    _add_walk_options(sp)
-    sp.set_defaults(func=cmd_tau)
+    def command(name, func, parents, **kwargs) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, parents=parents, **kwargs)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("is-gotzmann", help="witness test for one monomial")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("monomial")
-    sp.add_argument("--json", action="store_true")
-    _add_walk_options(sp)
-    sp.set_defaults(func=cmd_is_gotzmann)
+    # each option shared between subcommands is declared once, in a parent of its own
+    n, monomial, as_json, cached, jumps, trace = (argparse.ArgumentParser(add_help=False) for _ in range(6))
+    n.add_argument("--n", type=int, required=True)
+    monomial.add_argument("monomial")
+    as_json.add_argument("--json", action="store_true", help="print JSON; big integers as decimal strings")
+    cached.add_argument("--cache", help="JSONL report cache (default: $GOTZ_CACHE)")
+    jumps.add_argument("--max-jumps", type=int, default=DEFAULT_MAX_JUMPS, help="cap on walk iterations before giving up")
+    trace.add_argument("--trace", action="store_true", help="stream walk jumps to stderr as JSON lines")
 
-    sp = sub.add_parser("mg", help="gap form of a monomial")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("monomial")
+    command("tau", cmd_tau, [n, monomial, as_json, cached, jumps, trace], help="threshold of a monomial")
+    command("is-gotzmann", cmd_is_gotzmann, [n, monomial, as_json, jumps, trace], help="witness test for one monomial")
+    sp = command("mg", cmd_mg, [n, monomial, as_json], help="gap form of a monomial")
     sp.add_argument("--t", type=int, default=None, help="shift by x_n^t first")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_mg)
-
-    sp = sub.add_parser("mc", help="cogap form of a monomial")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("monomial")
-    _add_walk_options(sp)
-    sp.set_defaults(func=cmd_mc)
-
-    sp = sub.add_parser("cost", help="walk cost between two monomials")
-    sp.add_argument("--n", type=int, required=True)
+    command("mc", cmd_mc, [n, monomial, jumps, trace], help="cogap form of a monomial")
+    sp = command("cost", cmd_cost, [n, jumps, trace], help="walk cost between two monomials")
     sp.add_argument("lower")
     sp.add_argument("upper")
-    _add_walk_options(sp)
-    sp.set_defaults(func=cmd_cost)
-
-    sp = sub.add_parser("pred", help="iterated predecessor")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("monomial")
+    sp = command("pred", cmd_pred, [n, monomial, jumps, trace], help="iterated predecessor")
     sp.add_argument("--steps", type=int, default=1)
-    _add_walk_options(sp)
-    sp.set_defaults(func=cmd_pred)
-
-    sp = sub.add_parser("sigma", help="iterated prefix-sum map")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("monomial")
+    sp = command("sigma", cmd_sigma, [n, monomial], help="iterated prefix-sum map")
     sp.add_argument("--t", type=int, default=1)
-    sp.set_defaults(func=cmd_sigma)
 
-    sp = sub.add_parser("verify", help="run a cross-check suite")
+    # an option left out never reaches the namespace, so cmd_verify forwards only what was given
+    sp = command("verify", cmd_verify, [], argument_default=argparse.SUPPRESS, help="run a cross-check suite")
     sp.add_argument("--suite", required=True, help="cross-check suite; an unknown name lists the valid ones")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--max-deg", type=int, default=None)
-    sp.add_argument("--which", choices=["tau3", "tau4", "tau5", "tau5_x2"], default=None)
-    sp.add_argument("--d", default=None, help="range lo..hi for the tau5 law")
-    sp.add_argument("--count", type=int, default=None, help="cases for the walk suite")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(func=cmd_verify)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--max-deg", type=int)
+    sp.add_argument("--which", choices=["tau3", "tau4", "tau5", "tau5_x2"])
+    sp.add_argument("--d", help="range lo..hi for the tau5 law")
+    sp.add_argument("--count", type=int, help="cases for the walk suite")
+    sp.add_argument("--seed", type=int)
 
-    sp = sub.add_parser("conjecture", help="scan tau(x_2^d) growth")
-    sp.add_argument("--n", type=int, required=True)
+    sp = command("conjecture", cmd_conjecture, [n, as_json, cached, jumps], help="scan tau(x_2^d) growth")
     sp.add_argument("--d", required=True, help="range lo..hi of exponents")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--cache", help="JSONL report cache (default: $GOTZ_CACHE)")
-    sp.add_argument("--max-jumps", type=int, default=DEFAULT_MAX_JUMPS)
-    sp.set_defaults(func=cmd_conjecture)
 
     return p
 
@@ -289,7 +254,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # a tower nests one call per variable, in tau and in what reads its reports
+        limit = sys.getrecursionlimit()
+        print(f"error: the computation nests deeper than Python's recursion limit ({limit})", file=sys.stderr)
+        return EXIT_CAP
     except (RuntimeError, MemoryError) as exc:
-        # after CapExceeded and TargetOvershoot, which are RuntimeErrors too
+        # after CapExceeded, TargetOvershoot and RecursionError, which are RuntimeErrors too
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -130,8 +130,6 @@ class MgDecomposition(_Record):
 
     base: Monomial
     xn_exp: int
-    n: int
-    t: int
 
 
 def target_decompose(u0: Monomial, n: int, t: int) -> MgDecomposition:
@@ -151,4 +149,4 @@ def target_decompose(u0: Monomial, n: int, t: int) -> MgDecomposition:
             f"internal inconsistency: mg({u0}*x{n}^{t}) = {mg} does not split "
             f"as {base} * x{n}^{f}"
         )
-    return MgDecomposition(base=base, xn_exp=f, n=n, t=t)
+    return MgDecomposition(base=base, xn_exp=f)

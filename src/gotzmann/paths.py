@@ -153,24 +153,18 @@ def _iroot(x: int, r: int) -> int:
         y = z
 
 
-def _start(x: int, r: int) -> int:
-    """A lower bound on the least y with C(y, r) >= x > 0, exact for r = 2.
-
-    C(y, r) < (y - (r-1)/2)^r / r! (AM-GM), so that y lies above
-    ((r! x)^(1/r) + (r-1)/2); the bound is the least integer there, and the
-    least y is at most r/2 + 1 above it.  For r = 2 it is exact: C(y, 2) >= x iff
-    2y - 1 >= ceil(sqrt(8x + 1)) = isqrt(8x) + 1, so the least y is
-    (isqrt(8x) + 3) // 2.
-    """
-    return (_iroot(math.factorial(r) * x << r, r) + r + 1) // 2
-
-
 def _least_base(x: int, r: int, c: int) -> int:
-    """Least N >= 0 with C(N+c, r) >= x, for c < r and r >= 2: the AM-GM start,
-    climbed by binomials for r > 2 (r = 2 needs no check)."""
+    """Least N >= 0 with C(N+c, r) >= x, for c < r and r >= 2.
+
+    C(y, r) < (y - (r-1)/2)^r / r! (AM-GM), so the least y with C(y, r) >= x
+    lies above ((r! x)^(1/r) + (r-1)/2); the start is the least integer there,
+    and a climb by binomials, at most r/2 + 1 steps, finds y for r > 2.  For
+    r = 2 the start is exact: C(y, 2) >= x iff 2y - 1 >= ceil(sqrt(8x + 1)) =
+    isqrt(8x) + 1, so the least y is (isqrt(8x) + 3) // 2.
+    """
     if x <= 0:
         return 0
-    y = _start(x, r)
+    y = (_iroot(math.factorial(r) * x << r, r) + r + 1) // 2
     while r > 2 and binom(y, r) < x:
         y += 1
     return y - c
@@ -179,10 +173,10 @@ def _least_base(x: int, r: int, c: int) -> int:
 def _bound(a: int, tops: list[int], d: list[int]) -> int:
     """Largest l <= a whose block from x_m^a, tops = _row(a, .), keeps its x_m and
     x_{m+1} exponents within d[0] and d[1]: l <= d[0], and the least N = a - l
-    with C(N, 2) >= tops[0] - d[1] (one isqrt)."""
+    with C(N, 2) >= x = tops[0] - d[1], which is (isqrt(8x) + 3) // 2."""
     l = min(a, d[0])
     if l and len(d) > 1 and tops[0] > d[1]:
-        l = min(l, a - _start(tops[0] - d[1], 2))
+        l = min(l, a - (math.isqrt(8 * (tops[0] - d[1])) + 3) // 2)
     return l
 
 

@@ -209,7 +209,6 @@ class ScanRow(_Record):
     tau_n: int
     tau_prev: int
     ratio: Fraction | None
-    report: ThresholdReport
 
 
 class ConjectureScan(_Record):
@@ -268,7 +267,7 @@ def _scan(n: int, d_values, towers: Callable[[list[Monomial]], list[ThresholdRep
     for d, rep in zip(d_values, towers([variable_power(2, d, n) for d in d_values])):
         denom = binom(rep.t_star, 2)
         ratio = Fraction(rep.tau, denom) if denom else None
-        rows.append(ScanRow(d=d, tau_n=rep.tau, tau_prev=rep.t_star, ratio=ratio, report=rep))
+        rows.append(ScanRow(d=d, tau_n=rep.tau, tau_prev=rep.t_star, ratio=ratio))
     conj_deg = 2 ** (n - 2)
     coeffs = None
     match = None

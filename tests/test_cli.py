@@ -137,6 +137,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, "tau", "--n", "5", "--max-jumps", "0", "x2^2*x4")
         assert (code, out) == (EXIT_CAP, "")
 
+    @pytest.mark.parametrize("argv", [("tau", "--n", "1100", "x1"), ("conjecture", "--n", "1100", "--d", "0..1")])
+    def test_tower_deeper_than_the_recursion_limit_is_a_cap_hit(self, capsys, argv):
+        # a tower nests one call per variable; past Python's recursion limit that is a cap, not a broken invariant
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_CAP, "")
+        assert "recursion limit" in err
+
     def test_reversed_cost_order(self, capsys):
         assert run(capsys, "cost", "--n", "3", "x1^2", "x3^2")[0] == EXIT_USAGE
 

@@ -64,11 +64,12 @@ class TestIsGotzmann:
 
         u0 = parse("x2^3", n)
         t = tau(u0, n).tau
-        orders = []
-        start = paths._start
-        monkeypatch.setattr(paths, "_start", lambda x, r: orders.append(r) or start(x, r))
+        bounds, bases = [], []
+        bound, least_base = paths._bound, paths._least_base
+        monkeypatch.setattr(paths, "_bound", lambda *args: bounds.append(args) or bound(*args))
+        monkeypatch.setattr(paths, "_least_base", lambda *args: bases.append(args) or least_base(*args))
         assert is_gotzmann(u0 * variable_power(n, t, n)).is_gotzmann
-        assert orders and set(orders) == {2}
+        assert bounds and bases == []
         assert not is_gotzmann(u0 * variable_power(n, t - 1, n)).is_gotzmann
 
     def test_gap_count_beyond_the_slice_is_an_internal_error(self, monkeypatch, capsys):
