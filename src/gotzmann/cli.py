@@ -9,7 +9,8 @@ a consumer.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource cap exceeded (Python's recursion limit included), 4 internal
-error (a broken invariant or exhausted memory).
+error (a broken invariant or exhausted memory), 141 stdout closed by its
+reader before the output was written (the shell's code for SIGPIPE).
 
 Threshold towers can be cached in an append-only JSONL file (--cache or the
 GOTZ_CACHE environment variable) through cache.py.
@@ -34,6 +35,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
 
 
 def _tracer(args) -> None:
@@ -244,7 +246,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # no more output can reach the reader; point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

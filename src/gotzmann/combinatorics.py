@@ -226,17 +226,21 @@ def prefix_borel_sizes(indices: Sequence[int]) -> list[int]:
 
 
 def _run_walk(
-    exps: Sequence[int], d: int = 0, columns: Sequence[int] = ()
-) -> tuple[list[int], list[int]]:
-    """Walk the exponent runs of u = x_1^exps[0] * x_2^exps[1] * ...
+    exps: Sequence[int], *asks: tuple[int, Sequence[int]]
+) -> tuple[list[int], list[list[int]]]:
+    """Walk the exponent runs of u = x_1^exps[0] * x_2^exps[1] * ... once.
 
     Returns v, the prefix-sum vector of prefix_borel_sizes after the last
-    run (sum(v) is the closure size of u), and for each column j the sum
+    run (sum(v) is the closure size of u), and for each ask (d, columns),
+    with d at least deg(u), the sum for each column j
 
         sum_k (b_k - 1) * C(d - k - 2 + j - i_{k+1}, j - i_{k+1} - 1)
 
     over the positions k + 1 of u with index i_{k+1} < j, where b_k is the
-    closure size of the length-k prefix and d is at least deg(u).
+    closure size of the length-k prefix.  v, the closure sizes and the heads
+    G below do not depend on d, so one walk answers every ask: maxgen asks
+    for mg's columns at deg(u) and for the x_n column at a shifted degree
+    together, and borel_size asks for none.
 
     Inside a run (i, e) that starts after p positions, the closure size after
     j' more positions is B(j') = sum_c v[c] * C(i-1-c+j', j') (hockey stick),
@@ -249,10 +253,10 @@ def _run_walk(
       of one position form a row over s = 0..s_max (columns ascend, so s_max
       is the last column's s).  The next position, K - 1, steps the row by
       Pascal's rule C(K-1+s, s) = C(K+s, s) - C(K-1+s, s-1): s_max
-      subtractions instead of a product of s factors of K's size.  The row is
-      carried into the next run, whose s_max is smaller, and built by ratios
-      only where none reaches: at the first position sum and after a run that
-      took the closed form in every column;
+      subtractions instead of a product of s factors of K's size.  Each ask
+      carries its own row into the next run, whose s_max is smaller, and
+      builds it by ratios only where none reaches: at its first position sum
+      and after a run that took the closed form in every column;
     - closed form, for longer runs: sum_{m=1}^{s+1} C(M+1-e, s+1-m) * G[m]
       - (C(M+1, s+1) - C(M+1-e, s+1)), where G[m] = sum_c v[c] *
       C(i-1-c+e, e-m).  The first sum counts (A+s+1)-subsets of
@@ -266,48 +270,56 @@ def _run_walk(
     C(c-c'+e-1, c-c') * v[c'] with i binomials.
     """
     v = [1]
-    shares = [0] * len(columns)
+    shares = [[0] * len(columns) for _, columns in asks]
+    rows = [([], None)] * len(asks)  # per ask (row, K): row[s] = C(K + s, s), carried from position to position
     p = 0
-    row, row_k = [], None  # row[s] = C(row_k + s, s), carried from position to position
     for i, e in enumerate(exps, start=1):
         if not e:
             continue
         v += [0] * (i - len(v))
-        closed, position = [], []
-        for col, j in enumerate(columns):
-            if j > i:
-                s = j - i - 1
-                (closed if e > s + 3 else position).append((col, s))
+        splits = []  # per ask, its columns above x_i as (col, s), closed forms and position sums
+        for _, columns in asks:
+            closed, position = [], []
+            for col, j in enumerate(columns):
+                if j > i:
+                    s = j - i - 1
+                    (closed if e > s + 3 else position).append((col, s))
+            splits.append((closed, position))
         g = [0]
-        for m in range(1, max((s for _, s in closed), default=-1) + 2):
+        for m in range(1, max((s for closed, _ in splits for _, s in closed), default=-1) + 2):
             g.append(sum(vc * binom(i - 1 - c + e, i - 1 - c + m) for c, vc in enumerate(v) if vc))
         sizes = []
-        if e <= i or position:
+        if e <= i or any(position for _, position in splits):
             for _ in range(e):
                 sizes.append(sum(v))
                 v = list(accumulate(v))
         else:
             w = [binom(k + e - 1, k) for k in range(i)]
             v = [sum(w[c - c2] * v[c2] for c2 in range(c + 1)) for c in range(i)]
-        for col, s in closed:
-            top = d - p + s  # M + 1
-            low = top - e  # M + 1 - e
-            share = sum(binom(low, s + 1 - m) * g[m] for m in range(1, s + 2))
-            shares[col] += share - binom(top, s + 1) + binom(low, s + 1)
-        s_max = position[-1][1] if position else 0  # columns ascend
-        for jp, b in enumerate(sizes if position else ()):
-            if b <= 1:
+        for ask, ((d, _), (closed, position), out) in enumerate(zip(asks, splits, shares)):
+            for col, s in closed:
+                top = d - p + s  # M + 1
+                low = top - e  # M + 1 - e
+                share = sum(binom(low, s + 1 - m) * g[m] for m in range(1, s + 2))
+                out[col] += share - binom(top, s + 1) + binom(low, s + 1)
+            if not position:
                 continue
-            k = d - p - 1 - jp  # C(M - j', s) = C(k + s, s)
-            if row_k == k + 1 and len(row) > s_max:  # C(k+s, s) = C(k+1+s, s) - C(k+s, s-1)
-                row = [x - y for x, y in zip(row[: s_max + 1], [0] + row)]
-            else:
-                row = [1]
-                for s in range(1, s_max + 1):
-                    row.append(row[-1] * (k + s) // s)
-            row_k = k
-            for col, s in position:
-                shares[col] += (b - 1) * row[s]
+            s_max = position[-1][1]  # columns ascend
+            row, row_k = rows[ask]
+            for jp, b in enumerate(sizes):
+                if b <= 1:
+                    continue
+                k = d - p - 1 - jp  # C(M - j', s) = C(k + s, s)
+                if row_k == k + 1 and len(row) > s_max:  # C(k+s, s) = C(k+1+s, s) - C(k+s, s-1)
+                    row = [x - y for x, y in zip(row[: s_max + 1], [0] + row)]
+                else:
+                    row = [1]
+                    for s in range(1, s_max + 1):
+                        row.append(row[-1] * (k + s) // s)
+                row_k = k
+                for col, s in position:
+                    out[col] += (b - 1) * row[s]
+            rows[ask] = row, row_k
         p += e
     return v, shares
 
@@ -315,8 +327,8 @@ def _run_walk(
 def borel_size(u: Monomial) -> int:
     """Size of the Borel closure of u, without enumeration.
 
-    One step of _run_walk per exponent run: O(n^2) big-integer operations per
-    run, however large the exponents are.
+    One step of _run_walk per exponent run, with no columns asked: O(n^2)
+    big-integer operations per run, however large the exponents are.
     """
     return sum(_run_walk(u.exps)[0])
 

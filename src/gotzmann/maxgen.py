@@ -22,9 +22,10 @@ costs O(n^2) big-integer operations.
 
 Shifting u by x_n^t transforms mg by the t-fold prefix-sum map; f_poly_eval
 gives the x_n-degree of the shifted form directly, as the x_n column of the
-same walk at degree deg(u0) + t, and target_decompose splits the shifted form
-into its x_n-free base times x_n^f, cross-checking the two computations
-against each other.
+same walk at degree deg(u0) + t.  target_decompose splits the shifted form
+into its x_n-free base times x_n^f and cross-checks the two computations
+against each other; one run walk answers both, since only the binomial
+columns depend on the degree.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .combinatorics import (
     lexsegment,
     prefix_borel_sizes,
 )
-from .monomial import Monomial, _Record, deg, embed, max_index, sigma_pow
+from .monomial import Monomial, _Record, deg, max_index, sigma_pow
 
 
 def maxgen_of_set(s: MonomialSet) -> Monomial:
@@ -80,7 +81,7 @@ def mg_closed(u: Monomial) -> Monomial:
     and does not grow with the exponents.
     """
     n = u.n
-    shares = _run_walk(u.exps[: n - 1], deg(u), range(2, n + 1))[1]
+    shares = _run_walk(u.exps[: n - 1], (deg(u), range(2, n + 1)))[1][0]
     return Monomial(n, (0, *shares))
 
 
@@ -122,7 +123,7 @@ def f_poly_eval(u0: Monomial, n: int, t: int) -> int:
         raise ValueError(f"u0 must live in ambient {n - 1}, got {u0.n}")
     if t < 0:
         raise ValueError("shift must be nonnegative")
-    return _run_walk(u0.exps, deg(u0) + t, (n,))[1][0]
+    return _run_walk(u0.exps, (deg(u0) + t, (n,)))[1][0][0]
 
 
 class MgDecomposition(_Record):
@@ -135,14 +136,20 @@ class MgDecomposition(_Record):
 def target_decompose(u0: Monomial, n: int, t: int) -> MgDecomposition:
     """Split mg(u0 * x_n^t) into its x_n-free base and its x_n power.
 
-    The x_n power is evaluated independently through f_poly_eval and checked
-    against the shifted form; a mismatch means one of the two closed forms is
-    wrong and is reported loudly instead of being masked.
+    One run walk asks for the columns of mg(u0) one ambient up, at deg(u0),
+    which sigma^t shifts into mg(u0 * x_n^t) as mg_shifted does, and for the
+    x_n column at deg(u0) + t, which is f_poly_eval.  The two x_n powers share
+    only the walk's closure sizes, not a binomial, so they are checked against
+    each other; a mismatch means one of the two closed forms is wrong and is
+    reported loudly instead of being masked.
     """
     if u0.n != n - 1:
         raise ValueError(f"u0 must live in ambient {n - 1}, got {u0.n}")
-    mg = mg_shifted(embed(u0, n), t)
-    f = f_poly_eval(u0, n, t)
+    if t < 0:
+        raise ValueError("shift must be nonnegative")
+    d = deg(u0)
+    shares, (f,) = _run_walk(u0.exps, (d, range(2, n + 1)), (d + t, (n,)))[1]
+    mg = sigma_pow(Monomial(n, (0, *shares)), t)
     base = Monomial(n, mg.exps[: n - 1] + (0,))
     if mg.exps[n - 1] != f:
         raise RuntimeError(

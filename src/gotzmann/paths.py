@@ -17,7 +17,12 @@ cost exponents are monotone in l.
 
 One kernel, _walk, runs every block walk.  At each jump it takes the largest
 block its rule admits, or one elementary step when not even l = 1 is
-admitted, and charges the rule for it.  There are two rules:
+admitted, and charges the rule for it.  After a partial block (0 < l < k) the
+step is forced, and the kernel takes it as its own jump without asking the
+rule: the block of l + 1 units broke the rule and costs add along the chain,
+so the next unit breaks it too.  When find_z's exact-hit shrink (below) made
+the block partial, the next unit is that exact hit, which the rule would
+shrink to 0 as well.  There are two rules:
 
 - budget (advance, mc, cost_between and the witness test): the block's total
   steps stay within the steps left;
@@ -66,6 +71,15 @@ it could be an exact hit.  A climb counts its blocks against the jump cap
 and is taken only when they all fit under it and the walk is untraced; else
 the walk takes the blocks one by one, a trace record each, so every jump,
 record and error is the same either way.
+
+An origin whose x_n run c sits over empty x_{j+1} .. x_{n-1}, as a tower
+level's u0 * x_n^t does when u0 is free of x_{n-1}, starts the same way: the
+k = n - j - 1 full blocks at x_n .. x_{j+2} carry the run to x_{j+1}, and by
+the same hockey stick they cost c at x_{j+2} and _row(c + 1, .) above it.
+An untraced walk takes them in one climb before its first iteration, under
+the same conditions, and holds _row(c, k) by one Pascal step down, whether
+the rule admitted the climb or its blocks go one by one.  _climb is the one
+place where a climb is offered to the rule and taken.
 
 find_z hunts for the first state whose cost, truncated below x_n, equals w.
 A block whose visible cost would consume the deficit exactly is shrunk by
@@ -299,6 +313,18 @@ class _Deficit:
             )
 
 
+def _climb(rule: _Budget | _Deficit, cur: list[int], cost: list[int], j: int, exps: list[int]) -> bool:
+    """Carry the x_n run to the empty x_{j-1} by the full blocks at x_n .. x_j, exps their
+    summed cost from x_j upward, if the rule admits them all; whether it did."""
+    if not rule.climbs(j, exps):
+        return False
+    rule.take(j, exps)
+    for i, e in enumerate(exps, start=j - 1):
+        cost[i] += e
+    cur[j - 2], cur[-1] = cur[-1], 0
+    return True
+
+
 def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None) -> WalkState:
     """Walk upward from origin, block by block, until the rule is met.  Position and
     cost are exponent lists; Monomials are built for the result and trace records."""
@@ -310,6 +336,16 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
     jumps = 0
     b, known = 0, []  # the longest row built for run size b; no run is empty
     frm = origin
+    c, j = cur[n - 1], n - 1  # the x_n run, over empty x_{j+1} .. x_{n-1}
+    while j and not cur[j - 1]:
+        j -= 1
+    k = n - j - 1  # full blocks at x_n .. x_{j+2} carry it to x_{j+1}
+    if c and k and trace is None and k <= max_jumps and not rule.met():  # traced: one by one
+        row = _row(c + 1, k)  # the climb costs c at x_{j+2} and row above it, by the hockey stick
+        b, known = c, _row_below(c + 1, row)
+        if _climb(rule, cur, cost, j + 2, [c] + row[: k - 1]):
+            jumps = k
+    forced = False  # the last jump was a partial block, so the next unit breaks the rule too
     while not rule.met():
         jumps += 1
         if jumps > max_jumps:
@@ -325,7 +361,8 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
         elif len(known) < n - m:  # only after a full block onto an empty run
             _grow(known, a, n - m)
         tops = known[: n - m]
-        l = rule.largest(m, a, tops)
+        l = 0 if forced else rule.largest(m, a, tops)
+        forced = 0 < l < a
         if l == a:  # a full block: tops is the whole cost above x_m
             exps = [a] + tops
             cur[m - 2], cur[m - 1] = cur[m - 2] + a, 0
@@ -347,12 +384,7 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
             frm = to
         k = n - m - 1  # full blocks at x_n .. x_{m+2} carry a step's a - 1 units back to x_{m+1}
         if not l and a > 1 and k and trace is None and jumps + k <= max_jumps:  # traced: one by one
-            climb = [a - 1] + tops[: k - 1]  # their summed cost from x_{m+2}, by the hockey stick
-            if rule.climbs(m + 2, climb):
-                rule.take(m + 2, climb)
-                for i in range(m + 1, n):
-                    cost[i] += climb[i - m - 1]
-                cur[m], cur[n - 1] = a - 1, 0
+            if _climb(rule, cur, cost, m + 2, [a - 1] + tops[: k - 1]):  # the hockey stick again
                 jumps += k
     return WalkState(Monomial(n, tuple(cur)), Monomial(n, tuple(cost)), sum(cost))
 

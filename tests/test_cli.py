@@ -1,5 +1,6 @@
 import copy
 import errno
+import fcntl
 import json
 import os
 import shlex
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from gotzmann import __version__
 from gotzmann import cache as gcache, cli, threshold, verify
-from gotzmann.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from gotzmann.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VERIFY, main
 from gotzmann.maxgen import mg_shifted
 from gotzmann.monomial import Monomial, ParseError, parse
 from gotzmann.paths import WalkState, advance
@@ -532,6 +533,55 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.startswith("internal error: ")
+
+
+def test_inconsistent_target_is_an_internal_error(capsys, monkeypatch):
+    # target_decompose's cross-check of its two x_n powers, seen from the command line
+    from gotzmann import combinatorics, maxgen
+
+    def off_by_one(exps, *asks):
+        v, shares = combinatorics._run_walk(exps, *asks)
+        shares[-1][-1] += 1
+        return v, shares
+
+    monkeypatch.setattr(maxgen, "_run_walk", off_by_one)
+    code, out, err = run(capsys, "tau", "--n", "5", "x2^2*x4")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert "internal inconsistency" in err
+
+
+def _gotz_env():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout buffered, as from a shell
+    env["PYTHONPATH"] = str(Path(cli.__file__).parent.parent)
+    return env
+
+
+def test_closed_pipe_exits_quietly_with_its_own_code():
+    # the reader takes 10 bytes and closes the pipe; the rest of an output larger than the
+    # pipe buffer cannot be written, which is neither a traceback nor a verification failure
+    argv = [sys.executable, "-m", "gotzmann", "tau", "--n", "900", "--json", "x1"]
+    full = subprocess.run(argv, capture_output=True, env=_gotz_env(), check=True).stdout
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_gotz_env())
+    assert len(full) > fcntl.fcntl(proc.stdout, fcntl.F_GETPIPE_SZ)  # 97,890 bytes against 64 KiB on Linux
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), head, err) == (EXIT_PIPE, full[:10], b"")
+    assert EXIT_PIPE not in (EXIT_OK, EXIT_VERIFY, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL)
+
+
+def test_pipe_closed_before_any_output():
+    # the answer waits in stdout's buffer; main flushes it into the closed pipe, and the
+    # flush at exit, pointed at devnull, must not fail a second time (exit 120)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gotzmann", "tau", "--n", "5", "x2^2*x4"],
+                              stdout=write, stderr=subprocess.PIPE, env=_gotz_env())
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, b"")
 
 
 def test_negative_binom_is_an_internal_error(capsys, monkeypatch):

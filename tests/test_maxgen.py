@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gotzmann import maxgen
 from gotzmann.combinatorics import (
+    _run_walk,
     binom,
     borel_enumerate,
     borel_size,
@@ -108,6 +110,21 @@ class TestTargetDecompose:
         with pytest.raises(ValueError):
             target_decompose(parse("x2", 3), 3, 1)
 
+    @pytest.mark.parametrize("ask, delta", [(0, 1), (0, -1), (1, 1), (1, -1)])
+    def test_cross_check_fires_on_either_x_n_column(self, monkeypatch, ask, delta):
+        # both x_n powers come from one run walk; an x_n column off by one in either ask,
+        # mg's at deg(u0) or f's at deg(u0) + t, is a loud inconsistency, not a new answer
+        def off_by_one(exps, *asks):
+            v, shares = _run_walk(exps, *asks)
+            shares[ask][-1] += delta
+            return v, shares
+
+        u0 = parse("x2^2*x4", 4)
+        target_decompose(u0, 5, 3)
+        monkeypatch.setattr(maxgen, "_run_walk", off_by_one)
+        with pytest.raises(RuntimeError, match="internal inconsistency"):
+            target_decompose(u0, 5, 3)
+
 
 class TestFPoly:
     def test_worked_family(self):
@@ -209,3 +226,22 @@ def test_run_walk_matches_position_oracles_at_huge_shifts(exps, t):
 )
 def test_run_walk_carries_its_row_across_runs(exps, t):
     _check_against_position_oracles(exps, t)
+
+
+def _ascending_columns(n):
+    return st.lists(st.integers(1, n + 1), unique=True, max_size=n + 1).map(sorted)
+
+
+@given(
+    st.integers(2, 10).flatmap(lambda n: st.lists(_run_exponents, min_size=n, max_size=n)),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_two_asks_are_two_walks(exps, data):
+    # one walk answers each ask as a walk of its own would: the closure sizes and the heads
+    # are shared, and each ask carries its own row of position binomials across the runs
+    shift = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(0, 10**1000))
+    asks = [(sum(exps) + data.draw(shift), data.draw(_ascending_columns(len(exps)))) for _ in range(2)]
+    v, shares = _run_walk(exps, *asks)
+    assert shares == [_run_walk(exps, ask)[1][0] for ask in asks]
+    assert v == _run_walk(exps)[0]

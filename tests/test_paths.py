@@ -1,3 +1,4 @@
+import copy
 from unittest import mock
 
 import pytest
@@ -465,8 +466,10 @@ class TestRows:
         # back toward x_m by full blocks onto empty runs.  The climb to x_{m+1} is taken
         # in the step's own iteration from the step's own row, and each jump after it
         # (or each block of a climb the rule refused) takes the very columns of the
-        # Pascal step, so no _row or _least_base call and no multiply made them
-        from gotzmann import paths
+        # Pascal step, so no _row or _least_base call and no multiply made them.  A step
+        # forced by a partial block asks no rule; its row is the block's lower row, which
+        # the Pascal step records
+        from gotzmann import paths, threshold
         from gotzmann.threshold import tau
 
         n, events = 14, []
@@ -484,10 +487,11 @@ class TestRows:
 
         u0 = parse("x2^10", n)
         t = tau(u0, n).tau
-        monkeypatch.setattr(paths, "_walk", lambda *args: events.append(("walk",)) or walk(*args))
+        for owner in (paths, threshold):  # find_z's walks and the witness test's
+            monkeypatch.setattr(owner, "_walk", lambda origin, *args: events.append(("walk", origin.n)) or walk(origin, *args))
         monkeypatch.setattr(paths, "_row", lambda a, count: events.append(("row",)) or _row(a, count))
         monkeypatch.setattr(paths, "_least_base", lambda *args: events.append(("solve",)) or _least_base(*args))
-        monkeypatch.setattr(paths, "_row_below", lambda a, tops: events.append(("below", a, below(a, tops))) or events[-1][2])
+        monkeypatch.setattr(paths, "_row_below", lambda a, tops: events.append(("below", a, tops, below(a, tops))) or events[-1][3])
         monkeypatch.setattr(rule, "largest", spy_largest)
         monkeypatch.setattr(rule, "climbs", spy_climbs)
         if rule is _Deficit:
@@ -496,10 +500,11 @@ class TestRows:
             assert not is_gotzmann(parse(f"x2^10*x14^{t - 1}", n)).is_gotzmann
         climbs, taken = [], 0
         for i, event in enumerate(events):
-            if event[0] != "below" or event[1] < 2:
-                continue
-            _, m, _, tops = next(e for e in reversed(events[:i]) if e[0] == "enter")  # the elementary step
-            k, b, row = m + len(tops), event[1] - 1, event[2]  # x_k: the next jump, from x_n down
+            if event[0] != "below" or event[1] < 2 or events[i - 2][0] == "walk" and events[i - 1] == ("row",):
+                continue  # not a step with units to carry, or a walk's origin climb (TestClimb)
+            ambient = next(e[1] for e in reversed(events[:i]) if e[0] == "walk")
+            _, a, tops, row = event  # the elementary step at x_m, m = ambient - len(tops)
+            m, k, b = ambient - len(tops), ambient, a - 1  # x_k: the next jump, from x_n down
             jumps, inside = 0, False
             for e in events[i + 1 :]:
                 if e[0] == "walk":
@@ -524,36 +529,44 @@ class TestRows:
         assert sum(climbs) > 50 and taken  # jumps checked; a walk may end right after its step
 
     @staticmethod
-    def _tops_rows_after(monkeypatch, next_jump):
+    def _tops_rows_after(monkeypatch, next_jump, trace=None):
         """Run tau(x2^10, 14) and check that no jump named by next_jump(m, a, l) for the
-        jump before it builds its own tops row; returns how many such jumps there were."""
+        jump before it builds its own tops row; returns how many such jumps there were.
+        Each jump ends in a take, also the step after a partial block, which asks no rule."""
         from gotzmann import paths
         from gotzmann.threshold import tau
 
-        rows, seen = [], {"after": None, "checked": 0}  # rows built since the last take
+        rows, seen = [], {"pending": None, "next": None, "checked": 0}  # rows built since the last take
         row, largest, take = paths._row, _Deficit.largest, _Deficit.take
 
         def spy_largest(rule, m, a, tops):
-            if seen["after"] == (rule, m, a):
-                seen["checked"] += 1
-                assert (a, 14 - m) not in rows
             l = largest(rule, m, a, tops)
-            seen["after"] = (rule,) + next_jump(m, a, l)
+            seen["pending"] = (rule,) + next_jump(m, a, l)
             return l
+
+        def spy_take(rule, m, exps):
+            named = seen["next"]
+            if named and named[:2] == (rule, m):
+                seen["checked"] += 1
+                assert (named[2], 14 - m) not in rows
+            seen["next"], seen["pending"] = seen["pending"], None
+            rows.clear()
+            take(rule, m, exps)
 
         monkeypatch.setattr(paths, "_row", lambda a, count: rows.append((a, count)) or row(a, count))
         monkeypatch.setattr(_Deficit, "largest", spy_largest)
-        monkeypatch.setattr(_Deficit, "take", lambda rule, m, exps: rows.clear() or take(rule, m, exps))
-        tau(parse("x2^10", 14), 14)
+        monkeypatch.setattr(_Deficit, "take", spy_take)
+        tau(parse("x2^10", 14), 14, trace=trace)
         return seen["checked"]
 
     def test_no_tops_row_right_after_a_partial_block(self, monkeypatch):
-        # the next jump is at the same x_m with what the block left there
+        # the next jump, a forced elementary step, is at the same x_m with what the block left there
         assert self._tops_rows_after(monkeypatch, lambda m, a, l: (m, a - l) if 0 < l < a else ()) > 50
 
     def test_no_tops_row_right_after_a_full_block_onto_an_empty_run(self, monkeypatch):
-        # a jump at x_{m-1} with the same a follows a full block exactly when x_{m-1} was empty
-        assert self._tops_rows_after(monkeypatch, lambda m, a, l: (m - 1, a) if 0 < l == a else ()) > 50
+        # a jump at x_{m-1} with the same a follows a full block exactly when x_{m-1} was empty.
+        # Untraced, such blocks are the blocks of climbs; a traced walk takes them one by one
+        assert self._tops_rows_after(monkeypatch, lambda m, a, l: (m - 1, a) if 0 < l == a else (), lambda r: None) > 50
 
     def test_full_blocks_build_no_lower_row(self, monkeypatch):
         # a full block's lower row C(s-1, s+1) is zero, so no jump builds _row(0, .)
@@ -579,16 +592,19 @@ class TestRows:
         assert sum(full) > 200 and rows and 0 not in rows
 
     def test_row_builds_are_pinned(self, monkeypatch):
-        # the rows that tau(x2^10, 14) and the witness pair of x2^3 at n = 16 build,
-        # and no inverse binomial beyond the isqrt of _bound
+        # the rows that tau(x2^10, 14) and the witness pair of x2^3 at n = 16 build, the
+        # columns that _row and _grow multiply out (an origin climb builds with _row the row
+        # that its full blocks grew one column at a time), and no inverse binomial beyond
+        # the isqrt of _bound
         from gotzmann import paths
         from gotzmann.threshold import tau
 
-        rows, solves = [], []
+        rows, columns, solves, grow = [], [], [], paths._grow
         monkeypatch.setattr(paths, "_row", lambda a, count: rows.append(count) or _row(a, count))
+        monkeypatch.setattr(paths, "_grow", lambda row, a, count: columns.append(count - len(row)) or grow(row, a, count))
         monkeypatch.setattr(paths, "_least_base", lambda *args: solves.append(args) or _least_base(*args))
         tau(parse("x2^10", 14), 14)
-        assert len(rows) <= 97 and sum(rows) <= 326 and solves == []
+        assert len(rows) <= 87 and sum(columns) <= 372 and solves == []
         u0 = parse("x2^3", 16)
         t = tau(u0, 16).tau
         rows.clear()
@@ -609,12 +625,16 @@ class TestRows:
                 assert not solves
             return l
 
-        u0 = parse("x2^10", 8)
-        t = tau(u0, 8).tau
+        # the witness walks step only after partial blocks, without asking the rule, and so
+        # does not count here; a budget under one unit's C(a+S-1, S) steps asks it at once
+        u0 = parse("x2^2", 10)
+        t = tau(u0, 10).tau
         monkeypatch.setattr(paths, "_least_base", lambda *args: solves.append(args) or _least_base(*args))
         monkeypatch.setattr(_Budget, "largest", spy_largest)
-        assert not is_gotzmann(parse(f"x2^10*x8^{t - 1}", 8)).is_gotzmann
-        assert len(zeros) >= 5
+        assert not is_gotzmann(parse(f"x2^2*x10^{t - 1}", 10)).is_gotzmann
+        for budget in range(1, 126, 25):  # from x3^6 at n = 7 one unit takes 126 steps
+            advance(parse("x3^6", 7), budget)
+        assert len(zeros) >= 7
 
     def test_full_budget_blocks_build_nothing_and_partial_ones_one_lower_row(self, monkeypatch):
         # a full block calls neither _least_base nor _row; a partial block builds its
@@ -648,8 +668,9 @@ class TestRows:
             exit_at = next(x for x, e in enumerate(jump) if e[0] == "exit")
             _, m, a, l = jump[exit_at]
             after = jump[exit_at + 1 :]
-            if after:  # only an elementary step tries a climb, which builds nothing
-                assert l == 0 and len(after) == 1 and after[0][0] == "climb"
+            if after:  # only an elementary step tries a climb, which builds nothing; after a
+                # partial block the step is forced, asks no rule and so sits in the block's slice
+                assert l < a and len(after) == 1 and after[0][0] == "climb"
                 kinds["full"] += after[0][1] if after[0][2] else 0  # a climb is that many full blocks
             if m == 8 or l == 0:
                 continue
@@ -743,6 +764,46 @@ class TestClimb:
             assert _outcome(call) == _refused(call)
         assert len(_outcome(calls[-4])[1]) == 5
 
+    def test_walks_from_an_origin_climb(self):
+        # from x2*x7^5 the x7 run sits over empty x3 .. x6: the untraced walk carries it to x3
+        # in one climb of 4 blocks, 125 steps, x4^5*x5^15*x6^35*x7^70 by the hockey stick
+        u = parse("x2*x7^5", 7)
+        out, records = _outcome(lambda trace: advance(u, 125, trace=trace))
+        assert out == WalkState(parse("x2*x3^5", 7), parse("x4^5*x5^15*x6^35*x7^70", 7), 125)
+        assert [r["to"] for r in records] == ["x2*x6^5", "x2*x5^5", "x2*x4^5", "x2*x3^5"]
+        calls = [lambda trace, cap=cap: advance(u, 125, cap, trace) for cap in range(6)]
+        calls += [lambda trace, b=b: advance(u, b, trace=trace) for b in (1, 5, 6, 124, 126, 200)]
+        calls += [lambda trace, d=d: _walk(u, _Deficit(list(d)), DEFAULT_MAX_JUMPS, trace) for d in
+                  ([1, 0, 5, 15, 35, 70], [0, 0, 5, 15, 35, 70], [1, 0, 5, 15, 34, 70], [1, 1, 6, 15, 35, 90])]
+        for call in calls:
+            assert _outcome(call) == _refused(call)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_origin_climb_at_every_cap(self, data):
+        # origins whose x_n run sits over empty x_{j+1} .. x_{n-1}: every jump cap from 0 past the
+        # walk's jump count gives the same state, or the same error text, untraced as traced
+        n = data.draw(st.integers(3, 8))
+        j = data.draw(st.integers(0, n - 2))
+        head = tuple(data.draw(st.lists(st.integers(0, 4), min_size=j, max_size=j))) + (0,) * (n - 1 - j)
+        u = Monomial(n, head + (data.draw(st.one_of(st.integers(1, 8), st.integers(1, 10**6))),))
+        kind = data.draw(st.sampled_from(["advance", "mc", "find_z", "is_gotzmann", "deficit"]))
+        if kind == "advance":
+            budget = data.draw(st.integers(0, lex_rank(u) - 1))
+            walk = lambda cap, trace: advance(u, budget, cap, trace)
+        elif kind == "mc":
+            walk = lambda cap, trace: mc(u, cap, trace)
+        elif kind == "find_z":
+            walk = lambda cap, trace: find_z(Monomial(n - 1, head), n, u.exps[-1], cap, trace)
+        elif kind == "is_gotzmann":
+            walk = lambda cap, trace: is_gotzmann(u, cap, trace)
+        else:
+            deficit = data.draw(st.lists(st.integers(0, 40), min_size=n - 1, max_size=n - 1))
+            walk = lambda cap, trace: _walk(u, _Deficit(list(deficit)), cap, trace)
+        jumps = len(_outcome(lambda trace: walk(DEFAULT_MAX_JUMPS, trace))[1])
+        for cap in range(min(jumps, 200) + 2):
+            _outcome(lambda trace: walk(cap, trace))
+
     def test_only_untraced_walks_climb(self, monkeypatch):
         from gotzmann.threshold import tau
 
@@ -756,23 +817,90 @@ class TestClimb:
         assert tau(u, 14) == traced and any(taken)
 
     def test_deep_tau_climbs(self, monkeypatch):
-        # tau(x2^10, 14) walks 418 jumps; 220 of them are the blocks of 55 climbs,
-        # so a guard that refused every climb would need 418 kernel iterations
-        from gotzmann import paths
+        # tau(x2^10, 14) walks 418 jumps in 198 takes.  286 jumps are the blocks of 66 climbs:
+        # 55 after elementary steps and one from each level's origin, whose x_n run sits over
+        # empty x_3 .. x_{n-1}.  Of the 132 kernel iterations, 66 are the elementary steps
+        # after partial blocks, which ask no rule, so the rule is asked 66 times
         from gotzmann.threshold import tau
 
-        iterations, blocks = [], []
-        largest, climbs = _Deficit.largest, _Deficit.climbs
+        queries, takes, blocks = [], [], []
+        largest, take, climbs = _Deficit.largest, _Deficit.take, _Deficit.climbs
 
         def spy_climbs(rule, j, exps):
             ok = climbs(rule, j, exps)
             blocks.append(len(exps) if ok else 0)
             return ok
 
-        monkeypatch.setattr(_Deficit, "largest", lambda rule, *args: iterations.append(1) or largest(rule, *args))
+        monkeypatch.setattr(_Deficit, "largest", lambda rule, *args: queries.append(1) or largest(rule, *args))
+        monkeypatch.setattr(_Deficit, "take", lambda rule, *args: takes.append(1) or take(rule, *args))
         monkeypatch.setattr(_Deficit, "climbs", spy_climbs)
         tau(parse("x2^10", 14), 14)
-        assert len(iterations) <= 200 and len(iterations) + sum(blocks) == 418
+        climbed = [x for x in blocks if x]
+        assert len(queries) <= 66 and len(climbed) == 66 and sum(climbed) == 286
+        assert len(takes) - len(climbed) + sum(climbed) == 418
+
+
+def _forced_steps_refused(call):
+    """Run call() and, after each partial block, ask a copy of its rule for the largest
+    block at the state that block left.  Every copy must answer 0: the elementary step that
+    the kernel takes there without asking.  Returns how many copies were asked."""
+    asked, after = [], []
+    real = {rule: (rule.largest, rule.take) for rule in (_Budget, _Deficit)}
+
+    def spy_largest(rule, m, a, tops):
+        l = real[type(rule)][0](rule, m, a, tops)
+        after[:] = [(m, a - l, rule.low)] if 0 < l < a else []
+        return l
+
+    def spy_take(rule, m, exps):
+        real[type(rule)][1](rule, m, exps)
+        if after:  # the partial block's own take
+            m, a, low = after.pop()
+            assert real[type(rule)][0](copy.deepcopy(rule), m, a, low) == 0
+            asked.append(m)
+
+    with mock.patch.object(_Budget, "largest", spy_largest), mock.patch.object(_Deficit, "largest", spy_largest), \
+            mock.patch.object(_Budget, "take", spy_take), mock.patch.object(_Deficit, "take", spy_take):
+        try:
+            call()
+        except (CapExceeded, TargetOvershoot):
+            pass
+    return len(asked)
+
+
+class TestForcedStep:
+    """A partial block takes the most its rule admits, and costs add along the chain, so the
+    next unit breaks the rule too: the kernel steps there without asking it."""
+
+    def test_tau_and_witness_walks(self):
+        from gotzmann.threshold import tau
+
+        assert _forced_steps_refused(lambda: tau(parse("x2^10", 14), 14)) > 50
+        t = tau(parse("x2^10", 8), 8).tau
+        assert _forced_steps_refused(lambda: is_gotzmann(parse(f"x2^10*x8^{t - 1}", 8))) >= 5
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rule_refuses_the_unit_after_a_partial_block(self, data):
+        # deficit walks (find_z's targets and random ones) and budget walks, unguided,
+        # guided by any target, and guided by mg as the witness test is
+        n = data.draw(st.integers(3, 9))
+        head = tuple(data.draw(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 30)), min_size=n - 1, max_size=n - 1)))
+        u = Monomial(n, head + (data.draw(st.integers(0, 40)),))
+        assume(deg(u))
+        kind = data.draw(st.sampled_from(["find_z", "deficit", "budget", "guided", "witness"]))
+        if kind == "find_z":
+            call = lambda: find_z(Monomial(n - 1, head), n, u.exps[-1])
+        elif kind == "deficit":
+            deficit = data.draw(st.lists(st.one_of(st.integers(0, 60), st.integers(0, 10**12)), min_size=n - 1, max_size=n - 1))
+            call = lambda: _walk(u, _Deficit(deficit), DEFAULT_MAX_JUMPS, None)
+        elif kind == "witness":
+            call = lambda: is_gotzmann(u)
+        else:
+            budget = data.draw(st.integers(0, lex_rank(u) - 1))
+            guide = data.draw(_any_guide(n)) if kind == "guided" else None
+            call = lambda: _walk(u, _Budget(budget, guide), DEFAULT_MAX_JUMPS, None)
+        _forced_steps_refused(call)
 
 
 def _jump(frm, to, block_cost, steps_so_far):
