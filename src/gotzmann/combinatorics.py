@@ -9,13 +9,15 @@ stay exact at any size and are what the fast algorithms rely on.
 borel_size uses the standard correspondence between the Borel closure of
 x_{i_1}...x_{i_d} (indices ascending) and nondecreasing sequences j_1 <= ...
 <= j_d with j_k <= i_k.  prefix_borel_sizes counts those one position at a
-time with a prefix-sum dynamic program; it is the per-position oracle.  The
-fast counters never expand u into positions: _run_walk visits each exponent
-run (i, e) of u once and carries the truncated prefix-sum vector v (at most
-max_index(u) entries) across it in closed form, e prefix sums at once.  The
-same walk also sums the gap-form columns that maxgen reads off it, so the
-cost grows with the ambient and the number of runs, not with the size of an
-exponent.  The enumeration oracle certifies it on small grids in the tests.
+time with a prefix-sum dynamic program; it is the per-position oracle.
+_run_walk visits each exponent run (i, e) of u once and carries the
+truncated prefix-sum vector v (at most max_index(u) entries) across it: one
+prefix sum per position on a run with e <= 2i, and all e at once in closed
+form on a longer one.  The same walk carries the gap form mg(u) that maxgen
+reads off it, by mg(u * x_i) = sigma(mg(u) + (|Borel(u)| - 1) * x_{i+1}),
+and one x_n column at a higher degree.  So the cost grows with the ambient
+and the number of runs, not with the size of an exponent.  The enumeration
+oracle certifies it on small grids in the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
-from .monomial import Monomial, _Record, deg, lex_cmp
+from .monomial import Monomial, _Record, deg, lex_cmp, sigma_pow
 
 DEFAULT_CAP = 5_000_000
 
@@ -225,110 +227,101 @@ def prefix_borel_sizes(indices: Sequence[int]) -> list[int]:
     return sizes
 
 
-def _run_walk(
-    exps: Sequence[int], *asks: tuple[int, Sequence[int]]
-) -> tuple[list[int], list[list[int]]]:
+def _run_walk(exps: Sequence[int], n: int = 0, d: int | None = None) -> tuple[list[int], list[int], int]:
     """Walk the exponent runs of u = x_1^exps[0] * x_2^exps[1] * ... once.
 
     Returns v, the prefix-sum vector of prefix_borel_sizes after the last
-    run (sum(v) is the closure size of u), and for each ask (d, columns),
-    with d at least deg(u), the sum for each column j
+    run (sum(v) is the closure size of u); q, the n exponents of mg(u) in
+    ambient n for u below x_n (none for n = 0); and, for a degree d >=
+    deg(u), the x_n column of mg at degree d (0 without one),
 
-        sum_k (b_k - 1) * C(d - k - 2 + j - i_{k+1}, j - i_{k+1} - 1)
+        f = sum_k (b_k - 1) * C(d - k - 1 + s_k, s_k),  s_k = n - 1 - i_{k+1},
 
-    over the positions k + 1 of u with index i_{k+1} < j, where b_k is the
-    closure size of the length-k prefix.  v, the closure sizes and the heads
-    G below do not depend on d, so one walk answers every ask: maxgen asks
-    for mg's columns at deg(u) and for the x_n column at a shifted degree
-    together, and borel_size asks for none.
+    over the positions k + 1 of u, where b_k is the closure size of the
+    length-k prefix.  With d = deg(u) + t, f is the x_n power of
+    mg(u * x_n^t), which is also the x_n entry of sigma^t(q).
 
-    Inside a run (i, e) that starts after p positions, the closure size after
-    j' more positions is B(j') = sum_c v[c] * C(i-1-c+j', j') (hockey stick),
-    and the run adds sum_{j' < e} (B(j') - 1) * C(M - j', s) to column j,
-    with s = j - i - 1 and M = d - p - 1 + s.  That share is evaluated in one
-    of two ways, chosen per column from e and s alone:
+    q follows mg(u * x_i) = sigma(mg(u) + (b - 1) * x_{i+1}) for i >=
+    max_index(u), b the closure size of u: the new position adds b - 1 to
+    every column above x_i, and sigma raises the degree of each earlier
+    position's binomials by one (hockey stick).  Take a run (i, e) after p
+    positions, with weights w_j = B_j - 1 (B_j the closure size after j of
+    its positions) and heads g[m] = sum_{j < e} w_j * C(e-1-j, m).  By
+    Vandermonde, C(low + e-1-j, s) = sum_m C(low, s-m) * C(e-1-j, m), so the
+    run adds sum_m C(low, s-m) * g[m] to a column of order s at degree D,
+    low = D - p - e + s.  The run takes one of two ways, set by e and i alone:
 
-    - position sum, for e <= s + 3: the e terms as written, with B(j') read
-      off e single prefix sums of v.  The binomials C(M - j', s) = C(K + s, s)
-      of one position form a row over s = 0..s_max (columns ascend, so s_max
-      is the last column's s).  The next position, K - 1, steps the row by
-      Pascal's rule C(K-1+s, s) = C(K+s, s) - C(K-1+s, s-1): s_max
-      subtractions instead of a product of s factors of K's size.  Each ask
-      carries its own row into the next run, whose s_max is smaller, and
-      builds it by ratios only where none reaches: at its first position sum
-      and after a run that took the closed form in every column;
-    - closed form, for longer runs: sum_{m=1}^{s+1} C(M+1-e, s+1-m) * G[m]
-      - (C(M+1, s+1) - C(M+1-e, s+1)), where G[m] = sum_c v[c] *
-      C(i-1-c+e, e-m).  The first sum counts (A+s+1)-subsets of
-      {0, ..., M+A}, A = i-1-c, whose (A+1)-th smallest element lies among
-      the first A+e (Vandermonde); the bracket is the hockey stick for the -1.
+    - e <= 2i, one position at a time: q adds w_j at x_{i+1} and takes one
+      prefix sum, v takes one prefix sum, and when f is asked, g[m] is
+      entry e-1-m of the (m+1)-fold prefix sum of the weights;
+    - e > 2i, in closed form: g[m] = sum_c v[c] * C(i-1-c+e, e-m-1) -
+      C(e, m+1), v'[c] = sum_{c' <= c} C(c-c'+e-1, c-c') * v[c'], and q is
+      sigma^e(q) (sigma_pow) plus its share at degree p + e, sum_m C(s', m)
+      * g[m] in the column of order s', a binomial transform of g by one row
+      of sums per column.
 
-    The closed form costs s + 3 binomials of d-sized arguments per column,
-    the position sum e row steps, so each takes the runs it is cheaper on.
-    Across the run, v advances by e single prefix sums when e <= i or when a
-    position sum needs the sizes, and otherwise by v'[c] = sum_{c' <= c}
-    C(c-c'+e-1, c-c') * v[c'] with i binomials.
+    f takes its share at degree d on every run, from one row C(low, .)
+    built by one ratio per entry.  So the two routes to the x_n power share v
+    and, on long runs, g.  A run costs O(n^2) big-integer operations however
+    long it is, and a short run's positions O(n) each.  A run of x_1 comes
+    first and leaves every closure size at 1, so it changes nothing but the
+    degree.
     """
     v = [1]
-    shares = [[0] * len(columns) for _, columns in asks]
-    rows = [([], None)] * len(asks)  # per ask (row, K): row[s] = C(K + s, s), carried from position to position
+    q = [0] * n
+    f = 0
     p = 0
+    route = n > 0 and d is not None
     for i, e in enumerate(exps, start=1):
-        if not e:
+        if i == 1 or not e:
+            p += e
             continue
         v += [0] * (i - len(v))
-        splits = []  # per ask, its columns above x_i as (col, s), closed forms and position sums
-        for _, columns in asks:
-            closed, position = [], []
-            for col, j in enumerate(columns):
-                if j > i:
-                    s = j - i - 1
-                    (closed if e > s + 3 else position).append((col, s))
-            splits.append((closed, position))
-        g = [0]
-        for m in range(1, max((s for closed, _ in splits for _, s in closed), default=-1) + 2):
-            g.append(sum(vc * binom(i - 1 - c + e, i - 1 - c + m) for c, vc in enumerate(v) if vc))
-        sizes = []
-        if e <= i or any(position for _, position in splits):
+        s = n - 1 - i  # the x_n column's order; q's columns above x_i have orders 0..s
+        if e <= 2 * i:
+            weights, g = [], []
             for _ in range(e):
-                sizes.append(sum(v))
+                b = sum(v) - 1
+                weights.append(b)
+                if n:
+                    q[i] += b
+                    q = list(accumulate(q))
                 v = list(accumulate(v))
+            if route:
+                for m in range(min(s, e - 1) + 1):  # g[m] = 0 for m >= e
+                    weights = list(accumulate(weights))
+                    g.append(weights[e - 1 - m])
         else:
-            w = [binom(k + e - 1, k) for k in range(i)]
+            g = [
+                sum(vc * binom(i - 1 - c + e, i + m - c) for c, vc in enumerate(v) if vc) - binom(e, m + 1)
+                for m in range(s + 1)
+            ]
+            w = [binom(r + e - 1, r) for r in range(i)]
             v = [sum(w[c - c2] * v[c2] for c2 in range(c + 1)) for c in range(i)]
-        for ask, ((d, _), (closed, position), out) in enumerate(zip(asks, splits, shares)):
-            for col, s in closed:
-                top = d - p + s  # M + 1
-                low = top - e  # M + 1 - e
-                share = sum(binom(low, s + 1 - m) * g[m] for m in range(1, s + 2))
-                out[col] += share - binom(top, s + 1) + binom(low, s + 1)
-            if not position:
-                continue
-            s_max = position[-1][1]  # columns ascend
-            row, row_k = rows[ask]
-            for jp, b in enumerate(sizes):
-                if b <= 1:
-                    continue
-                k = d - p - 1 - jp  # C(M - j', s) = C(k + s, s)
-                if row_k == k + 1 and len(row) > s_max:  # C(k+s, s) = C(k+1+s, s) - C(k+s, s-1)
-                    row = [x - y for x, y in zip(row[: s_max + 1], [0] + row)]
-                else:
-                    row = [1]
-                    for s in range(1, s_max + 1):
-                        row.append(row[-1] * (k + s) // s)
-                row_k = k
-                for col, s in position:
-                    out[col] += (b - 1) * row[s]
-            rows[ask] = row, row_k
+            if any(q):
+                q = list(sigma_pow(Monomial(n, q), e).exps)
+            row = g
+            for col in range(i, n):
+                q[col] += row[0]
+                row = [x + y for x, y in zip(row, row[1:])]
+        if route:
+            low = d - p - e + s
+            m = s + 1 - len(g)
+            c = binom(low, m)  # C(low, m), then up the row by one ratio per entry
+            for head in reversed(g):
+                f += c * head
+                c = c * (low - m) // (m + 1)
+                m += 1
         p += e
-    return v, shares
+    return v, q, f
 
 
 def borel_size(u: Monomial) -> int:
     """Size of the Borel closure of u, without enumeration.
 
-    One step of _run_walk per exponent run, with no columns asked: O(n^2)
-    big-integer operations per run, however large the exponents are.
+    _run_walk with no gap form and no x_n column: O(n^2) big-integer
+    operations per long run and O(n) per position of a short one, however
+    large the exponents are.
     """
     return sum(_run_walk(u.exps)[0])
 

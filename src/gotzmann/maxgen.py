@@ -10,22 +10,20 @@ prefix before it, and positions followed by x_n contribute nothing.
 _mg_by_position spells that sum out one position at a time and is the
 referee for the fast path.
 
-The fast path never visits single positions.  combinatorics._run_walk visits
-each exponent run (i, e) of u once and adds the run's whole share to every
-column, either as the e-term position sum or, for runs longer than the
-column's binomial order s plus three, as a Vandermonde sum of s + 1 terms
-and a hockey-stick correction.  Each evaluation is taken where it needs fewer
-binomials of degree-sized arguments, which the run length and the column
-decide: the closed form alone would slow down inputs made of short runs,
-the position sum alone makes cost grow with the exponents.  Either way a run
-costs O(n^2) big-integer operations.
+The fast path is combinatorics._run_walk.  It carries mg over the positions
+of u by the recurrence mg(u * x_i) = sigma(mg(u) + (|Borel(u)| - 1) * x_{i+1})
+for i >= max_index(u): one add and one prefix sum per position on a run
+(i, e) with e <= 2i, and sigma^e plus a Vandermonde share per column on a
+longer run.  A run costs O(n^2) big-integer operations however long it is.
 
-Shifting u by x_n^t transforms mg by the t-fold prefix-sum map; f_poly_eval
-gives the x_n-degree of the shifted form directly, as the x_n column of the
-same walk at degree deg(u0) + t.  target_decompose splits the shifted form
-into its x_n-free base times x_n^f and cross-checks the two computations
-against each other; one run walk answers both, since only the binomial
-columns depend on the degree.
+Every shift by x_n^t is sigma^t, through sigma_pow: mg_closed applies it for
+u's own x_n run, mg_shifted for a further shift, and target_decompose for
+the level's t.  f_poly_eval gives the x_n-degree of the shifted form by a
+route of its own, the walk's x_n column at degree deg(u0) + t: each run adds
+its positions' binomials at that degree through one row C(low, .) and the
+run's heads, by Vandermonde.
+target_decompose reads its base and x_n power off sigma^t and checks that
+power against the x_n column of the same walk.
 """
 
 from __future__ import annotations
@@ -75,14 +73,13 @@ def mg_closed(u: Monomial) -> Monomial:
         (prod_{j=i_{k+1}+1}^{n} x_j^{C(d-k-2+j-i_{k+1}, d-k-1)}) ^ (b_k - 1)
 
     contributes, where b_k is the Borel closure size of the length-k prefix.
-    Positions followed by x_n contribute nothing, so only the runs of u below
-    x_n are walked.  combinatorics._run_walk sums the factors of a whole run
-    at once, so the cost is O(n^2) big-integer operations per exponent run
-    and does not grow with the exponents.
+    Positions followed by x_n contribute nothing: mg(u) is sigma^t of the gap
+    form of u's runs below x_n, t the exponent of x_n, and
+    combinatorics._run_walk gives that form in O(n^2) big-integer operations
+    per long run, however large the exponents are.
     """
     n = u.n
-    shares = _run_walk(u.exps[: n - 1], (deg(u), range(2, n + 1)))[1][0]
-    return Monomial(n, (0, *shares))
+    return sigma_pow(Monomial(n, _run_walk(u.exps[: n - 1], n)[1]), u.exps[n - 1])
 
 
 def _mg_by_position(u: Monomial) -> Monomial:
@@ -117,13 +114,14 @@ def f_poly_eval(u0: Monomial, n: int, t: int) -> int:
         sum_{k=1}^{r-1} C(t + r - k - 2 + n - i_{k+1}, n - 1 - i_{k+1}) * (b_k - 1),
 
     a polynomial in t of degree at most n - 1 - i_2.  Zero when r <= 1.  It is
-    the x_n column of mg_closed(u0 * x_n^t), read off the same run walk.
+    the run walk's x_n column at degree deg(u0) + t, the route that
+    target_decompose checks sigma^t against.
     """
     if u0.n != n - 1:
         raise ValueError(f"u0 must live in ambient {n - 1}, got {u0.n}")
     if t < 0:
         raise ValueError("shift must be nonnegative")
-    return _run_walk(u0.exps, (deg(u0) + t, (n,)))[1][0][0]
+    return _run_walk(u0.exps, n, deg(u0) + t)[2]
 
 
 class MgDecomposition(_Record):
@@ -136,24 +134,25 @@ class MgDecomposition(_Record):
 def target_decompose(u0: Monomial, n: int, t: int) -> MgDecomposition:
     """Split mg(u0 * x_n^t) into its x_n-free base and its x_n power.
 
-    One run walk asks for the columns of mg(u0) one ambient up, at deg(u0),
-    which sigma^t shifts into mg(u0 * x_n^t) as mg_shifted does, and for the
-    x_n column at deg(u0) + t, which is f_poly_eval.  The two x_n powers share
-    only the walk's closure sizes, not a binomial, so they are checked against
-    each other; a mismatch means one of the two closed forms is wrong and is
-    reported loudly instead of being masked.
+    One run walk gives q = mg(u0) one ambient up, at deg(u0), and the x_n
+    column at deg(u0) + t, which is f_poly_eval.  sigma^t(q) is mg(u0 * x_n^t)
+    as mg_shifted computes it; its first n - 1 exponents are the base and its
+    last is the x_n power.  The two x_n powers share exactly two things: the
+    walk's prefix-sum vector v, hence the closure sizes, and on runs longer
+    than 2i the heads g of combinatorics._run_walk.  So they are checked
+    against each other, and a mismatch means one of the two routes is wrong
+    and is reported loudly instead of being masked.
     """
     if u0.n != n - 1:
         raise ValueError(f"u0 must live in ambient {n - 1}, got {u0.n}")
     if t < 0:
         raise ValueError("shift must be nonnegative")
-    d = deg(u0)
-    shares, (f,) = _run_walk(u0.exps, (d, range(2, n + 1)), (d + t, (n,)))[1]
-    mg = sigma_pow(Monomial(n, (0, *shares)), t)
+    _, q, f = _run_walk(u0.exps, n, deg(u0) + t)
+    mg = sigma_pow(Monomial(n, q), t)
     base = Monomial(n, mg.exps[: n - 1] + (0,))
     if mg.exps[n - 1] != f:
         raise RuntimeError(
             f"internal inconsistency: mg({u0}*x{n}^{t}) = {mg} does not split "
             f"as {base} * x{n}^{f}"
         )
-    return MgDecomposition(base=base, xn_exp=f)
+    return MgDecomposition(base=base, xn_exp=mg.exps[n - 1])

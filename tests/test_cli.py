@@ -539,10 +539,9 @@ def test_inconsistent_target_is_an_internal_error(capsys, monkeypatch):
     # target_decompose's cross-check of its two x_n powers, seen from the command line
     from gotzmann import combinatorics, maxgen
 
-    def off_by_one(exps, *asks):
-        v, shares = combinatorics._run_walk(exps, *asks)
-        shares[-1][-1] += 1
-        return v, shares
+    def off_by_one(exps, n, d):
+        v, q, f = combinatorics._run_walk(exps, n, d)
+        return v, q, f + 1
 
     monkeypatch.setattr(maxgen, "_run_walk", off_by_one)
     code, out, err = run(capsys, "tau", "--n", "5", "x2^2*x4")

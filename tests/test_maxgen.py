@@ -1,7 +1,9 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gotzmann import maxgen
+from gotzmann import combinatorics, maxgen
 from gotzmann.combinatorics import (
     _run_walk,
     binom,
@@ -20,7 +22,19 @@ from gotzmann.maxgen import (
     mg_shifted,
     target_decompose,
 )
-from gotzmann.monomial import Monomial, deg, embed, mul, one, parse, truncate, variable_power
+from gotzmann.monomial import (
+    Monomial,
+    deg,
+    embed,
+    max_index,
+    mul,
+    one,
+    parse,
+    sigma,
+    sigma_pow,
+    truncate,
+    variable_power,
+)
 
 
 def slice_elements(n_lo=1, n_hi=4, d_lo=0, d_hi=5):
@@ -112,12 +126,16 @@ class TestTargetDecompose:
 
     @pytest.mark.parametrize("ask, delta", [(0, 1), (0, -1), (1, 1), (1, -1)])
     def test_cross_check_fires_on_either_x_n_column(self, monkeypatch, ask, delta):
-        # both x_n powers come from one run walk; an x_n column off by one in either ask,
-        # mg's at deg(u0) or f's at deg(u0) + t, is a loud inconsistency, not a new answer
-        def off_by_one(exps, *asks):
-            v, shares = _run_walk(exps, *asks)
-            shares[ask][-1] += delta
-            return v, shares
+        # one run walk gives both x_n powers; an x_n power off by one on either route, q's
+        # x_n entry (ask 0, shifted by sigma^t) or the direct column at deg(u0) + t (ask 1),
+        # is a loud inconsistency, not a new answer
+        def off_by_one(exps, n, d):
+            v, q, f = _run_walk(exps, n, d)
+            if ask == 0:
+                q[-1] += delta
+            else:
+                f += delta
+            return v, q, f
 
         u0 = parse("x2^2*x4", 4)
         target_decompose(u0, 5, 3)
@@ -184,9 +202,10 @@ def _check_against_position_oracles(exps, t):
 @pytest.mark.parametrize("t", [0, 7, 10**30])
 @pytest.mark.parametrize("e", range(1, 9))
 def test_run_evaluations_on_both_sides_of_the_switch(e, t):
-    # the x2 run feeds columns j = 3..6 (s = 0..3), which take the closed form
-    # once e > s + 3: e <= 3 is all position sums, e = 8 all closed forms
-    _check_against_position_oracles([2, e, 0, 1, 0, 5], t)
+    # a run (i, e) goes one position at a time while e <= 2i and in closed form beyond:
+    # x2^e and x4^(e+4) go position by position for e <= 4 and in closed form for e >= 5,
+    # and x3^(9-e) in closed form for e <= 2
+    _check_against_position_oracles([2, e, 9 - e, e + 4, 0, 5], t)
 
 
 _run_exponents = st.one_of(st.integers(0, 3), st.integers(4, 80))
@@ -214,13 +233,15 @@ def test_run_walk_matches_position_oracles_at_huge_shifts(exps, t):
 @pytest.mark.parametrize(
     "exps",
     [
-        # a row is built on x2, x3 takes the closed form in every column, and the
-        # position sums of x4 build the row afresh, which x5 then steps on
+        # x2 position by position, then x3 in closed form, whose sigma^e carries the
+        # gap form q on, then single positions of x4 and x5
         [0, 2, 10, 1, 1, 0, 0, 0, 0, 0],
-        # position sums on every run with s_max falling by one, then by two
+        # every run position by position, with the x_n column's order falling by one,
+        # then by two, from run to run
         [1, 3, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0],
         [2, 0, 1, 0, 3, 0, 1, 0, 0, 0, 0],
-        # a long closed-form run between two position-sum runs, then single positions
+        # a long closed-form run between two runs taken position by position, then
+        # single positions
         [0, 3, 40, 2, 0, 1, 1, 1, 0, 0, 0],
     ],
 )
@@ -228,20 +249,69 @@ def test_run_walk_carries_its_row_across_runs(exps, t):
     _check_against_position_oracles(exps, t)
 
 
-def _ascending_columns(n):
-    return st.lists(st.integers(1, n + 1), unique=True, max_size=n + 1).map(sorted)
-
-
 @given(
-    st.integers(2, 10).flatmap(lambda n: st.lists(_run_exponents, min_size=n, max_size=n)),
-    st.data(),
+    st.integers(2, 10).flatmap(lambda n: st.lists(_run_exponents, min_size=n - 1, max_size=n - 1).map(lambda e: (n, e))),
+    st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(0, 10**1000)),
 )
 @settings(max_examples=150, deadline=None)
-def test_two_asks_are_two_walks(exps, data):
-    # one walk answers each ask as a walk of its own would: the closure sizes and the heads
-    # are shared, and each ask carries its own row of position binomials across the runs
-    shift = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(0, 10**1000))
-    asks = [(sum(exps) + data.draw(shift), data.draw(_ascending_columns(len(exps)))) for _ in range(2)]
-    v, shares = _run_walk(exps, *asks)
-    assert shares == [_run_walk(exps, ask)[1][0] for ask in asks]
+def test_x_n_column_routes_agree(shape, t):
+    # the walk's extra column at degree d is the x_n entry of sigma^(d - deg(u))(q), the
+    # gap form at deg(u) shifted, and of mg(u * x_n^t) summed position by position
+    n, exps = shape
+    v, q, f = _run_walk(exps, n, sum(exps) + t)
+    assert f == sigma_pow(Monomial(n, q), t).exps[n - 1]
+    assert f == _mg_by_position(Monomial(n, (*exps, t))).exps[n - 1]
     assert v == _run_walk(exps)[0]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gap_form_recurrence(n):
+    # mg(u * x_i) = sigma(mg(u) + (|Borel(u)| - 1) * x_{i+1}) for every i >= max_index(u),
+    # with no x_{i+1} term at i = n: the recurrence the run walk takes position by position
+    for d in range(7):
+        for u in enumerate_monomials(n, d):
+            mg, weight = mg_oracle(u), len(borel_enumerate(u)) - 1
+            for i in range(max_index(u) if d else 1, n + 1):
+                step = list(mg.exps)
+                if i < n:
+                    step[i] += weight
+                assert mg_oracle(mul(u, variable_power(i, 1, n))) == sigma(Monomial(n, tuple(step))), (u, i)
+
+
+class _PrefixSums:
+    """Counts the prefix sums the run walk takes through accumulate: one per position for v,
+    one more for q when columns are asked, and on a run taken position by position at most
+    one per position more for the x_n column's heads.  Past its bound it fails at once
+    instead of walking on."""
+
+    def __init__(self, monkeypatch, bound):
+        self.calls, self.bound = 0, bound
+        monkeypatch.setattr(combinatorics, "accumulate", self)
+
+    def __call__(self, values):
+        self.calls += 1
+        if self.calls > self.bound:
+            pytest.fail(f"more than {self.bound} prefix sums")
+        return accumulate(values)
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [
+        (0, 10**12, 7, 1),  # x2 and x3 in closed form, x4 one position
+        (10**12, 10**12, 10**6, 10**12),
+        (0, 4, 10**40, 8),  # runs at the switch on either side of a huge one
+        (3, 5, 7, 9),  # every run just past the switch
+    ],
+)
+def test_cost_does_not_grow_with_exponents(monkeypatch, exps):
+    # a count, not a timer: at most (n+1)^2 prefix sums, so at most as many per-position
+    # steps, per evaluation however large the exponents; a long run that slipped into the
+    # per-position branch fails here
+    n, t = len(exps) + 1, 10**30
+    u0 = Monomial(n - 1, exps)
+    u = Monomial(n, (*exps, t))
+    counter = _PrefixSums(monkeypatch, (n + 1) ** 2)
+    for evaluate in (lambda: borel_size(u), lambda: mg_closed(u), lambda: target_decompose(u0, n, t)):
+        counter.calls = 0
+        evaluate()

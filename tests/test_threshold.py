@@ -158,33 +158,32 @@ class TestTau:
         assert level.tau == 0
 
     def test_target_evaluated_once_per_level(self, monkeypatch):
-        # one run walk per level asks for mg's columns at deg(u0) and for the x_n column
-        # at deg(u0) + t*, which target_decompose cross-checks against each other
+        # one run walk per level gives mg(u0) at deg(u0) and the x_n column at deg(u0) + t*,
+        # which target_decompose cross-checks against sigma^(t*) of the first
         from gotzmann import maxgen
 
         calls = []
         real = maxgen._run_walk
-        monkeypatch.setattr(maxgen, "_run_walk", lambda exps, *asks: calls.append(asks) or real(exps, *asks))
+        monkeypatch.setattr(maxgen, "_run_walk", lambda exps, n, d: calls.append(d - sum(exps)) or real(exps, n, d))
         level, t_stars = tau(parse("x2^3", 6), 6), []
         while level.n > 2:
             t_stars.insert(0, level.t_star)
             level = level.sub_report
-        assert [len(asks) for asks in calls] == [2, 2, 2, 2]
-        assert [shifted[0] - unshifted[0] for unshifted, shifted in calls] == t_stars
+        assert calls == t_stars
 
     def test_x_n_power_evaluated_once_per_level(self, monkeypatch):
         # tau reads f off the decomposition it hands to find_z; nothing evaluates it again
         from gotzmann import combinatorics, maxgen, threshold
 
         calls, real = [], maxgen._run_walk
-        spy = lambda exps, *asks: calls.append([tuple(columns) for _, columns in asks]) or real(exps, *asks)
+        spy = lambda exps, n=0, d=None: calls.append((n, d is not None)) or real(exps, n, d)
         monkeypatch.setattr(maxgen, "_run_walk", spy)
         monkeypatch.setattr(combinatorics, "_run_walk", spy)
         for name in ("f_poly_eval", "mg_closed", "mg_shifted"):
             monkeypatch.setattr(maxgen, name, lambda *args: pytest.fail("a closed form evaluated again"))
             monkeypatch.setattr(threshold, name, lambda *args: pytest.fail("a closed form evaluated again"), raising=False)
         tau(parse("x2^3", 6), 6)
-        assert [columns[-1] for columns in calls] == [(3,), (4,), (5,), (6,)]
+        assert calls == [(3, True), (4, True), (5, True), (6, True)]
 
     def test_walks_through_the_public_find_z(self, monkeypatch):
         # a wrapper bound over threshold.find_z sees the walk of every level
