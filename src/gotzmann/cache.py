@@ -23,7 +23,7 @@ import json
 
 from . import __version__
 from .monomial import Monomial, truncate
-from .paths import DEFAULT_MAX_JUMPS
+from .paths import DEFAULT_MAX_JUMPS, _check_cap
 from .threshold import ThresholdReport, _counts, _level
 
 _KEY_END = '], "rows": '
@@ -100,8 +100,10 @@ def reports(path: str | None, n: int, cores, compute, max_jumps: int = DEFAULT_M
     With a cache path, a core whose line replays is served from the cache;
     every other core gets compute(core), whose line is appended to the cache.
     A path that cannot be read, or appended to when some core misses, is a
-    ValueError, raised before anything is computed.
+    ValueError, raised before anything is computed, and so is a negative
+    jump cap, raised before the cache is read, also when no walk would run.
     """
+    _check_cap(max_jumps)
     by_key = {str(core): core for core in cores}
     if not path:
         return [compute(core) for core in by_key.values()]

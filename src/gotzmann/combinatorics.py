@@ -26,7 +26,7 @@ import math
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
-from .monomial import Monomial, _Record, deg, lex_cmp, sigma_pow
+from .monomial import Monomial, _Record, _sigma_pow, deg, lex_cmp
 
 DEFAULT_CAP = 5_000_000
 
@@ -255,10 +255,10 @@ def _run_walk(exps: Sequence[int], n: int = 0, d: int | None = None) -> tuple[li
       prefix sum, v takes one prefix sum, and when f is asked, g[m] is
       entry e-1-m of the (m+1)-fold prefix sum of the weights;
     - e > 2i, in closed form: g[m] = sum_c v[c] * C(i-1-c+e, e-m-1) -
-      C(e, m+1), v'[c] = sum_{c' <= c} C(c-c'+e-1, c-c') * v[c'], and q is
-      sigma^e(q) (sigma_pow) plus its share at degree p + e, sum_m C(s', m)
-      * g[m] in the column of order s', a binomial transform of g by one row
-      of sums per column.
+      C(e, m+1), v' is sigma^e(v), v'[c] = sum_{c' <= c} C(c-c'+e-1, c-c') *
+      v[c'], and q is sigma^e(q) (both monomial._sigma_pow) plus its share
+      at degree p + e, sum_m C(s', m) * g[m] in the column of order s', a
+      binomial transform of g by one row of sums per column.
 
     f takes its share at degree d on every run, from one row C(low, .)
     built by one ratio per entry.  So the two routes to the x_n power share v
@@ -296,10 +296,9 @@ def _run_walk(exps: Sequence[int], n: int = 0, d: int | None = None) -> tuple[li
                 sum(vc * binom(i - 1 - c + e, i + m - c) for c, vc in enumerate(v) if vc) - binom(e, m + 1)
                 for m in range(s + 1)
             ]
-            w = [binom(r + e - 1, r) for r in range(i)]
-            v = [sum(w[c - c2] * v[c2] for c2 in range(c + 1)) for c in range(i)]
+            v = _sigma_pow(v, e)
             if any(q):
-                q = list(sigma_pow(Monomial(n, q), e).exps)
+                q = _sigma_pow(q, e)
             row = g
             for col in range(i, n):
                 q[col] += row[0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Sequence
 
 
 class _Record:
@@ -284,27 +285,26 @@ def sigma(u: Monomial) -> Monomial:
     sigma(x_1^{a_1} ... x_n^{a_n}) = x_1^{a_1} x_2^{a_1+a_2} ... x_n^{a_1+...+a_n}.
     Multiplicative: sigma(u*v) = sigma(u)*sigma(v).
     """
-    out = []
-    acc = 0
-    for a in u.exps:
-        acc += a
-        out.append(acc)
-    return Monomial(u.n, tuple(out))
+    return sigma_pow(u, 1)
 
 
 def sigma_pow(u: Monomial, t: int) -> Monomial:
-    """t-fold iterate of sigma in closed form.
-
-    The exponent of x_i in sigma^t(u) is sum_j a_j * C(t-1+i-j, t-1) over
-    j <= i; t = 0 is the identity and t = 1 agrees with sigma.  Only the n
-    values C(t-1+k, k), k < n, occur, so they are built once as a column.
-    """
+    """t-fold iterate of sigma in closed form (_sigma_pow); t = 0 is the identity."""
     if t < 0:
         raise ValueError("iteration count must be nonnegative")
     if t == 0:
         return u
+    return Monomial(u.n, tuple(_sigma_pow(u.exps, t)))
+
+
+def _sigma_pow(exps: Sequence[int], t: int) -> list[int]:
+    """The exponents of sigma^t of the monomial with these exponents, for t >= 1.
+
+    The exponent of x_i in sigma^t(u) is sum_j a_j * C(t-1+i-j, i-j) over
+    j <= i, and t = 1 agrees with sigma.  Only the len(exps) values
+    C(t-1+k, k) occur, so they are built once as a column.
+    """
     col = [1]  # col[k] = C(t-1+k, k), each from the last by one ratio
-    for k in range(1, u.n):
+    for k in range(1, len(exps)):
         col.append(col[-1] * (t - 1 + k) // k)
-    out = [sum(a * col[i - j] for j, a in enumerate(u.exps[: i + 1]) if a) for i in range(u.n)]
-    return Monomial(u.n, tuple(out))
+    return [sum(a * col[i - j] for j, a in enumerate(exps[: i + 1]) if a) for i in range(len(exps))]

@@ -27,23 +27,22 @@ shrink to 0 as well.  There are two rules:
 - budget (advance, mc, cost_between and the witness test): the block's total
   steps stay within the steps left;
 - deficit (find_z): the block's cost below x_n stays within what is left of
-  a target w, component by component.
+  a target w, component by component; by the first-hit lemma (below) only
+  the x_m and x_{m+1} components can bind.
 
 Neither rule searches over l.  The block's steps sum to C(k+S, S+1) -
 C(k-l+S, S+1), S = n - m (hockey stick), so a bound on l is one inverse
-binomial, the least N with C(N+c, r) >= X, read off the integer r-th root of
-r! X (_least_base), and only bounds that bind are solved.  Both rules first
-test the full block, l = k, whose lower row C(s-1, s+1) is zero: its cost is
-x_m^k times the top row, and the kernel charges every full block so, building
-no lower row.  The budget rule admits it when its C(k+S, S+1) steps fit what
-is left, before any other arithmetic.  Else it steps without a solve when one
-unit, C(k+S-1, S) = C(k+S, S+1) - C(k+S-1, S+1) steps (the full block less
-the top row's last column, by Pascal's rule), is too many.  Else it solves for
-N = k - l, the least N with C(N+S, S+1) >= X, X = C(k+S, S+1) less the steps
-left.  Past its full block, the deficit rule takes the x_m and x_{m+1} bounds
-(_bound: r = 2, one isqrt), checks the others on the lower row at that l and
-solves just those that fail; each fits at every smaller l, so the least bound
-is exact.  The witness test hands the budget rule mg(u) as a guide, which it
+binomial, the least N with C(N+r-1, r) >= X, read off the integer r-th root
+of r! X (_least_base).  The full block, l = k, has a zero lower row
+C(s-1, s+1): its cost is x_m^k times the top row, and the kernel charges
+every full block so, building no lower row.  The budget rule admits it when
+its C(k+S, S+1) steps fit what is left, before any other arithmetic.  Else it
+steps without a solve when one unit, C(k+S-1, S) = C(k+S, S+1) - C(k+S-1,
+S+1) steps (the full block less the top row's last column, by Pascal's
+rule), is too many.  Else it solves for N = k - l, the least N with
+C(N+S, S+1) >= X, X = C(k+S, S+1) less the steps left.  The deficit rule
+takes the x_m and x_{m+1} bounds (_bound: r = 2, one isqrt) and nothing
+else.  The witness test hands the budget rule mg(u) as a guide, which it
 spends as the deficit rule spends its target (_spend); _bound on what is left
 of it guesses N, kept when its row also has C(N+S-1, S+1) = _row(N, S)[-1] <
 X, and a miss drops the guide.  A rule that admits a partial block hands the
@@ -65,12 +64,13 @@ back to x_{m+1}, and the step takes them in its own jump when its rule admits
 them all (climbs).  By the hockey stick they cost k - 1 at x_{m+2} and the
 step's own row above it, C(k+s-1, s+1) at x_{m+2+s}, so the climb needs no
 new arithmetic.  The budget rule admits it when its steps fit what is left;
-the deficit rule when it fits the deficit componentwise and some component
-below x_{m+2}, which the climb leaves alone, is nonzero, so that no block of
-it could be an exact hit.  A climb counts its blocks against the jump cap
-and is taken only when they all fit under it and the walk is untraced; else
-the walk takes the blocks one by one, a trace record each, so every jump,
-record and error is the same either way.
+the deficit rule when its lowest component fits the deficit and some
+component below it, which the climb leaves alone, is nonzero, so that no
+block of it could be an exact hit.  A climb counts its blocks against the
+jump cap and is taken only when they all fit under it and the walk is
+untraced; else the walk takes the blocks one by one, a trace record each, so
+every jump, record and error is the same either way (for the deficit rule,
+on a deficit that some state meets: see the first-hit lemma below).
 
 An origin whose x_n run c sits over empty x_{j+1} .. x_{n-1}, as a tower
 level's u0 * x_n^t does when u0 is free of x_{n-1}, starts the same way: the
@@ -81,12 +81,28 @@ the same conditions, and holds _row(c, k) by one Pascal step down, whether
 the rule admitted the climb or its blocks go one by one.  _climb is the one
 place where a climb is offered to the rule and taken.
 
-find_z hunts for the first state whose cost, truncated below x_n, equals w.
-A block whose visible cost would consume the deficit exactly is shrunk by
-one: costs only grow along the chain, so a block strictly under the deficit
-can hide no interior hit, while an exact-hit block might (the first hit can
-sit mid-run, right after an elementary step).  An elementary step the
-deficit cannot pay raises TargetOvershoot.
+find_z hunts for the first state z whose cost, truncated below x_n, equals
+w.  The first-hit lemma: before z, a block or climb that fits the deficit at
+the components named above ends at or before z, so it fits every component,
+and the deficit rule reads no other.  Costs add along the chain, so before z
+the deficit is exactly the cost from the walk's state to z, below x_n.  A
+unit of a block at x_m is a step paid at x_m, which sends the run's other
+units to x_n, and the steps that bring them back to x_m, the last of them
+paid at x_{m+1}; the last unit of a full block is the step alone.  A climb
+ends with its full block at its lowest variable x_j, so with a step paid at
+x_j.  If z lay strictly inside a block or climb, the jump's cost would be
+the deficit plus the cost from z to its end, which holds that last step;
+paid below x_n, the step would overshoot the component it was checked
+against.  Only a block at x_{n-1} ends with a step paid at x_n, and z can
+then lie inside its last unit, after the unit's one step at x_{n-1}, but
+only where the block's cost below x_n equals the deficit.  A climb cannot
+end at z, which needs a step paid below x_j: the nonzero component there
+waits for it.  So a block whose visible cost would consume the deficit
+exactly is shrunk by one, and no other block can hide a hit: costs only grow
+along the chain.  An elementary step the deficit cannot pay raises
+TargetOvershoot.  On a deficit that no state meets the lemma says nothing,
+and the walk ends in TargetOvershoot or at the jump cap by way of the blocks
+that those components admit.
 """
 
 from __future__ import annotations
@@ -167,8 +183,8 @@ def _iroot(x: int, r: int) -> int:
         y = z
 
 
-def _least_base(x: int, r: int, c: int) -> int:
-    """Least N >= 0 with C(N+c, r) >= x, for c < r and r >= 2.
+def _least_base(x: int, r: int) -> int:
+    """Least N >= 0 with C(N+r-1, r) >= x, for r >= 2.
 
     C(y, r) < (y - (r-1)/2)^r / r! (AM-GM), so the least y with C(y, r) >= x
     lies above ((r! x)^(1/r) + (r-1)/2); the start is the least integer there,
@@ -181,7 +197,7 @@ def _least_base(x: int, r: int, c: int) -> int:
     y = (_iroot(math.factorial(r) * x << r, r) + r + 1) // 2
     while r > 2 and binom(y, r) < x:
         y += 1
-    return y - c
+    return y - r + 1
 
 
 def _bound(a: int, tops: list[int], d: list[int]) -> int:
@@ -227,7 +243,7 @@ class _Budget:
         is, with C(N+s-1, s+1) = _row(N, s)[-1] < x as well.  The guide guesses
         N as a - _bound on what is left of it, and the guess's row confirms it
         by those two comparisons; a miss drops the guide.  Else N is one inverse
-        binomial, _least_base(x, s+1, s).  Either way its row is the block's
+        binomial, _least_base(x, s+1).  Either way its row is the block's
         lower row, left in self.low for the walk.
         """
         if not tops:  # m = n: each unit is one step, and no row lies above x_n
@@ -247,7 +263,7 @@ class _Budget:
                 self.low = low
                 return a - base
             self.guide = None
-        base = _least_base(x, s + 1, s)
+        base = _least_base(x, s + 1)
         self.low = _row(base, s)
         return a - base
 
@@ -271,38 +287,28 @@ class _Deficit:
         return not any(self.deficit)
 
     def largest(self, m: int, a: int, tops: list[int]) -> int:
-        """Largest l whose block cost below x_n fits the deficit, less one on an exact hit.
-        A partial block's lower row is left in self.low for the walk."""
+        """Largest l whose block fits the deficit at x_m and x_{m+1} (_bound), less one on an
+        exact hit; by the first-hit lemma it then fits every component.  A partial block's
+        lower row is left in self.low for the walk."""
         if not tops:  # m = n: the block costs nothing below x_n
             return a
         d = self.deficit[m - 1:]  # d[s] bounds the x_{m+s} exponent, s < n - m
-        full = a <= d[0]
-        for s in range(1, len(d) if full else 0):
-            if tops[s - 1] > d[s]:
-                full = False
-                break
-        if full:  # its lower row is zero, so its cost is x_m^a times tops
-            l = a
-        else:
-            l = _bound(a, tops, d)
-            while l:  # at most twice: a component that fits at l fits at every smaller l
-                self.low = _row(a - l, len(tops))
-                over = [s for s in range(2, len(d)) if tops[s - 1] - self.low[s - 1] > d[s]]
-                if not over:
-                    break
-                l = min(a - _least_base(tops[s - 1] - d[s], s + 1, s - 1) for s in over)
+        l = _bound(a, tops, d)
+        if 0 < l < a:
+            self.low = _row(a - l, len(tops))
         if l and not any(self.deficit[: m - 1]):
-            exps = [a] + tops if full else _block_exps(a, l, tops, self.low)
+            exps = [a] + tops if l == a else _block_exps(a, l, tops, self.low)
             if d == exps[: len(tops)]:  # a block that would consume the whole deficit may hide the first hit
                 l -= 1
                 self.low = _row(a - l, len(tops)) if l else None
         return l
 
     def climbs(self, j: int, exps: list[int]) -> bool:
-        """Whether every block of a climb, exps from x_j upward, fits unshrunk: their sum fits,
-        and a nonzero component below x_j, which the climb leaves alone, rules out an exact hit."""
+        """Whether a climb, exps from x_j upward, is taken whole: a nonzero component below
+        x_j rules out an exact hit, and its x_j exponent fits (x_n, at j = n, costs nothing
+        here), so by the first-hit lemma it fits every component."""
         d = self.deficit
-        return any(d[: j - 1]) and all(e <= x for e, x in zip(exps, d[j - 1:]))
+        return any(d[: j - 1]) and (j > len(d) or exps[0] <= d[j - 1])
 
     def take(self, m: int, exps: list[int]) -> None:
         i = _spend(self.deficit, m, exps)
@@ -325,11 +331,16 @@ def _climb(rule: _Budget | _Deficit, cur: list[int], cost: list[int], j: int, ex
     return True
 
 
+def _check_cap(max_jumps: int) -> None:
+    """A negative jump cap is a ValueError, whether or not a walk would run."""
+    if max_jumps < 0:
+        raise ValueError(f"the jump cap must be nonnegative, got {max_jumps}")
+
+
 def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None) -> WalkState:
     """Walk upward from origin, block by block, until the rule is met.  Position and
     cost are exponent lists; Monomials are built for the result and trace records."""
-    if max_jumps < 0:
-        raise ValueError(f"the jump cap must be nonnegative, got {max_jumps}")
+    _check_cap(max_jumps)
     n = origin.n
     cur = list(origin.exps)
     cost = [0] * n

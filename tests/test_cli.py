@@ -128,11 +128,17 @@ class TestExitCodes:
             ("tau", "--n", "5", "x2^2*x4"),
             ("pred", "--n", "5", "x2^2*x4*x5"),
             ("conjecture", "--n", "5", "--d", "2..3"),
+            ("tau", "--n", "2", "x2"),  # a tower that runs no walk
         ],
     )
-    def test_negative_jump_cap_is_a_usage_error(self, capsys, argv):
+    def test_negative_jump_cap_is_a_usage_error(self, capsys, argv, tmp_path):
         code, out, _ = run(capsys, *argv, "--max-jumps", "-1")
         assert (code, out) == (EXIT_USAGE, "")
+        if argv[0] in ("tau", "conjecture"):  # also when the cache holds every answer
+            cache = str(tmp_path / "c.jsonl")
+            assert run(capsys, *argv, "--cache", cache)[0] == EXIT_OK
+            code, out, _ = run(capsys, *argv, "--max-jumps", "-1", "--cache", cache)
+            assert (code, out) == (EXIT_USAGE, "")
 
     def test_zero_jump_cap_is_a_cap_hit(self, capsys):
         code, out, _ = run(capsys, "tau", "--n", "5", "--max-jumps", "0", "x2^2*x4")

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gotzmann.combinatorics import CapExceeded, binom, enumerate_monomials, gap_count, lex_rank, lexinterval
 from gotzmann.maxgen import maxgen_of_set, mg_closed, target_decompose
-from gotzmann.monomial import Monomial, deg, deg_in, max_index, mul, one, parse, pred, sigma, variable_power
+from gotzmann.monomial import Monomial, deg, deg_in, max_index, mul, one, parse, pred, sigma
 from gotzmann.paths import (
     DEFAULT_MAX_JUMPS,
     TargetOvershoot,
@@ -195,18 +195,18 @@ def test_mc_equals_mg_exactly_when_gotzmann():
         assert (mc(u) == mg_closed(u)) == is_gotzmann_oracle(u)
 
 
-def _find_z_elementary(u0, n, t):
+def _first_hit(origin, deficit):
     """Step-by-step reference for the first-hit walk.
 
     One predecessor at a time; each step leaving a monomial with largest
     variable x_m spends one x_m, and the hit is the first point whose
-    accumulated below-x_n spend equals the target's below-x_n part.
+    accumulated below-x_n spend equals the deficit.  A step that the deficit
+    cannot pay means no hit: costs only grow along the chain.
     """
-    dec = target_decompose(u0, n, t)
-    deficit = list(dec.base.exps[: n - 1])
-    w = Monomial(n, u0.exps + (t,))
-    cost = one(n)
-    steps = 0
+    n = origin.n
+    deficit = list(deficit)
+    w = origin
+    cost = [0] * n
     while any(deficit):
         m = max_index(w)
         if m == 1:
@@ -215,10 +215,9 @@ def _find_z_elementary(u0, n, t):
             if deficit[m - 1] == 0:
                 raise TargetOvershoot("component exhausted")
             deficit[m - 1] -= 1
-        cost = mul(cost, variable_power(m, 1, n))
+        cost[m - 1] += 1
         w = pred(w)
-        steps += 1
-    return w, WalkState(w, cost, steps)
+    return WalkState(w, Monomial(n, tuple(cost)), sum(cost))
 
 
 class TestFindZ:
@@ -258,17 +257,70 @@ class TestFindZ:
         u0 = data.draw(st.sampled_from(list(enumerate_monomials(n - 1, d))))
         t = data.draw(st.integers(0, 6))
         try:
-            want = _find_z_elementary(u0, n, t)
+            want = _first_hit(Monomial(n, u0.exps + (t,)), target_decompose(u0, n, t).base.exps[: n - 1])
         except TargetOvershoot:
             with pytest.raises(TargetOvershoot):
                 find_z(u0, n, t)
             return
-        got_z, got_state = find_z(u0, n, t)
-        assert (got_z, got_state.cost, got_state.steps) == (want[0], want[1].cost, want[1].steps)
+        assert find_z(u0, n, t) == (want.current, want)
 
     def test_jump_cap(self):
         with pytest.raises(CapExceeded):
             find_z(parse("x2^4", 4), 5, 31, max_jumps=2)
+
+
+class TestFirstHitLemma:
+    """Before the first hit z the deficit is the cost from the walk's state to z, so a block
+    or climb that fits it at x_m and x_{m+1} (a climb: at its lowest variable) ends at or before
+    z and fits everywhere: the deficit rule reads only those components."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_walk_finds_the_steppers_first_hit(self, data):
+        # reachable deficits (the cost of k steps ahead) and arbitrary ones: the walk returns
+        # the stepper's first hit, or raises exactly when the stepper finds none
+        n = data.draw(st.integers(3, 9))
+        at = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=8))
+        u = Monomial(n, tuple(at.count(i) for i in range(1, n + 1)))
+        kind = data.draw(st.sampled_from(["ahead", "arbitrary"]))
+        if kind == "ahead":
+            k = data.draw(st.integers(0, lex_rank(u) - 1))
+            deficit = list(advance(u, k).cost.exps[: n - 1])
+        else:
+            part = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 10**4))
+            deficit = data.draw(st.lists(part, min_size=n - 1, max_size=n - 1))
+        try:
+            want = _first_hit(u, deficit)
+        except TargetOvershoot:
+            want = TargetOvershoot
+        for trace in (None, [].append):
+            try:
+                got = _walk(u, _Deficit(list(deficit)), DEFAULT_MAX_JUMPS, trace)
+            except TargetOvershoot:
+                got = TargetOvershoot
+            assert got == want
+        if kind == "ahead":
+            assert want is not TargetOvershoot
+
+    def test_climb_of_the_x_n_block_alone(self, monkeypatch):
+        # at j = n a climb is the one full block at x_n, which costs nothing below x_n, so only
+        # the nonzero test reads the deficit
+        assert _Deficit([1, 0, 0]).climbs(4, [3]) and _Deficit([0, 2, 0]).climbs(4, [10**30])
+        assert not _Deficit([0, 0, 0]).climbs(4, [3])
+        u = parse("x2*x4^3", 4)  # x4^3 over an empty x3: the origin climb at j = n
+        taken, climbs = [], _Deficit.climbs
+
+        def spy_climbs(rule, j, exps):
+            taken.append((j, climbs(rule, j, exps)))
+            return taken[-1][1]
+
+        monkeypatch.setattr(_Deficit, "climbs", spy_climbs)
+        for k in range(1, lex_rank(u)):
+            deficit = advance(u, k).cost.exps[:3]
+            call = lambda trace: _walk(u, _Deficit(list(deficit)), DEFAULT_MAX_JUMPS, trace)
+            out = _outcome(call)
+            assert out == _refused(call) and out[0] == _first_hit(u, deficit)
+        assert (4, True) in taken
 
 
 def _largest_l(a, fits):
@@ -347,53 +399,28 @@ class TestLargestBlock:
     @given(st.integers(2, 20), st.data())
     @settings(max_examples=150, deadline=None)
     def test_deficit_matches_bisection(self, n, data):
+        # deficits that some state meets: the cost below x_n from the block's start state to
+        # a state k steps ahead, near the steps of some block or anywhere in the slice
         m = data.draw(st.integers(2, n))
-        a = data.draw(_sizes)
-        l0 = data.draw(st.integers(0, a))
-        near = list(_exps(a, l0, _tops(m, a, n)))
-        deficit = [0] * (m - 1) + near[: n - m] if data.draw(st.booleans()) else []  # an exact hit at l0
-        for i in range(len(deficit), n - 1):
-            kind = data.draw(st.sampled_from(["zero", "small", "huge", "near"]))
-            if kind == "near" and i >= m - 1:
-                deficit.append(max(0, near[i - m + 1] + data.draw(st.integers(-2, 2))))
-            elif kind == "huge":
-                deficit.append(data.draw(st.integers(0, 10**60)))
-            elif kind == "small":
-                deficit.append(data.draw(st.integers(0, 40)))
-            else:
-                deficit.append(0)
+        a = data.draw(_sizes.filter(bool))
+        head = data.draw(st.lists(st.integers(0, 3), min_size=m - 1, max_size=m - 1))
+        u = Monomial(n, tuple(head) + (a,) + (0,) * (n - m))
+        if data.draw(st.booleans()):
+            steps = sum(_exps(a, data.draw(st.integers(0, a)), _tops(m, a, n))) + data.draw(st.integers(-2, 2))
+        else:
+            steps = data.draw(st.integers(0, 10**60))
+        deficit = list(advance(u, min(max(0, steps), lex_rank(u) - 1)).cost.exps[: n - 1])
         assume(any(deficit))  # the walk stops once the deficit is met
-        got = _Deficit(list(deficit)).largest(m, a, _tops(m, a, n))
+        rule = _Deficit(list(deficit))
+        got = rule.largest(m, a, _tops(m, a, n))
         want = _largest_l(a, _deficit_fits(deficit, m, a, n))
         if want and not any(deficit[: m - 1]):
             # a block that would use up the whole deficit is shrunk by one
             if deficit[m - 1:] == list(_exps(a, want, _tops(m, a, n)))[: n - m]:
                 want -= 1
         assert got == want
-
-    @given(st.integers(5, 20), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_deficit_solves_a_failing_component_above_x_m_plus_1(self, n, data):
-        # x_m and x_{m+1} admit the whole run, so the bound comes from some x_{m+s},
-        # s >= 2: the first lower row fails, and the second is built at the solved l
-        from gotzmann import paths
-
-        m = data.draw(st.integers(2, n - 3))
-        a = data.draw(st.one_of(st.integers(2, 40), st.integers(2, 10**30)))
-        tops = _tops(m, a, n)
-        fit = _exps(a, data.draw(st.integers(1, a - 1)), tops)
-        binds = data.draw(st.sets(st.integers(2, n - m - 1), min_size=1))
-        deficit = [data.draw(st.integers(0, 1)) for _ in range(m - 1)] + [a, tops[0]]
-        for s in range(2, n - m):
-            deficit.append(fit[s] + data.draw(st.integers(0, 2)) if s in binds else tops[s - 1])
-        assume(any(deficit[m - 1 + s] < tops[s - 1] for s in binds))
-        with mock.patch.object(paths, "_row", wraps=_row) as rows:
-            got = _Deficit(list(deficit)).largest(m, a, tops)
-        want = _largest_l(a, _deficit_fits(deficit, m, a, n))
-        assert 0 < want < a and rows.call_count == 2
-        if not any(deficit[: m - 1]) and deficit[m - 1:] == _exps(a, want, tops)[: n - m]:
-            want -= 1
-        assert got == want
+        if 0 < got < a:  # a partial block hands the walk its lower row
+            assert rule.low == _row(a - got, n - m)
 
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=200, deadline=None)
@@ -439,12 +466,12 @@ class TestLargestBlock:
     @given(st.one_of(st.just(2), st.integers(2, 20)), st.data())
     @settings(max_examples=200, deadline=None)
     def test_least_base_is_least(self, r, data):
-        c = data.draw(st.integers(r - 2, r - 1))
+        c = r - 1
         big = 10**3000 if r == 2 else 10**80  # r = 2 trusts its start without a check
         y = data.draw(st.integers(r, 10**40))
         near = st.integers(-1, 1).map(lambda dx: binom(y, r) + dx)  # beside an exact hit
         x = data.draw(st.one_of(st.integers(-3, 300), st.integers(0, big), near))
-        got = _least_base(x, r, c)
+        got = _least_base(x, r)
         assert got >= 0 and binom(got + c, r) >= x
         assert got == 0 or binom(got - 1 + c, r) < x
 
@@ -797,8 +824,8 @@ class TestClimb:
             walk = lambda cap, trace: find_z(Monomial(n - 1, head), n, u.exps[-1], cap, trace)
         elif kind == "is_gotzmann":
             walk = lambda cap, trace: is_gotzmann(u, cap, trace)
-        else:
-            deficit = data.draw(st.lists(st.integers(0, 40), min_size=n - 1, max_size=n - 1))
+        else:  # a deficit that some state meets: the cost below x_n of k steps ahead
+            deficit = advance(u, data.draw(st.integers(0, lex_rank(u) - 1))).cost.exps[: n - 1]
             walk = lambda cap, trace: _walk(u, _Deficit(list(deficit)), cap, trace)
         jumps = len(_outcome(lambda trace: walk(DEFAULT_MAX_JUMPS, trace))[1])
         for cap in range(min(jumps, 200) + 2):
