@@ -14,10 +14,10 @@ _run_walk visits each exponent run (i, e) of u once and carries the
 truncated prefix-sum vector v (at most max_index(u) entries) across it: one
 prefix sum per position on a run with e <= 2i, and all e at once in closed
 form on a longer one.  The same walk carries the gap form mg(u) that maxgen
-reads off it, by mg(u * x_i) = sigma(mg(u) + (|Borel(u)| - 1) * x_{i+1}),
-and one x_n column at a higher degree.  So the cost grows with the ambient
-and the number of runs, not with the size of an exponent.  The enumeration
-oracle certifies it on small grids in the tests.
+reads off it, by mg(u * x_i) = sigma(mg(u) + (|Borel(u)| - 1) * x_{i+1}).
+So the cost grows with the ambient and the number of runs, not with the
+size of an exponent.  The enumeration oracle certifies it on small grids in
+the tests.
 """
 
 from __future__ import annotations
@@ -227,100 +227,65 @@ def prefix_borel_sizes(indices: Sequence[int]) -> list[int]:
     return sizes
 
 
-def _run_walk(exps: Sequence[int], n: int = 0, d: int | None = None) -> tuple[list[int], list[int], int]:
+def _run_walk(exps: Sequence[int], n: int = 0) -> tuple[list[int], list[int]]:
     """Walk the exponent runs of u = x_1^exps[0] * x_2^exps[1] * ... once.
 
     Returns v, the prefix-sum vector of prefix_borel_sizes after the last
-    run (sum(v) is the closure size of u); q, the n exponents of mg(u) in
-    ambient n for u below x_n (none for n = 0); and, for a degree d >=
-    deg(u), the x_n column of mg at degree d (0 without one),
-
-        f = sum_k (b_k - 1) * C(d - k - 1 + s_k, s_k),  s_k = n - 1 - i_{k+1},
-
-    over the positions k + 1 of u, where b_k is the closure size of the
-    length-k prefix.  With d = deg(u) + t, f is the x_n power of
-    mg(u * x_n^t), which is also the x_n entry of sigma^t(q).
+    run (sum(v) is the closure size of u), and q, the n exponents of mg(u)
+    in ambient n for u below x_n (none for n = 0).
 
     q follows mg(u * x_i) = sigma(mg(u) + (b - 1) * x_{i+1}) for i >=
     max_index(u), b the closure size of u: the new position adds b - 1 to
     every column above x_i, and sigma raises the degree of each earlier
-    position's binomials by one (hockey stick).  Take a run (i, e) after p
-    positions, with weights w_j = B_j - 1 (B_j the closure size after j of
-    its positions) and heads g[m] = sum_{j < e} w_j * C(e-1-j, m).  By
-    Vandermonde, C(low + e-1-j, s) = sum_m C(low, s-m) * C(e-1-j, m), so the
-    run adds sum_m C(low, s-m) * g[m] to a column of order s at degree D,
-    low = D - p - e + s.  The run takes one of two ways, set by e and i alone:
+    position's binomials by one (hockey stick).  Take a run (i, e), with
+    weights w_j = B_j - 1 (B_j the closure size after j of its positions)
+    and heads g[m] = sum_{j < e} w_j * C(e-1-j, m).  The run takes one of
+    two ways, set by e and i alone:
 
     - e <= 2i, one position at a time: q adds w_j at x_{i+1} and takes one
-      prefix sum, v takes one prefix sum, and when f is asked, g[m] is
-      entry e-1-m of the (m+1)-fold prefix sum of the weights;
+      prefix sum, and v takes one prefix sum;
     - e > 2i, in closed form: g[m] = sum_c v[c] * C(i-1-c+e, e-m-1) -
       C(e, m+1), v' is sigma^e(v), v'[c] = sum_{c' <= c} C(c-c'+e-1, c-c') *
-      v[c'], and q is sigma^e(q) (both monomial._sigma_pow) plus its share
-      at degree p + e, sum_m C(s', m) * g[m] in the column of order s', a
+      v[c'], and q is sigma^e(q) (both monomial._sigma_pow) plus the run's
+      share, sum_m C(s, m) * g[m] in the column of order s (x_{i+1+s}), a
       binomial transform of g by one row of sums per column.
 
-    f takes its share at degree d on every run, from one row C(low, .)
-    built by one ratio per entry.  So the two routes to the x_n power share v
-    and, on long runs, g.  A run costs O(n^2) big-integer operations however
-    long it is, and a short run's positions O(n) each.  A run of x_1 comes
-    first and leaves every closure size at 1, so it changes nothing but the
-    degree.
+    A run costs O(n^2) big-integer operations however long it is, and a
+    short run's positions O(n) each.  A run of x_1 comes first and leaves
+    every closure size at 1, so it changes nothing but the degree.  The x_n
+    power of mg(u * x_n^t) is the last entry of sigma^t(q).
     """
     v = [1]
     q = [0] * n
-    f = 0
-    p = 0
-    route = n > 0 and d is not None
     for i, e in enumerate(exps, start=1):
         if i == 1 or not e:
-            p += e
             continue
         v += [0] * (i - len(v))
-        s = n - 1 - i  # the x_n column's order; q's columns above x_i have orders 0..s
         if e <= 2 * i:
-            weights, g = [], []
             for _ in range(e):
-                b = sum(v) - 1
-                weights.append(b)
                 if n:
-                    q[i] += b
+                    q[i] += sum(v) - 1
                     q = list(accumulate(q))
                 v = list(accumulate(v))
-            if route:
-                for m in range(min(s, e - 1) + 1):  # g[m] = 0 for m >= e
-                    weights = list(accumulate(weights))
-                    g.append(weights[e - 1 - m])
         else:
             g = [
                 sum(vc * binom(i - 1 - c + e, i + m - c) for c, vc in enumerate(v) if vc) - binom(e, m + 1)
-                for m in range(s + 1)
+                for m in range(n - i)
             ]
             v = _sigma_pow(v, e)
             if any(q):
                 q = _sigma_pow(q, e)
-            row = g
             for col in range(i, n):
-                q[col] += row[0]
-                row = [x + y for x, y in zip(row, row[1:])]
-        if route:
-            low = d - p - e + s
-            m = s + 1 - len(g)
-            c = binom(low, m)  # C(low, m), then up the row by one ratio per entry
-            for head in reversed(g):
-                f += c * head
-                c = c * (low - m) // (m + 1)
-                m += 1
-        p += e
-    return v, q, f
+                q[col] += g[0]
+                g = [x + y for x, y in zip(g, g[1:])]
+    return v, q
 
 
 def borel_size(u: Monomial) -> int:
     """Size of the Borel closure of u, without enumeration.
 
-    _run_walk with no gap form and no x_n column: O(n^2) big-integer
-    operations per long run and O(n) per position of a short one, however
-    large the exponents are.
+    _run_walk with no gap form: O(n^2) big-integer operations per long run
+    and O(n) per position of a short one, however large the exponents are.
     """
     return sum(_run_walk(u.exps)[0])
 

@@ -16,14 +16,12 @@ for i >= max_index(u): one add and one prefix sum per position on a run
 (i, e) with e <= 2i, and sigma^e plus a Vandermonde share per column on a
 longer run.  A run costs O(n^2) big-integer operations however long it is.
 
-Every shift by x_n^t is sigma^t, through sigma_pow: mg_closed applies it for
-u's own x_n run, mg_shifted for a further shift, and target_decompose for
-the level's t.  f_poly_eval gives the x_n-degree of the shifted form by a
-route of its own, the walk's x_n column at degree deg(u0) + t: each run adds
-its positions' binomials at that degree through one row C(low, .) and the
-run's heads, by Vandermonde.
-target_decompose reads its base and x_n power off sigma^t and checks that
-power against the x_n column of the same walk.
+Every shift by x_n^t is sigma^t, through sigma_pow, and it is the one route
+to the x_n power of a shifted form: mg_closed shifts by u's own x_n run,
+mg_shifted by that run plus a further t, and target_decompose by the level's
+t.  target_decompose checks the walk's unshifted form against an identity
+that shares nothing with the walk but the closure size: the degree of mg(u0)
+in ambient n is its gap count.
 """
 
 from __future__ import annotations
@@ -34,10 +32,11 @@ from .combinatorics import (
     _run_walk,
     binom,
     borel_enumerate,
+    lex_rank,
     lexsegment,
     prefix_borel_sizes,
 )
-from .monomial import Monomial, _Record, deg, max_index, sigma_pow
+from .monomial import Monomial, _Record, deg, embed, max_index, sigma_pow
 
 
 def maxgen_of_set(s: MonomialSet) -> Monomial:
@@ -74,9 +73,10 @@ def mg_closed(u: Monomial) -> Monomial:
 
     contributes, where b_k is the Borel closure size of the length-k prefix.
     Positions followed by x_n contribute nothing: mg(u) is sigma^t of the gap
-    form of u's runs below x_n, t the exponent of x_n, and
-    combinatorics._run_walk gives that form in O(n^2) big-integer operations
-    per long run, however large the exponents are.
+    form of u's runs below x_n, t the exponent of x_n, and that sigma^t is
+    the one route to every exponent of mg(u), x_n's included.
+    combinatorics._run_walk gives the unshifted form in O(n^2) big-integer
+    operations per long run, however large the exponents are.
     """
     n = u.n
     return sigma_pow(Monomial(n, _run_walk(u.exps[: n - 1], n)[1]), u.exps[n - 1])
@@ -100,28 +100,11 @@ def _mg_by_position(u: Monomial) -> Monomial:
 
 
 def mg_shifted(u: Monomial, t: int) -> Monomial:
-    """mg(u * x_n^t) computed as sigma^t applied to mg(u)."""
+    """mg(u * x_n^t): mg_closed with u's x_n run raised by t, one sigma_pow pass."""
     if t < 0:
         raise ValueError("shift must be nonnegative")
-    return sigma_pow(mg_closed(u), t)
-
-
-def f_poly_eval(u0: Monomial, n: int, t: int) -> int:
-    """x_n-degree of mg(u0 * x_n^t) for u0 in the ambient below n.
-
-    With u0 = x_{i_1} ... x_{i_r} (ascending) this is
-
-        sum_{k=1}^{r-1} C(t + r - k - 2 + n - i_{k+1}, n - 1 - i_{k+1}) * (b_k - 1),
-
-    a polynomial in t of degree at most n - 1 - i_2.  Zero when r <= 1.  It is
-    the run walk's x_n column at degree deg(u0) + t, the route that
-    target_decompose checks sigma^t against.
-    """
-    if u0.n != n - 1:
-        raise ValueError(f"u0 must live in ambient {n - 1}, got {u0.n}")
-    if t < 0:
-        raise ValueError("shift must be nonnegative")
-    return _run_walk(u0.exps, n, deg(u0) + t)[2]
+    n = u.n
+    return mg_closed(Monomial(n, u.exps[: n - 1] + (u.exps[n - 1] + t,)))
 
 
 class MgDecomposition(_Record):
@@ -134,25 +117,30 @@ class MgDecomposition(_Record):
 def target_decompose(u0: Monomial, n: int, t: int) -> MgDecomposition:
     """Split mg(u0 * x_n^t) into its x_n-free base and its x_n power.
 
-    One run walk gives q = mg(u0) one ambient up, at deg(u0), and the x_n
-    column at deg(u0) + t, which is f_poly_eval.  sigma^t(q) is mg(u0 * x_n^t)
-    as mg_shifted computes it; its first n - 1 exponents are the base and its
-    last is the x_n power.  The two x_n powers share exactly two things: the
-    walk's prefix-sum vector v, hence the closure sizes, and on runs longer
-    than 2i the heads g of combinatorics._run_walk.  So they are checked
-    against each other, and a mismatch means one of the two routes is wrong
-    and is reported loudly instead of being masked.
+    One run walk gives q = mg(u0) one ambient up, at deg(u0), and the
+    closure size of u0.  sigma^t(q) is mg(u0 * x_n^t) as mg_shifted computes
+    it; its first n - 1 exponents are the base and its last is the x_n power
+    f(t).  With u0 = x_{i_1} ... x_{i_r} (ascending) that power is
+
+        f(t) = sum_{k=1}^{r-1} C(t + r - k - 2 + n - i_{k+1}, n - 1 - i_{k+1}) * (b_k - 1),
+
+    b_k the closure size of the length-k prefix: a polynomial in t of degree
+    at most n - 1 - i_2, zero when r <= 1.  Before shifting, q is checked
+    against the gap count of u0 in ambient n: mg multiplies one variable per
+    gap, so sum(q) is the lex_rank of u0 in ambient n less |Borel(u0)|.  That
+    costs n binomials at degree deg(u0), nothing that grows with t, and a
+    walk that breaks it is reported loudly instead of being masked.
     """
     if u0.n != n - 1:
         raise ValueError(f"u0 must live in ambient {n - 1}, got {u0.n}")
     if t < 0:
         raise ValueError("shift must be nonnegative")
-    _, q, f = _run_walk(u0.exps, n, deg(u0) + t)
-    mg = sigma_pow(Monomial(n, q), t)
-    base = Monomial(n, mg.exps[: n - 1] + (0,))
-    if mg.exps[n - 1] != f:
+    v, q = _run_walk(u0.exps, n)
+    gaps = lex_rank(embed(u0, n)) - sum(v)
+    if sum(q) != gaps:
         raise RuntimeError(
-            f"internal inconsistency: mg({u0}*x{n}^{t}) = {mg} does not split "
-            f"as {base} * x{n}^{f}"
+            f"internal inconsistency: mg({u0}) in ambient {n} has degree {sum(q)}, "
+            f"not the gap count {gaps}"
         )
-    return MgDecomposition(base=base, xn_exp=mg.exps[n - 1])
+    mg = sigma_pow(Monomial(n, q), t)
+    return MgDecomposition(base=Monomial(n, mg.exps[: n - 1] + (0,)), xn_exp=mg.exps[n - 1])

@@ -15,7 +15,7 @@ import inspect
 import random
 
 from .combinatorics import binom, borel_enumerate, enumerate_monomials, lex_rank, lexinterval
-from .maxgen import f_poly_eval, maxgen_of_set, mg_closed, mg_oracle
+from .maxgen import maxgen_of_set, mg_closed, mg_oracle, target_decompose
 from .monomial import Monomial, ParseError, parse, sigma, sigma_pow
 from .paths import TargetOvershoot, advance, advance_oracle, cost_between, find_z
 from .threshold import is_gotzmann, is_gotzmann_oracle, tau, tau_formula, tau_oracle
@@ -125,7 +125,7 @@ def paper_examples() -> tuple[int, list[str]]:
         ("walk cost", str(cost_between(parse("x2^2*x4*x5", 5), parse("x2^2*x3*x4", 5))) == "x4*x5^2"),
         ("gap form", str(mg_closed(parse("x2^2*x4", 5))) == "x3*x4^2*x5^5"),
         ("gap form of x2^3", str(mg_closed(parse("x2^3", 5))) == "x3^3*x4^4*x5^5"),
-        ("f polynomial", all(f_poly_eval(parse("x2^2*x4", 4), 5, t) == binom(t + 1, 2) + 2 * t + 5 for t in range(13))),
+        ("f polynomial", all(target_decompose(parse("x2^2*x4", 4), 5, t).xn_exp == binom(t + 1, 2) + 2 * t + 5 for t in range(13))),
         ("first-hit walk", all(
             z == Monomial(5, (0, 3, 1, 0, t - 1)) and st.cost.exps[4] == binom(t + 3, 2) - 3
             for t, (z, st) in enumerate(hits, 1)

@@ -19,7 +19,7 @@ from gotzmann.combinatorics import (
     enumerate_monomials,
     lex_rank,
 )
-from gotzmann.maxgen import f_poly_eval, maxgen_of_set, mg_closed, mg_oracle
+from gotzmann.maxgen import maxgen_of_set, mg_closed, mg_oracle, target_decompose
 from gotzmann.monomial import (
     Monomial,
     deg,
@@ -76,7 +76,7 @@ def test_criterion_01_worked_example():
         u0 = parse("x2^2*x4", 4)
         assert tau(embed(u0, 5), 5).tau == 6
         for t in range(1, 7):
-            assert f_poly_eval(u0, 5, t) == binom(t + 1, 2) + 2 * t + 5
+            assert target_decompose(u0, 5, t).xn_exp == binom(t + 1, 2) + 2 * t + 5
             z, state = find_z(u0, 5, t)
             assert deg_in(state.cost, 5) == binom(t + 3, 2) - 3
             assert z.exps[4] == t - 1
@@ -217,7 +217,7 @@ def test_criterion_09_structural_properties():
         prev_z = prev_k = None
         delta = None
         for t in range(t_lo, t_lo + 6):
-            f = f_poly_eval(u0, n, t)
+            f = target_decompose(u0, n, t).xn_exp
             z, state = find_z(u0, n, t)
             h = deg_in(state.cost, n)
             k = z.exps[n - 1]

@@ -542,12 +542,14 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
 
 
 def test_inconsistent_target_is_an_internal_error(capsys, monkeypatch):
-    # target_decompose's cross-check of its two x_n powers, seen from the command line
+    # target_decompose's check of the walk's gap form against its gap count, seen from
+    # the command line
     from gotzmann import combinatorics, maxgen
 
-    def off_by_one(exps, n, d):
-        v, q, f = combinatorics._run_walk(exps, n, d)
-        return v, q, f + 1
+    def off_by_one(exps, n=0):
+        v, q = combinatorics._run_walk(exps, n)
+        q[-1] += 1
+        return v, q
 
     monkeypatch.setattr(maxgen, "_run_walk", off_by_one)
     code, out, err = run(capsys, "tau", "--n", "5", "x2^2*x4")

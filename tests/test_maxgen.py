@@ -10,12 +10,12 @@ from gotzmann.combinatorics import (
     borel_enumerate,
     borel_size,
     enumerate_monomials,
+    lex_rank,
     prefix_borel_sizes,
 )
 from gotzmann.maxgen import (
     MgDecomposition,
     _mg_by_position,
-    f_poly_eval,
     maxgen_of_set,
     mg_closed,
     mg_oracle,
@@ -124,31 +124,48 @@ class TestTargetDecompose:
         with pytest.raises(ValueError):
             target_decompose(parse("x2", 3), 3, 1)
 
-    @pytest.mark.parametrize("ask, delta", [(0, 1), (0, -1), (1, 1), (1, -1)])
-    def test_cross_check_fires_on_either_x_n_column(self, monkeypatch, ask, delta):
-        # one run walk gives both x_n powers; an x_n power off by one on either route, q's
-        # x_n entry (ask 0, shifted by sigma^t) or the direct column at deg(u0) + t (ask 1),
-        # is a loud inconsistency, not a new answer
-        def off_by_one(exps, n, d):
-            v, q, f = _run_walk(exps, n, d)
-            if ask == 0:
-                q[-1] += delta
-            else:
-                f += delta
-            return v, q, f
-
+    @pytest.mark.parametrize("t", [0, 3], ids=["t0", "t3"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_gap_count_check_fires_on_any_entry_of_q(self, monkeypatch, delta, t):
+        # the walk's gap form q off by one in any single entry breaks sum(q) = gap count,
+        # which target_decompose checks before it shifts q: a loud inconsistency at any t,
+        # not a new answer
         u0 = parse("x2^2*x4", 4)
-        target_decompose(u0, 5, 3)
+        target_decompose(u0, 5, t)
+        for entry in range(5):
+            def off_by_one(exps, n=0):
+                v, q = _run_walk(exps, n)
+                q[entry] += delta
+                return v, q
+
+            monkeypatch.setattr(maxgen, "_run_walk", off_by_one)
+            with pytest.raises(RuntimeError, match="internal inconsistency"):
+                target_decompose(u0, 5, t)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_gap_count_check_fires_on_a_closure_off_by_one(self, monkeypatch, delta):
+        # a closure vector v off by one moves the closure size sum(v) that the gap count
+        # subtracts, while q stays right
+        def off_by_one(exps, n=0):
+            v, q = _run_walk(exps, n)
+            v[0] += delta
+            return v, q
+
         monkeypatch.setattr(maxgen, "_run_walk", off_by_one)
         with pytest.raises(RuntimeError, match="internal inconsistency"):
-            target_decompose(u0, 5, 3)
+            target_decompose(parse("x2^2*x4", 4), 5, 3)
+
+
+def _f(u0, n, t):
+    # f(t), the x_n power of mg(u0 * x_n^t), as target_decompose reads it off sigma^t
+    return target_decompose(u0, n, t).xn_exp
 
 
 class TestFPoly:
     def test_worked_family(self):
         u0 = parse("x2^2*x4", 4)
         for t in range(13):
-            assert f_poly_eval(u0, 5, t) == binom(t + 1, 2) + 2 * t + 5
+            assert _f(u0, 5, t) == binom(t + 1, 2) + 2 * t + 5
 
     def test_two_exponent_family(self):
         # f for x2^b*x3^c one ambient up, as an explicit binomial sum
@@ -164,17 +181,27 @@ class TestFPoly:
                         + binom(c + 1, 3)
                         - c
                     )
-                    assert f_poly_eval(u0, 4, t) == want
+                    assert _f(u0, 4, t) == want
 
     def test_agrees_with_decomposition(self):
-        for d in range(5):
-            for u0 in enumerate_monomials(3, d):
-                for t in range(5):
-                    assert f_poly_eval(u0, 4, t) == target_decompose(u0, 4, t).xn_exp
+        # the paper's sum over the positions of u0 = x_{i_1} ... x_{i_r},
+        # sum_k C(t + r - k - 2 + n - i_{k+1}, n - 1 - i_{k+1}) * (b_k - 1), against the
+        # decomposition's x_n power
+        for n in (4, 5):
+            for d in range(5):
+                for u0 in enumerate_monomials(n - 1, d):
+                    head = [i for i, e in enumerate(u0.exps, start=1) for _ in range(e)]
+                    sizes = prefix_borel_sizes(head)
+                    for t in range(5):
+                        want = sum(
+                            binom(t + d - k - 2 + n - head[k], n - 1 - head[k]) * (sizes[k - 1] - 1)
+                            for k in range(1, d)
+                        )
+                        assert _f(u0, n, t) == want, (u0, t)
 
     def test_short_monomials_contribute_nothing(self):
-        assert f_poly_eval(one(3), 4, 5) == 0
-        assert f_poly_eval(parse("x2", 3), 4, 5) == 0
+        assert _f(one(3), 4, 5) == 0
+        assert _f(parse("x2", 3), 4, 5) == 0
 
 
 @given(st.integers(2, 5), st.integers(0, 4), st.integers(0, 4), st.data())
@@ -196,7 +223,7 @@ def _check_against_position_oracles(exps, t):
     shifted = Monomial(n, tuple(exps[:-1]) + (t,))
     by_position = _mg_by_position(shifted)
     assert mg_closed(shifted) == by_position
-    assert f_poly_eval(u0, n, t) == by_position.exps[n - 1]
+    assert target_decompose(u0, n, t).xn_exp == by_position.exps[n - 1]
 
 
 @pytest.mark.parametrize("t", [0, 7, 10**30])
@@ -236,8 +263,8 @@ def test_run_walk_matches_position_oracles_at_huge_shifts(exps, t):
         # x2 position by position, then x3 in closed form, whose sigma^e carries the
         # gap form q on, then single positions of x4 and x5
         [0, 2, 10, 1, 1, 0, 0, 0, 0, 0],
-        # every run position by position, with the x_n column's order falling by one,
-        # then by two, from run to run
+        # every run position by position, with the order of the x_n column falling by
+        # one, then by two, from run to run
         [1, 3, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0],
         [2, 0, 1, 0, 3, 0, 1, 0, 0, 0, 0],
         # a long closed-form run between two runs taken position by position, then
@@ -254,13 +281,14 @@ def test_run_walk_carries_its_row_across_runs(exps, t):
     st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(0, 10**1000)),
 )
 @settings(max_examples=150, deadline=None)
-def test_x_n_column_routes_agree(shape, t):
-    # the walk's extra column at degree d is the x_n entry of sigma^(d - deg(u))(q), the
-    # gap form at deg(u) shifted, and of mg(u * x_n^t) summed position by position
+def test_shifted_gap_form_meets_its_gap_count(shape, t):
+    # sigma^t of the walk's q is mg(u * x_n^t) summed position by position, x_n power
+    # included, and q has the degree target_decompose checks it against, the gap count
+    # of u in ambient n, so the check never fires on a valid walk
     n, exps = shape
-    v, q, f = _run_walk(exps, n, sum(exps) + t)
-    assert f == sigma_pow(Monomial(n, q), t).exps[n - 1]
-    assert f == _mg_by_position(Monomial(n, (*exps, t))).exps[n - 1]
+    v, q = _run_walk(exps, n)
+    assert sigma_pow(Monomial(n, q), t) == _mg_by_position(Monomial(n, (*exps, t)))
+    assert sum(q) == lex_rank(Monomial(n, (*exps, 0))) - sum(v)
     assert v == _run_walk(exps)[0]
 
 
@@ -279,10 +307,9 @@ def test_gap_form_recurrence(n):
 
 
 class _PrefixSums:
-    """Counts the prefix sums the run walk takes through accumulate: one per position for v,
-    one more for q when columns are asked, and on a run taken position by position at most
-    one per position more for the x_n column's heads.  Past its bound it fails at once
-    instead of walking on."""
+    """Counts the prefix sums the run walk takes through accumulate: one per position for v
+    and one more for q when its columns are asked.  Past its bound it fails at once instead
+    of walking on."""
 
     def __init__(self, monkeypatch, bound):
         self.calls, self.bound = 0, bound

@@ -158,32 +158,32 @@ class TestTau:
         assert level.tau == 0
 
     def test_target_evaluated_once_per_level(self, monkeypatch):
-        # one run walk per level gives mg(u0) at deg(u0) and the x_n column at deg(u0) + t*,
-        # which target_decompose cross-checks against sigma^(t*) of the first
+        # one run walk per level gives mg(u0) at deg(u0), which target_decompose checks
+        # against its gap count and shifts by sigma^(t*); that shift is the one route to f
         from gotzmann import maxgen
 
         calls = []
         real = maxgen._run_walk
-        monkeypatch.setattr(maxgen, "_run_walk", lambda exps, n, d: calls.append(d - sum(exps)) or real(exps, n, d))
-        level, t_stars = tau(parse("x2^3", 6), 6), []
+        monkeypatch.setattr(maxgen, "_run_walk", lambda exps, n=0: calls.append((n, tuple(exps))) or real(exps, n))
+        level, cores = tau(parse("x2^3", 6), 6), []
         while level.n > 2:
-            t_stars.insert(0, level.t_star)
+            cores.insert(0, (level.n, level.u0.exps[: level.n - 1]))
             level = level.sub_report
-        assert calls == t_stars
+        assert calls == cores
 
     def test_x_n_power_evaluated_once_per_level(self, monkeypatch):
         # tau reads f off the decomposition it hands to find_z; nothing evaluates it again
         from gotzmann import combinatorics, maxgen, threshold
 
         calls, real = [], maxgen._run_walk
-        spy = lambda exps, n=0, d=None: calls.append((n, d is not None)) or real(exps, n, d)
+        spy = lambda exps, n=0: calls.append(n) or real(exps, n)
         monkeypatch.setattr(maxgen, "_run_walk", spy)
         monkeypatch.setattr(combinatorics, "_run_walk", spy)
-        for name in ("f_poly_eval", "mg_closed", "mg_shifted"):
+        for name in ("mg_closed", "mg_shifted"):
             monkeypatch.setattr(maxgen, name, lambda *args: pytest.fail("a closed form evaluated again"))
             monkeypatch.setattr(threshold, name, lambda *args: pytest.fail("a closed form evaluated again"), raising=False)
         tau(parse("x2^3", 6), 6)
-        assert calls == [(3, True), (4, True), (5, True), (6, True)]
+        assert calls == [3, 4, 5, 6]
 
     def test_walks_through_the_public_find_z(self, monkeypatch):
         # a wrapper bound over threshold.find_z sees the walk of every level
