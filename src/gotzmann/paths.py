@@ -20,9 +20,9 @@ block its rule admits, or one elementary step when not even l = 1 is
 admitted, and charges the rule for it.  After a partial block (0 < l < k) the
 step is forced, and the kernel takes it as its own jump without asking the
 rule: the block of l + 1 units broke the rule and costs add along the chain,
-so the next unit breaks it too.  When find_z's exact-hit shrink (below) made
-the block partial, the next unit is that exact hit, which the rule would
-shrink to 0 as well.  There are two rules:
+so the next unit breaks it too.  When find_z's shrink at x_{n-1} (below)
+made the block partial, the next unit is the one that holds the first hit,
+which the rule would shrink to 0 as well.  There are two rules:
 
 - budget (advance, mc, cost_between and the witness test): the block's total
   steps stay within the steps left;
@@ -93,16 +93,18 @@ ends with its full block at its lowest variable x_j, so with a step paid at
 x_j.  If z lay strictly inside a block or climb, the jump's cost would be
 the deficit plus the cost from z to its end, which holds that last step;
 paid below x_n, the step would overshoot the component it was checked
-against.  Only a block at x_{n-1} ends with a step paid at x_n, and z can
-then lie inside its last unit, after the unit's one step at x_{n-1}, but
-only where the block's cost below x_n equals the deficit.  A climb cannot
-end at z, which needs a step paid below x_j: the nonzero component there
-waits for it.  So a block whose visible cost would consume the deficit
-exactly is shrunk by one, and no other block can hide a hit: costs only grow
-along the chain.  An elementary step the deficit cannot pay raises
-TargetOvershoot.  On a deficit that no state meets the lemma says nothing,
-and the walk ends in TargetOvershoot or at the jump cap by way of the blocks
-that those components admit.
+against.  Only a partial block at x_{n-1} ends with a step paid at x_n,
+and z can then lie inside its last unit, after the unit's one step at
+x_{n-1}, but only where the block's cost below x_n, its x_{n-1} exponent
+l, equals the deficit.  A climb cannot end at z, which needs a step paid
+below x_j: the nonzero component there waits for it.  So the deficit rule
+shrinks by one the partial block at x_{n-1} with l equal to the deficit's
+x_{n-1} component and nothing left below it, and no other block: any other
+block whose cost uses up the deficit ends exactly at z, and one that does
+not cannot hide a hit, as costs only grow along the chain.  An elementary
+step the deficit cannot pay raises TargetOvershoot.  On a deficit that no
+state meets the lemma says nothing, and the walk ends in TargetOvershoot or
+at the jump cap by way of the blocks that those components admit.
 """
 
 from __future__ import annotations
@@ -287,20 +289,18 @@ class _Deficit:
         return not any(self.deficit)
 
     def largest(self, m: int, a: int, tops: list[int]) -> int:
-        """Largest l whose block fits the deficit at x_m and x_{m+1} (_bound), less one on an
-        exact hit; by the first-hit lemma it then fits every component.  A partial block's
-        lower row is left in self.low for the walk."""
+        """Largest l whose block fits the deficit at x_m and x_{m+1} (_bound); by the
+        first-hit lemma it then fits every component.  A partial block at x_{n-1} that
+        would use up the deficit is one unit shorter, since the first hit lies inside its
+        last unit.  A partial block's lower row is left in self.low for the walk."""
         if not tops:  # m = n: the block costs nothing below x_n
             return a
         d = self.deficit[m - 1:]  # d[s] bounds the x_{m+s} exponent, s < n - m
         l = _bound(a, tops, d)
+        if m == len(self.deficit) and 0 < l == d[0] < a and not any(self.deficit[: m - 1]):
+            l -= 1  # m = n - 1: the first hit lies inside the block's last unit
         if 0 < l < a:
             self.low = _row(a - l, len(tops))
-        if l and not any(self.deficit[: m - 1]):
-            exps = [a] + tops if l == a else _block_exps(a, l, tops, self.low)
-            if d == exps[: len(tops)]:  # a block that would consume the whole deficit may hide the first hit
-                l -= 1
-                self.low = _row(a - l, len(tops)) if l else None
         return l
 
     def climbs(self, j: int, exps: list[int]) -> bool:

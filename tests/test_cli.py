@@ -118,7 +118,8 @@ class TestExitCodes:
         assert run(capsys, "pred", "--n", "3", "--steps", "99", "x3^2")[0] == EXIT_USAGE
 
     def test_jump_cap(self, capsys):
-        code, _, err = run(capsys, "tau", "--n", "5", "--max-jumps", "3", "x2^5")
+        # tau(x2^5, 5) needs a cap of 3: its longest find_z walk takes 3 jumps
+        code, _, err = run(capsys, "tau", "--n", "5", "--max-jumps", "2", "x2^5")
         assert code == EXIT_CAP
         assert "jump cap" in err
 

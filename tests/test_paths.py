@@ -324,6 +324,101 @@ class TestFirstHitLemma:
         assert (4, True) in taken
 
 
+class _WholeBlockDeficit(_Deficit):
+    """The deficit rule's referee: it shrinks by one every block whose cost below x_n would
+    use up the deficit, at any x_m, full or partial, where the rule shrinks only the partial
+    block at x_{n-1} that the first-hit lemma names."""
+
+    def largest(self, m, a, tops):
+        if not tops:
+            return a
+        d = self.deficit[m - 1:]
+        l = _bound(a, tops, d)
+        if l and not any(self.deficit[: m - 1]):
+            exps = [a] + tops if l == a else _block_exps(a, l, tops, _row(a - l, len(tops)))
+            if d == exps[: len(tops)]:
+                l -= 1
+        if 0 < l < a:
+            self.low = _row(a - l, len(tops))
+        return l
+
+
+class TestOneShrink:
+    """A block at x_m < x_{n-1} ends with a step paid at x_m or x_{m+1}, and a full block at
+    x_{n-1} with its own step there, so a block of either kind that uses up the deficit ends
+    at the first hit: only a partial block at x_{n-1} is shrunk.  Against the referee that
+    shrinks them all, the walk gives the same state or error in no more jumps."""
+
+    @staticmethod
+    def _both(walk):
+        """walk(rule, trace)'s outcome and jump count under the deficit rule and under the
+        referee.  find_z builds its own rule, so the referee stands in for it in paths too."""
+        from gotzmann import paths
+
+        got = []
+        for rule in (_Deficit, _WholeBlockDeficit):
+            with mock.patch.object(paths, "_Deficit", rule):
+                out, records = _outcome(lambda trace: walk(rule, trace))
+            got.append((out, len(records)))  # a traced walk takes no climb: a record per jump
+        return got
+
+    def test_same_answers_in_no_more_jumps(self):
+        fewer = []
+
+        @given(st.data())
+        @settings(max_examples=200, deadline=None)
+        def check(data):
+            # find_z's targets, at and near the threshold one ambient down, and reachable
+            # deficits: the cost below x_n of k steps ahead
+            n = data.draw(st.integers(3, 10))
+            part = st.one_of(st.integers(0, 4), st.integers(0, 10**30))
+            head = tuple(data.draw(st.lists(part, min_size=n - 1, max_size=n - 1)))
+            if data.draw(st.booleans()):
+                u0 = Monomial(n - 1, head)
+                t = data.draw(st.one_of(st.integers(0, 40), st.integers(-2, 3).map(lambda dt: max(0, tau(u0, n - 1).tau + dt))))
+                walk = lambda rule, trace: find_z(u0, n, t, trace=trace)
+            else:
+                u = Monomial(n, head + (data.draw(part),))
+                assume(deg(u))
+                deficit = advance(u, data.draw(st.integers(0, lex_rank(u) - 1))).cost.exps[: n - 1]
+                walk = lambda rule, trace: _walk(u, rule(list(deficit)), DEFAULT_MAX_JUMPS, trace)
+            (out, jumps), (want, referee_jumps) = self._both(walk)
+            assert out == want and jumps <= referee_jumps
+            fewer.append(jumps < referee_jumps)
+
+        check()
+        assert any(fewer)
+
+    def test_only_a_partial_block_at_x_n_minus_1_is_shrunk(self, monkeypatch):
+        # seeded towers: every block the rule admits below its _bound is a partial block at
+        # x_{n-1} that the bound would fill to the deficit's x_{n-1} exponent, one unit longer,
+        # and the rule builds its lower row once and no block cost
+        from gotzmann import paths
+
+        shrunk, inside, real = [], [], _Deficit.largest
+        monkeypatch.setattr(paths, "_row", lambda a, count: inside.append("row") or _row(a, count))
+        monkeypatch.setattr(paths, "_block_exps", lambda *args: inside.append("exps") or _block_exps(*args))
+
+        def spy_largest(rule, m, a, tops):
+            n = len(rule.deficit) + 1
+            bound = _bound(a, tops, rule.deficit[m - 1:]) if tops else a
+            inside.clear()
+            l = real(rule, m, a, tops)
+            assert inside == (["row"] if 0 < l < a else [])
+            if l < bound:
+                shrunk.append((m, a, l))
+                assert m == n - 1 and l + 1 == bound == rule.deficit[m - 1] < a
+            return l
+
+        monkeypatch.setattr(_Deficit, "largest", spy_largest)
+        rng = random.Random(20261020)
+        for n in range(3, 11):
+            for _ in range(16):
+                tau(Monomial(n, tuple(rng.randint(0, 4) for _ in range(n - 1)) + (0,)), n)
+        tau(parse("x2^10", 14), 14)
+        assert len(shrunk) >= 10  # 15 on this grid
+
+
 def _largest_l(a, fits):
     """Largest l in [0, a] passing a monotone predicate (doubling, then bisection)."""
     if a == 0 or not fits(1):
@@ -367,7 +462,7 @@ _sizes = st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 10**30))
 
 class TestLargestBlock:
     """The solved block size against the bisection over l that it replaced,
-    with find_z's exact-hit shrink applied after it."""
+    with find_z's exact-hit shrink at x_{n-1} applied after it."""
 
     @given(st.integers(2, 20), st.data())
     @settings(max_examples=150, deadline=None)
@@ -415,8 +510,8 @@ class TestLargestBlock:
         rule = _Deficit(list(deficit))
         got = rule.largest(m, a, _tops(m, a, n))
         want = _largest_l(a, _deficit_fits(deficit, m, a, n))
-        if want and not any(deficit[: m - 1]):
-            # a block that would use up the whole deficit is shrunk by one
+        if m == n - 1 and 0 < want < a and not any(deficit[: m - 1]):
+            # a partial block at x_{n-1} that would use up the whole deficit is shrunk by one
             if deficit[m - 1:] == list(_exps(a, want, _tops(m, a, n)))[: n - m]:
                 want -= 1
         assert got == want
@@ -557,8 +652,8 @@ class TestRows:
         assert sum(climbs) > 50 and taken  # jumps checked; a walk may end right after its step
 
     @staticmethod
-    def _tops_rows_after(monkeypatch, next_jump, trace=None):
-        """Run tau(x2^10, 14) and check that no jump named by next_jump(m, a, l) for the
+    def _tops_rows_after(monkeypatch, n, next_jump, trace=None):
+        """Run tau(x2^10, n) and check that no jump named by next_jump(m, a, l) for the
         jump before it builds its own tops row; returns how many such jumps there were.
         Each jump ends in a take, also the step after a partial block, which asks no rule."""
         from gotzmann import paths
@@ -576,7 +671,7 @@ class TestRows:
             named = seen["next"]
             if named and named[:2] == (rule, m):
                 seen["checked"] += 1
-                assert (named[2], 14 - m) not in rows
+                assert (named[2], n - m) not in rows
             seen["next"], seen["pending"] = seen["pending"], None
             rows.clear()
             take(rule, m, exps)
@@ -584,17 +679,18 @@ class TestRows:
         monkeypatch.setattr(paths, "_row", lambda a, count: rows.append((a, count)) or row(a, count))
         monkeypatch.setattr(_Deficit, "largest", spy_largest)
         monkeypatch.setattr(_Deficit, "take", spy_take)
-        tau(parse("x2^10", 14), 14, trace=trace)
+        tau(parse("x2^10", n), n, trace=trace)
         return seen["checked"]
 
     def test_no_tops_row_right_after_a_partial_block(self, monkeypatch):
         # the next jump, a forced elementary step, is at the same x_m with what the block left there
-        assert self._tops_rows_after(monkeypatch, lambda m, a, l: (m, a - l) if 0 < l < a else ()) > 50
+        next_jump = lambda m, a, l: (m, a - l) if 0 < l < a else ()
+        assert sum(self._tops_rows_after(monkeypatch, n, next_jump) for n in (13, 14)) > 50
 
     def test_no_tops_row_right_after_a_full_block_onto_an_empty_run(self, monkeypatch):
         # a jump at x_{m-1} with the same a follows a full block exactly when x_{m-1} was empty.
         # Untraced, such blocks are the blocks of climbs; a traced walk takes them one by one
-        assert self._tops_rows_after(monkeypatch, lambda m, a, l: (m - 1, a) if 0 < l == a else (), lambda r: None) > 50
+        assert self._tops_rows_after(monkeypatch, 14, lambda m, a, l: (m - 1, a) if 0 < l == a else (), lambda r: None) > 50
 
     def test_full_blocks_build_no_lower_row(self, monkeypatch):
         # a full block's lower row C(s-1, s+1) is zero, so no jump builds _row(0, .)
@@ -632,7 +728,7 @@ class TestRows:
         monkeypatch.setattr(paths, "_grow", lambda row, a, count: columns.append(count - len(row)) or grow(row, a, count))
         monkeypatch.setattr(paths, "_least_base", lambda *args: solves.append(args) or _least_base(*args))
         tau(parse("x2^10", 14), 14)
-        assert len(rows) <= 87 and sum(columns) <= 372 and solves == []
+        assert len(rows) <= 66 and sum(columns) <= 341 and solves == []
         u0 = parse("x2^3", 16)
         t = tau(u0, 16).tau
         rows.clear()
@@ -784,13 +880,16 @@ class TestClimb:
         calls = [lambda trace, b=b: advance(u, b, trace=trace) for b in range(1, 58)]
         calls += [lambda trace, cap=cap: advance(u, 100, cap, trace) for cap in range(9)]  # it takes 8 jumps
         calls += [lambda trace, cap=cap: mc(u, cap, trace) for cap in range(6)]
-        # a deficit that the step and its climb use up exactly: the block at x5 would hit
-        # it, so it is shrunk by one and the walk reaches x2*x4^5 by one more step
+        # a deficit that the step and its climb use up exactly: the climb's last block, at
+        # x5, ends at the first hit x2*x4^5, so the walk takes it whole (its last unit ends
+        # with a step paid at x6, below x_n) and stops there after 4 jumps
         calls += [lambda trace, d=d: _walk(u, _Deficit(list(d)), DEFAULT_MAX_JUMPS, trace) for d in
                   ([0, 0, 1, 0, 5, 15], [0, 0, 1, 0, 5, 16], [0, 0, 2, 0, 5, 15], [0, 0, 1, 0, 4, 15])]
         for call in calls:
             assert _outcome(call) == _refused(call)
-        assert len(_outcome(calls[-4])[1]) == 5
+        out, records = _outcome(calls[-4])
+        assert out == WalkState(parse("x2*x4^5", 7), parse("x3*x5^5*x6^15*x7^35", 7), 56)
+        assert [r["to"] for r in records] == ["x2*x7^5", "x2*x6^5", "x2*x5^5", "x2*x4^5"]
 
     def test_walks_from_an_origin_climb(self):
         # from x2*x7^5 the x7 run sits over empty x3 .. x6: the untraced walk carries it to x3
@@ -845,10 +944,10 @@ class TestClimb:
         assert tau(u, 14) == traced and any(taken)
 
     def test_deep_tau_climbs(self, monkeypatch):
-        # tau(x2^10, 14) walks 418 jumps in 198 takes.  286 jumps are the blocks of 66 climbs:
-        # 55 after elementary steps and one from each level's origin, whose x_n run sits over
-        # empty x_3 .. x_{n-1}.  Of the 132 kernel iterations, 66 are the elementary steps
-        # after partial blocks, which ask no rule, so the rule is asked 66 times
+        # tau(x2^10, 14) walks 377 jumps in 157 takes.  276 jumps are the blocks of 56 climbs:
+        # 45 after elementary steps and one from each of 11 levels' origins, whose x_n run sits
+        # over empty x_3 .. x_{n-1}.  Of the 101 kernel iterations, 45 are the elementary steps
+        # after partial blocks, which ask no rule, so the rule is asked 56 times
         from gotzmann.threshold import tau
 
         queries, takes, blocks = [], [], []
@@ -864,8 +963,8 @@ class TestClimb:
         monkeypatch.setattr(_Deficit, "climbs", spy_climbs)
         tau(parse("x2^10", 14), 14)
         climbed = [x for x in blocks if x]
-        assert len(queries) <= 66 and len(climbed) == 66 and sum(climbed) == 286
-        assert len(takes) - len(climbed) + sum(climbed) == 418
+        assert len(queries) <= 56 and len(climbed) == 56 and sum(climbed) == 276
+        assert len(takes) == 157 and len(takes) - len(climbed) + sum(climbed) == 377
 
 
 def test_find_z_below_the_threshold_is_the_same_traced_and_untraced():
@@ -964,6 +1063,9 @@ def _jump(frm, to, block_cost, steps_so_far):
 
 class TestTraceStream:
     def test_find_z_golden(self):
+        # the last record is the one kind of shrink the deficit rule keeps: at x4 = x_{n-1} the
+        # deficit's x4 exponent, 1, would be used up by a partial block of 1 of the 4 units,
+        # and the first hit lies inside that unit, right after its step at x4
         records = []
         z, _ = find_z(parse("x2^2*x4", 4), 5, 4, trace=records.append)
         assert z == parse("x2^3*x3*x5^3", 5)
