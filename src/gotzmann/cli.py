@@ -8,9 +8,9 @@ output renders big integers as decimal strings so nothing is ever rounded by
 a consumer.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource cap exceeded (Python's recursion limit included), 4 internal
-error (a broken invariant or exhausted memory), 141 stdout closed by its
-reader before the output was written (the shell's code for SIGPIPE).
+3 resource cap exceeded (Python's recursion and size limits included),
+4 internal error (a broken invariant or exhausted memory), 141 stdout closed
+by its reader before the output was written (the shell's code for SIGPIPE).
 
 Threshold towers can be cached in an append-only JSONL file (--cache or the
 GOTZ_CACHE environment variable) through cache.py.
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, help="cross-check suite; an unknown name lists the valid ones")
     sp.add_argument("--n", type=int)
     sp.add_argument("--max-deg", type=int)
-    sp.add_argument("--which", choices=["tau3", "tau4", "tau5", "tau5_x2"])
+    sp.add_argument("--which", help="closed law for the formulas suite; an unknown name lists the valid ones")
     sp.add_argument("--d", help="range lo..hi for the tau5 law")
     sp.add_argument("--count", type=int, help="cases for the walk suite")
     sp.add_argument("--seed", type=int)
@@ -262,10 +262,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RecursionError:
-        # a tower nests one call per variable, in tau and in what reads its reports
-        limit = sys.getrecursionlimit()
-        print(f"error: the computation nests deeper than Python's recursion limit ({limit})", file=sys.stderr)
+    except (RecursionError, OverflowError) as exc:
+        # Python's own limits: a tower nests one call per variable, in tau and in what reads its
+        # reports, and a list of the n exponents or of the d values must fit an index
+        why = f"nests deeper than Python's recursion limit ({sys.getrecursionlimit()})"
+        if isinstance(exc, OverflowError):
+            why = f"counts past Python's size limit for a list or an index ({exc})"
+        print(f"error: the computation {why}", file=sys.stderr)
         return EXIT_CAP
     except (RuntimeError, MemoryError) as exc:
         # after CapExceeded, TargetOvershoot and RecursionError, which are RuntimeErrors too

@@ -6,6 +6,10 @@ with CapExceeded once a configurable size cap is passed; they never truncate
 silently.  The closed-form counters (binom, borel_size, lex_rank, gap_count)
 stay exact at any size and are what the fast algorithms rely on.
 
+One successor, _next_below, walks every slice: lexinterval steps it down from
+its upper end, lexsegment is the interval below x_1^d with x_1^d in front, and
+enumerate_monomials is the lexsegment of the slice minimum x_n^d.
+
 borel_size uses the standard correspondence between the Borel closure of
 x_{i_1}...x_{i_d} (indices ascending) and nondecreasing sequences j_1 <= ...
 <= j_d with j_k <= i_k.  prefix_borel_sizes counts those one position at a
@@ -94,22 +98,12 @@ def _check_cap(count: int, cap: int | None, what: str) -> None:
         raise CapExceeded(f"{what} holds {count} elements, over the cap of {cap}")
 
 
-def _compositions_desc(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def enumerate_monomials(n: int, d: int, cap: int | None = DEFAULT_CAP) -> MonomialSet:
     """All monomials of degree d in n variables, lex-descending (x_1^d first)."""
     if n < 1 or d < 0:
         raise ValueError(f"bad slice parameters n={n}, d={d}")
     _check_cap(binom(d + n - 1, n - 1), cap, f"the degree-{d} slice in {n} variables")
-    els = tuple(Monomial(n, e) for e in _compositions_desc(d, n))
-    return MonomialSet(n, els)
+    return lexsegment(Monomial(n, (0,) * (n - 1) + (d,)), cap=None)
 
 
 def _next_below(z: Monomial) -> Monomial | None:

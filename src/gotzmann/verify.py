@@ -45,38 +45,33 @@ def oracle(n: int | None = None, max_deg: int = 4) -> tuple[int, list[str]]:
     return checked, failures
 
 
+# each closed law of threshold._FORMULAS: given the tau5 range d, its cases, each one the law's
+# arguments, in the order its failure text names them, and the core whose threshold they give
+LAWS = {
+    "tau3": lambda d: [({"a": a, "b": b}, Monomial(3, (a, b, 0))) for a in range(3) for b in range(13)],
+    "tau4": lambda d: [({"b": b, "c": c}, Monomial(4, (0, b, c, 0))) for b in range(7) for c in range(7)],
+    "tau5_x2": lambda d: [({"d": e}, Monomial(5, (0, e, 0, 0, 0))) for e in range(d[0], d[1] + 1)],
+}
+
+
 def formulas(which: str | None = None, d: tuple[int, int] | None = None) -> tuple[int, list[str]]:
-    """Thresholds against the closed laws: tau3, tau4, and tau5 (alias tau5_x2)
+    """Thresholds against the closed laws of LAWS, tau5 an alias of tau5_x2,
     over exponents d = (lo, hi), (2, 8) when None; every law when which is None.
-    Only tau5 reads d, so d with another law is a ParseError."""
-    which = ["tau3", "tau4", "tau5"] if which is None else ["tau5" if which == "tau5_x2" else which]
-    if d is None:
-        d = (2, 8)
-    elif "tau5" not in which:
-        raise ParseError(f"the {which[0]} law takes no option d; only tau5 does")
-    checked = 0
+    Only tau5 reads d, so d with another law is a ParseError, and so is an
+    unknown law."""
+    law = {"tau5": "tau5_x2"}.get(which, which)
+    if law not in (None, *LAWS):
+        raise ParseError(f"unknown law {which!r}; have {', '.join(sorted(LAWS))}, and tau5 for tau5_x2")
+    if d is not None and law not in (None, "tau5_x2"):
+        raise ParseError(f"the {which} law takes no option d; only tau5 does")
+    laws = LAWS if law is None else [law]
+    cases = [(name, args, core) for name in laws for args, core in LAWS[name](d or (2, 8))]
     failures = []
-    if "tau3" in which:
-        for a in range(3):
-            for b in range(13):
-                checked += 1
-                got = tau(Monomial(3, (a, b, 0)), 3).tau
-                if got != tau_formula("tau3", b=b, a=a):
-                    failures.append(f"tau3 at a={a}, b={b}: {got}")
-    if "tau4" in which:
-        for b in range(7):
-            for c in range(7):
-                checked += 1
-                got = tau(Monomial(4, (0, b, c, 0)), 4).tau
-                if got != tau_formula("tau4", b=b, c=c):
-                    failures.append(f"tau4 at b={b}, c={c}: {got}")
-    if "tau5" in which:
-        for e in range(d[0], d[1] + 1):
-            checked += 1
-            got = tau(Monomial(5, (0, e, 0, 0, 0)), 5).tau
-            if got != tau_formula("tau5_x2", d=e):
-                failures.append(f"tau5_x2 at d={e}: {got}")
-    return checked, failures
+    for name, args, core in cases:
+        got = tau(core, core.n).tau
+        if got != tau_formula(name, **args):
+            failures.append(f"{name} at {', '.join(f'{k}={v}' for k, v in args.items())}: {got}")
+    return len(cases), failures
 
 
 def walk(count: int = 200, seed: int = 20260814) -> tuple[int, list[str]]:

@@ -152,6 +152,17 @@ class TestExitCodes:
         assert (code, out) == (EXIT_CAP, "")
         assert "recursion limit" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("tau", "--n", "1" + "0" * 27, "x1"), ("mg", "--n", "1" + "0" * 27, "x1"),
+         ("conjecture", "--n", "4", "--d", "1..1" + "0" * 23)],
+    )
+    def test_count_past_pythons_size_limit_is_a_cap_hit(self, capsys, argv):
+        # a list of the n exponents, or of the d values, longer than Python can index
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_CAP, "")
+        assert err.startswith("error: ") and "size limit" in err
+
     def test_reversed_cost_order(self, capsys):
         assert run(capsys, "cost", "--n", "3", "x1^2", "x3^2")[0] == EXIT_USAGE
 
@@ -201,8 +212,19 @@ class TestVerify:
         for which in ("tau3", "tau4"):
             code, out, err = run(capsys, "verify", "--suite", "formulas", "--which", which, "--d", "3..4")
             assert (code, out) == (EXIT_USAGE, "") and f"the {which} law takes no option d" in err
-        code, out, _ = run(capsys, "verify", "--suite", "formulas", "--which", "tau5", "--d", "3..4")
-        assert (code, json.loads(out)["checked"]) == (EXIT_OK, 2)
+        # tau5 is an alias of tau5_x2, the one law that reads it
+        outs = {run(capsys, "verify", "--suite", "formulas", "--which", which, "--d", "3..4")
+                for which in ("tau5", "tau5_x2")}
+        assert [(code, json.loads(out)["checked"]) for code, out, _ in outs] == [(EXIT_OK, 2)]
+
+    def test_every_closed_law_has_one_row(self):
+        # a law registered in threshold but not in the suite, or the other way round, shows here
+        assert set(verify.LAWS) == set(threshold._FORMULAS)
+
+    def test_unknown_law_names_the_valid_ones(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "formulas", "--which", "tau6")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unknown law 'tau6'" in err and all(law in err for law in threshold._FORMULAS)
 
     def test_unread_option_is_named(self):
         with pytest.raises(ParseError, match="the walk suite takes no option n$"):
@@ -223,7 +245,7 @@ class TestVerify:
         code = f"import sys, gotzmann.cli; print([m for m in {unwanted!r} if m in sys.modules])"
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
-            capture_output=True, text=True, env={"PYTHONPATH": src}, check=True,
+            capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, check=True,
         )
         assert proc.stdout == "[]\n"
 
