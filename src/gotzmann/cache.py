@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .monomial import Monomial, truncate
+from .combinatorics import _run_walk
+from .monomial import Monomial
 from .paths import DEFAULT_MAX_JUMPS, _check_cap
 from .threshold import ThresholdReport, _counts, _level
 
@@ -44,21 +45,26 @@ def replay(stored, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> Thresh
 
     Below the top, a level whose threshold is 0 may be clamped there by the
     split-off power of x_n, which hides its f, h and k from the levels above,
-    so threshold._counts walks that level again and must give all three.
+    so threshold._counts walks that level again, fed by the run walk of its
+    own core, and must give all three.
     """
     n = core.n
+    if n < 2:  # no tower: a threshold needs two variables
+        return None
     try:
-        tower = _level(truncate(core, 2), 0, 0, 0, None)
+        tower = _level(core.exps[:2], 0, 0, 0, None)
         for m in range(3, n + 1):
             _, f, h, k, _, _ = stored[n - m]
-            tower = _level(truncate(core, m), int(f, 16), int(h, 16), int(k, 16), tower)
+            tower = _level(core.exps[:m], int(f, 16), int(h, 16), int(k, 16), tower)
         if rows(tower) != stored:
             return None
         level = tower.sub_report
         while level is not None and level.n > 2:
             if level.tau == 0:
-                walked = _counts(truncate(level.u0, level.n - 1), level.n, level.t_star, max_jumps, None)
-                if walked != (level.f_at_tstar, level.h_at_tstar, level.k_at_tstar):
+                u0 = level.u0.exps[: level.n - 1]
+                v, q = _run_walk(u0, level.n)
+                counts = _counts(u0, level.n, level.t_star, max_jumps, None, (sum(v), q))
+                if counts != (level.f_at_tstar, level.h_at_tstar, level.k_at_tstar):
                     return None
             level = level.sub_report
     except (LookupError, TypeError, ValueError, ArithmeticError, RuntimeError):

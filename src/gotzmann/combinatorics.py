@@ -20,8 +20,11 @@ prefix sum per position on a run with e <= 2i, and all e at once in closed
 form on a longer one.  The same walk carries the gap form mg(u) that maxgen
 reads off it, by mg(u * x_i) = sigma(mg(u) + (|Borel(u)| - 1) * x_{i+1}).
 So the cost grows with the ambient and the number of runs, not with the
-size of an exponent.  The enumeration oracle certifies it on small grids in
-the tests.
+size of an exponent.  Each update of the gap form is prefix-local, so one
+walk over a core also records the closure size and gap form of every prefix,
+one ambient up: the inputs of every level of a threshold tower.  The
+enumeration oracle certifies it on small grids in the tests.  lex_rank
+wraps _lex_rank, which ranks a bare exponent list for those levels.
 """
 
 from __future__ import annotations
@@ -131,11 +134,16 @@ def lex_rank(u: Monomial) -> int:
     each position i < n, the count of completions whose prefix agrees with u
     up to i-1 and exceeds u at i; the inner sum telescopes to one binomial.
     """
+    return _lex_rank(u.exps)
+
+
+def _lex_rank(exps: Sequence[int]) -> int:
+    """lex_rank of the monomial with these exponents, in ambient len(exps)."""
     rank = 1
-    rem = deg(u)
-    n = u.n
+    rem = sum(exps)
+    n = len(exps)
     for i in range(1, n):
-        ui = u.exps[i - 1]
+        ui = exps[i - 1]
         slack = rem - ui - 1
         if slack >= 0:
             rank += binom(slack + n - i, n - i)
@@ -221,7 +229,7 @@ def prefix_borel_sizes(indices: Sequence[int]) -> list[int]:
     return sizes
 
 
-def _run_walk(exps: Sequence[int], n: int = 0) -> tuple[list[int], list[int]]:
+def _run_walk(exps: Sequence[int], n: int = 0, levels: list | None = None) -> tuple[list[int], list[int]]:
     """Walk the exponent runs of u = x_1^exps[0] * x_2^exps[1] * ... once.
 
     Returns v, the prefix-sum vector of prefix_borel_sizes after the last
@@ -248,30 +256,45 @@ def _run_walk(exps: Sequence[int], n: int = 0) -> tuple[list[int], list[int]]:
     short run's positions O(n) each.  A run of x_1 comes first and leaves
     every closure size at 1, so it changes nothing but the degree.  The x_n
     power of mg(u * x_n^t) is the last entry of sigma^t(q).
+
+    With a list levels, the walk appends (closure size, q[: i + 1]) after
+    each variable i: the closure size of the prefix u_i = x_1^exps[0] ...
+    x_i^exps[i-1] and mg(u_i) in ambient i + 1, what _run_walk(exps[: i],
+    i + 1) gives, so one walk serves every level of a threshold tower.  That
+    holds because every update of q is prefix-local: it writes entry c from
+    entries <= c of q, and from v, e and i, which do not depend on n.  The
+    add at x_{i+1} writes entry i from v; a prefix sum and sigma^e write
+    entry c from entries c' <= c; a long run's share in column i + s reads
+    g[m] for m <= s, and g reads v, e and i alone (n only sets how many
+    heads there are, and so how many columns get a share); and the test
+    any(q) before sigma^e only skips sigma^e of zeros, which are zeros.  So
+    by induction over the updates, entries 0 .. i of q are the same in
+    ambient n as in ambient i + 1 after each variable i < n.
     """
     v = [1]
     q = [0] * n
     for i, e in enumerate(exps, start=1):
-        if i == 1 or not e:
-            continue
-        v += [0] * (i - len(v))
-        if e <= 2 * i:
-            for _ in range(e):
-                if n:
-                    q[i] += sum(v) - 1
-                    q = list(accumulate(q))
-                v = list(accumulate(v))
-        else:
-            g = [
-                sum(vc * binom(i - 1 - c + e, i + m - c) for c, vc in enumerate(v) if vc) - binom(e, m + 1)
-                for m in range(n - i)
-            ]
-            v = _sigma_pow(v, e)
-            if any(q):
-                q = _sigma_pow(q, e)
-            for col in range(i, n):
-                q[col] += g[0]
-                g = [x + y for x, y in zip(g, g[1:])]
+        if i > 1 and e:
+            v += [0] * (i - len(v))
+            if e <= 2 * i:
+                for _ in range(e):
+                    if n:
+                        q[i] += sum(v) - 1
+                        q = list(accumulate(q))
+                    v = list(accumulate(v))
+            else:
+                g = [
+                    sum(vc * binom(i - 1 - c + e, i + m - c) for c, vc in enumerate(v) if vc) - binom(e, m + 1)
+                    for m in range(n - i)
+                ]
+                v = _sigma_pow(v, e)
+                if any(q):
+                    q = _sigma_pow(q, e)
+                for col in range(i, n):
+                    q[col] += g[0]
+                    g = [x + y for x, y in zip(g, g[1:])]
+        if levels is not None:
+            levels.append((sum(v), q[: i + 1]))
     return v, q
 
 

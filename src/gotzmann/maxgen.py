@@ -16,12 +16,15 @@ for i >= max_index(u): one add and one prefix sum per position on a run
 (i, e) with e <= 2i, and sigma^e plus a Vandermonde share per column on a
 longer run.  A run costs O(n^2) big-integer operations however long it is.
 
-Every shift by x_n^t is sigma^t, through sigma_pow, and it is the one route
-to the x_n power of a shifted form: mg_closed shifts by u's own x_n run,
-mg_shifted by that run plus a further t, and target_decompose by the level's
-t.  target_decompose checks the walk's unshifted form against an identity
-that shares nothing with the walk but the closure size: the degree of mg(u0)
-in ambient n is its gap count.
+Every shift by x_n^t is sigma^t, and it is the one route to the x_n power
+of a shifted form: mg_closed shifts by u's own x_n run, mg_shifted by that
+run plus a further t, and _target by a tower level's t.  _target works on
+exponent lists, from a walk that the caller made: a tau tower's one walk
+over its core, or target_decompose's own, which wraps it for Monomials.  It
+checks the walk's unshifted form against an identity that shares nothing
+with the walk but the closure size, the degree of mg(u0) in ambient n is
+its gap count, and shifts it by the column of binomials C(t-1+k, k)
+(monomial._column) that the level also hands to its walk.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ from __future__ import annotations
 from .combinatorics import (
     DEFAULT_CAP,
     MonomialSet,
+    _lex_rank,
     _run_walk,
     binom,
     borel_enumerate,
-    lex_rank,
     lexsegment,
     prefix_borel_sizes,
 )
-from .monomial import Monomial, _Record, deg, embed, max_index, sigma_pow
+from .monomial import Monomial, _column, _convolve, _Record, deg, max_index, sigma_pow
 
 
 def maxgen_of_set(s: MonomialSet) -> Monomial:
@@ -126,21 +129,32 @@ def target_decompose(u0: Monomial, n: int, t: int) -> MgDecomposition:
 
     b_k the closure size of the length-k prefix: a polynomial in t of degree
     at most n - 1 - i_2, zero when r <= 1.  Before shifting, q is checked
-    against the gap count of u0 in ambient n: mg multiplies one variable per
-    gap, so sum(q) is the lex_rank of u0 in ambient n less |Borel(u0)|.  That
-    costs n binomials at degree deg(u0), nothing that grows with t, and a
-    walk that breaks it is reported loudly instead of being masked.
+    against the gap count of u0 in ambient n (_target).
     """
     if u0.n != n - 1:
         raise ValueError(f"u0 must live in ambient {n - 1}, got {u0.n}")
     if t < 0:
         raise ValueError("shift must be nonnegative")
     v, q = _run_walk(u0.exps, n)
-    gaps = lex_rank(embed(u0, n)) - sum(v)
+    mg = _target(u0.exps, sum(v), q, _column(t, n))
+    return MgDecomposition(base=Monomial(n, (*mg[: n - 1], 0)), xn_exp=mg[n - 1])
+
+
+def _target(exps: tuple[int, ...], closure: int, q: list[int], col: list[int]) -> list[int]:
+    """The exponents of mg(u0 * x_n^t), u0 the x_n-free core with these exponents,
+    from its closure size, q = mg(u0) in ambient n = len(q) (combinatorics._run_walk)
+    and col = _column(t, n).
+
+    q is first checked against an identity that shares nothing with the walk
+    but the closure size: mg multiplies one variable per gap, so sum(q) is
+    the lex_rank of u0 in ambient n less |Borel(u0)|.  That costs n
+    binomials at deg(u0), nothing that grows with t, and a walk that breaks
+    it is reported loudly instead of being masked.
+    """
+    gaps = _lex_rank((*exps, 0)) - closure
     if sum(q) != gaps:
         raise RuntimeError(
-            f"internal inconsistency: mg({u0}) in ambient {n} has degree {sum(q)}, "
-            f"not the gap count {gaps}"
+            f"internal inconsistency: mg({Monomial(len(exps), exps)}) in ambient {len(q)} has degree "
+            f"{sum(q)}, not the gap count {gaps}"
         )
-    mg = sigma_pow(Monomial(n, q), t)
-    return MgDecomposition(base=Monomial(n, mg.exps[: n - 1] + (0,)), xn_exp=mg.exps[n - 1])
+    return _convolve(q, col) if col[1] else q  # col[1] = C(t, 1) = t, and sigma^0 is the identity

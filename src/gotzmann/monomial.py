@@ -302,9 +302,21 @@ def _sigma_pow(exps: Sequence[int], t: int) -> list[int]:
 
     The exponent of x_i in sigma^t(u) is sum_j a_j * C(t-1+i-j, i-j) over
     j <= i, and t = 1 agrees with sigma.  Only the len(exps) values
-    C(t-1+k, k) occur, so they are built once as a column.
+    C(t-1+k, k) occur, so they are built once as a column (_column) and
+    convolved with the exponents (_convolve).
     """
-    col = [1]  # col[k] = C(t-1+k, k), each from the last by one ratio
-    for k in range(1, len(exps)):
+    return _convolve(exps, _column(t, len(exps)))
+
+
+def _column(t: int, count: int) -> list[int]:
+    """[C(t-1+k, k) for k < count], each from the last by one ratio; t = 0 gives
+    [1, 0, 0, ...], so that _convolve with it is the identity."""
+    col = [1]
+    for k in range(1, count):
         col.append(col[-1] * (t - 1 + k) // k)
+    return col
+
+
+def _convolve(exps: Sequence[int], col: list[int]) -> list[int]:
+    """sigma^t of exps from col = _column(t, len(exps)): entry i is sum_j exps[j] * col[i - j]."""
     return [sum(a * col[i - j] for j, a in enumerate(exps[: i + 1]) if a) for i in range(len(exps))]

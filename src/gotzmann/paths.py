@@ -15,7 +15,8 @@ which for m = n degenerates to x_n^l (one cheap step per unit).  Every state
 inside a block lies on the elementary chain, so jumping is exact, and the
 cost exponents are monotone in l.
 
-One kernel, _walk, runs every block walk.  At each jump it takes the largest
+One kernel, _walk_lists, runs every block walk, on exponent lists; _walk
+wraps it for Monomials.  At each jump it takes the largest
 block its rule admits, or one elementary step when not even l = 1 is
 admitted, and charges the rule for it.  After a partial block (0 < l < k) the
 step is forced, and the kernel takes it as its own jump without asking the
@@ -79,7 +80,10 @@ the same hockey stick they cost c at x_{j+2} and _row(c + 1, .) above it.
 An untraced walk takes them in one climb before its first iteration, under
 the same conditions, and holds _row(c, k) by one Pascal step down, whether
 the rule admitted the climb or its blocks go one by one.  _climb is the one
-place where a climb is offered to the rule and taken.
+place where a climb is offered to the rule and taken.  A tau level has the
+row already: C(c+s, s+1) = C(c-1+(s+1), s+1) are entries 2 .. k+1 of the
+column C(c-1+k, k), k < n, that shifts its target by sigma^c, and it hands
+the walk that column.
 
 find_z hunts for the first state z whose cost, truncated below x_n, equals
 w.  The first-hit lemma: before z, a block or climb that fits the deficit at
@@ -110,7 +114,7 @@ at the jump cap by way of the blocks that those components admit.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from .combinatorics import CapExceeded, binom, gap_count, lex_rank
 from .maxgen import MgDecomposition, target_decompose
@@ -338,21 +342,34 @@ def _check_cap(max_jumps: int) -> None:
 
 
 def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None) -> WalkState:
-    """Walk upward from origin, block by block, until the rule is met.  Position and
-    cost are exponent lists; Monomials are built for the result and trace records."""
+    """_walk_lists from origin, its position and cost as Monomials."""
+    cur, cost = _walk_lists(origin.exps, rule, max_jumps, trace)
+    return WalkState(Monomial(origin.n, tuple(cur)), Monomial(origin.n, tuple(cost)), sum(cost))
+
+
+def _walk_lists(
+    origin: Sequence[int], rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None,
+    col: list[int] | None = None,
+) -> tuple[list[int], list[int]]:
+    """Walk upward from the origin with these exponents, block by block, until the rule is
+    met; the exponents of the state reached and of its cost.  Monomials are built for trace
+    records and error texts alone.  col, when given, is monomial._column(c, n) for the
+    origin's x_n run c, whose entries C(c+s, s+1) are the origin climb's row _row(c + 1, .)."""
     _check_cap(max_jumps)
-    n = origin.n
-    cur = list(origin.exps)
+    n = len(origin)
+    cur = list(origin)
     cost = [0] * n
     jumps = 0
     b, known = 0, []  # the longest row built for run size b; no run is empty
-    frm = origin
+    frm = Monomial(n, tuple(cur)) if trace is not None else None
     c, j = cur[n - 1], n - 1  # the x_n run, over empty x_{j+1} .. x_{n-1}
     while j and not cur[j - 1]:
         j -= 1
     k = n - j - 1  # full blocks at x_n .. x_{j+2} carry it to x_{j+1}
     if c and k and trace is None and k <= max_jumps and not rule.met():  # traced: one by one
-        row = _row(c + 1, k)  # the climb costs c at x_{j+2} and row above it, by the hockey stick
+        # the climb costs c at x_{j+2} and row above it, by the hockey stick; col holds the row
+        # unless the run climbs to x_1 (k = n - 1), one column past it
+        row = col[2 : k + 2] if col is not None and k + 2 <= len(col) else _row(c + 1, k)
         b, known = c, _row_below(c + 1, row)
         if _climb(rule, cur, cost, j + 2, [c] + row[: k - 1]):
             jumps = k
@@ -365,7 +382,7 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
         while not cur[m - 1]:
             m -= 1
         if m == 1:
-            raise TargetOvershoot(f"slice exhausted above {origin} with target unmet")
+            raise TargetOvershoot(f"slice exhausted above {Monomial(n, tuple(origin))} with target unmet")
         a = cur[m - 1]
         if a != b:
             b, known = a, _row(a, n - m)
@@ -397,7 +414,7 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
         if not l and a > 1 and k and trace is None and jumps + k <= max_jumps:  # traced: one by one
             if _climb(rule, cur, cost, m + 2, [a - 1] + tops[: k - 1]):  # the hockey stick again
                 jumps += k
-    return WalkState(Monomial(n, tuple(cur)), Monomial(n, tuple(cost)), sum(cost))
+    return cur, cost
 
 
 def _check_budget(origin: Monomial, budget: int) -> None:

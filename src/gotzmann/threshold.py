@@ -14,7 +14,11 @@ where f(t) is the x_n-degree of mg(u0 * x_n^t), z(t) is the first-hit state
 of find_z, h(t) its x_n cost and k(t) its x_n degree.  tau() evaluates the
 right-hand side at t* = tau(u0, n-1), recursing down to the two-variable
 base where every monomial is Gotzmann.  For a general u = u0 * x_n^t the
-threshold drops by the shift: max(tau(u0) - t, 0).
+threshold drops by the shift: max(tau(u0) - t, 0).  One run walk over the
+core of the query gives every level its closure size and mg(u0)
+(combinatorics._run_walk), and each level hands its target and its walk
+exponent lists and one column of binomials (_counts); Monomials are built
+for the reports, trace records and error texts.
 
 tau_oracle scans t upward with the witness test; tau_formula holds the known
 closed laws for small ambients; conjecture_scan probes how tau(x_2^d) grows
@@ -29,12 +33,13 @@ from .combinatorics import (
     DEFAULT_CAP,
     CapExceeded,
     MonomialSet,
+    _run_walk,
     binom,
     lex_rank,
 )
-from .maxgen import _segment_gaps, maxgen_of_set, mg_closed, target_decompose
-from .monomial import Monomial, _decimal, _Record, deg, deg_in, truncate, variable_power
-from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, TraceFn, _Budget, _walk, find_z
+from .maxgen import _segment_gaps, _target, maxgen_of_set, mg_closed
+from .monomial import Monomial, _column, _decimal, _Record, deg, variable_power
+from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, TraceFn, _Budget, _Deficit, _walk, _walk_lists
 
 
 class GotzmannWitness(_Record):
@@ -112,41 +117,55 @@ def tau(
 ) -> ThresholdReport:
     """Least t such that u * x_n^t is Gotzmann, with the recursion tower.
 
-    u must already live in ambient n (embed explicitly before calling).
+    u must already live in ambient n (embed explicitly before calling).  One
+    run walk over u's core gives every level its closure size and mg(u0)
+    (combinatorics._run_walk's levels); the tower is then built bottom-up,
+    one recursive call per level.
     """
     if n < 2:
         raise ValueError("thresholds need an ambient of at least 2 variables")
     if u.n != n:
         raise ValueError(f"ambient mismatch: monomial lives in {u.n}, asked for {n}")
+    levels = []
+    _run_walk(u.exps[: n - 1], n, levels)
+    return _tower(u.exps, levels, max_jumps, trace)
+
+
+def _tower(exps: tuple[int, ...], levels: list, max_jumps: int, trace: TraceFn | None) -> ThresholdReport:
+    # the tower of the monomial with these exponents, in ambient n = len(exps), from levels[n - 2]
+    # = (closure size, mg) of its core u0 in ambient n and the entries below it
+    n = len(exps)
     if n == 2:
-        return _level(u, 0, 0, 0, None)
-    u0 = truncate(u, n - 1)
-    sub = tau(u0, n - 1, max_jumps=max_jumps, trace=trace)
-    return _level(u, *_counts(u0, n, sub.tau, max_jumps, trace), sub)
+        return _level(exps, 0, 0, 0, None)
+    sub = _tower(exps[: n - 1], levels, max_jumps, trace)
+    return _level(exps, *_counts(exps[: n - 1], n, sub.tau, max_jumps, trace, levels[n - 2]), sub)
 
 
-def _counts(u0: Monomial, n: int, t: int, max_jumps: int, trace: TraceFn | None) -> tuple[int, int, int]:
-    # f, h and k at t of the level n above u0: the x_n power of mg(u0 * x_n^t),
-    # then the x_n cost and x_n degree of find_z's first hit
-    decomp = target_decompose(u0, n, t)
-    z, state = find_z(u0, n, t, max_jumps=max_jumps, trace=trace, decomp=decomp)
-    return decomp.xn_exp, deg_in(state.cost, n), deg_in(z, n)
+def _counts(core: tuple, n: int, t: int, max_jumps: int, trace: TraceFn | None, walked: tuple) -> tuple[int, int, int]:
+    # f, h and k at t of the level n above the core with these exponents, from walked = (its
+    # closure size, mg(core) in ambient n): the x_n power of mg(core * x_n^t), then the x_n cost
+    # and x_n degree of the first hit of find_z's walk.  One column C(t-1+k, k) serves both the
+    # shift of mg(core) and the walk's origin climb
+    col = _column(t, n)
+    mg = _target(core, *walked, col)
+    z, cost = _walk_lists((*core, t), _Deficit(mg[: n - 1]), max_jumps, trace, col)
+    return mg[n - 1], cost[n - 1], z[n - 1]
 
 
-def _level(u: Monomial, f: int, h: int, k: int, sub: ThresholdReport | None) -> ThresholdReport:
-    # the tower level of u from f, h and k at t* = sub.tau (0 at the base);
-    # the power t of x_n in u lowers the core threshold to max(tau - t, 0)
-    n, t = u.n, u.exps[u.n - 1]
+def _level(exps: tuple[int, ...], f: int, h: int, k: int, sub: ThresholdReport | None) -> ThresholdReport:
+    # the tower level of the monomial u with these exponents from f, h and k at t* = sub.tau
+    # (0 at the base); the power t of x_n in u lowers the core threshold to max(tau - t, 0)
+    n, t = len(exps), exps[-1]
     t_star = sub.tau if sub is not None else 0
     delta = f - h
     value = delta - k + t_star
     if min(f, h, k, delta, value) < 0:
         raise RuntimeError(
-            f"threshold invariant violated at n={n}, u={u}: "
+            f"threshold invariant violated at n={n}, u={Monomial(n, exps)}: "
             f"f={f}, h={h}, k={k}, t*={t_star}"
         )
     return ThresholdReport(
-        u0=Monomial(n, u.exps[: n - 1] + (0,)), n=n, t_star=t_star, f_at_tstar=f, h_at_tstar=h,
+        u0=Monomial(n, (*exps[: n - 1], 0)), n=n, t_star=t_star, f_at_tstar=f, h_at_tstar=h,
         k_at_tstar=k, delta=delta, tau=max(value - t, 0), sub_report=sub,
     )
 

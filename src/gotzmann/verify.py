@@ -57,13 +57,15 @@ LAWS = {
 def formulas(which: str | None = None, d: tuple[int, int] | None = None) -> tuple[int, list[str]]:
     """Thresholds against the closed laws of LAWS, tau5 an alias of tau5_x2,
     over exponents d = (lo, hi), (2, 8) when None; every law when which is None.
-    Only tau5 reads d, so d with another law is a ParseError, and so is an
-    unknown law."""
+    Only tau5 reads d, so d with another law is a ParseError, and so are an
+    unknown law and lo > hi, which would check no tau5 point."""
     law = {"tau5": "tau5_x2"}.get(which, which)
     if law not in (None, *LAWS):
         raise ParseError(f"unknown law {which!r}; have {', '.join(sorted(LAWS))}, and tau5 for tau5_x2")
     if d is not None and law not in (None, "tau5_x2"):
         raise ParseError(f"the {which} law takes no option d; only tau5 does")
+    if d is not None and d[0] > d[1]:
+        raise ParseError(f"empty range '{d[0]}..{d[1]}'")  # the wording of the CLI's --d
     laws = LAWS if law is None else [law]
     cases = [(name, args, core) for name in laws for args, core in LAWS[name](d or (2, 8))]
     failures = []

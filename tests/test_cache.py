@@ -2,7 +2,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from gotzmann import cache, paths
+from gotzmann import cache, paths, threshold
 from gotzmann.monomial import Monomial, parse, truncate
 from gotzmann.threshold import tau
 
@@ -19,8 +19,9 @@ def test_rows_replay_to_the_tower(exps):
 
 def test_replay_walks_only_levels_clamped_to_zero(monkeypatch):
     # the n = 4 level of x2^2*x4^3 has its threshold clamped to 0; no other level walks
-    walks, real = [], paths._walk
-    monkeypatch.setattr(paths, "_walk", lambda *a: walks.append(a[0]) or real(*a))
+    walks, real = [], paths._walk_lists
+    for module in (paths, threshold):  # the public find_z's walks and the tower's
+        monkeypatch.setattr(module, "_walk_lists", lambda *a: walks.append(tuple(a[0])) or real(*a))
     u = parse("x2^2*x4^3", 5)
     rep = tau(u, 5)
     assert rep.sub_report.n == 4 and rep.sub_report.tau == 0

@@ -217,6 +217,16 @@ class TestVerify:
                 for which in ("tau5", "tau5_x2")}
         assert [(code, json.loads(out)["checked"]) for code, out, _ in outs] == [(EXIT_OK, 2)]
 
+    @pytest.mark.parametrize("which", [None, "tau5", "tau5_x2"])
+    def test_empty_range_is_refused_by_the_library_too(self, capsys, which):
+        # with every law the other laws would still be checked, and the suite would pass
+        # without a single tau5_x2 point; the library refuses lo > hi as the CLI's --d does
+        options = {"d": (5, 3)} if which is None else {"which": which, "d": (5, 3)}
+        with pytest.raises(ParseError, match="^empty range '5..3'$"):
+            verify.run("formulas", **options)
+        code, out, err = run(capsys, "verify", "--suite", "formulas", "--d", "5..3")
+        assert (code, out) == (EXIT_USAGE, "") and "empty range '5..3'" in err
+
     def test_every_closed_law_has_one_row(self):
         # a law registered in threshold but not in the suite, or the other way round, shows here
         assert set(verify.LAWS) == set(threshold._FORMULAS)
@@ -565,19 +575,19 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
 
 
 def test_inconsistent_target_is_an_internal_error(capsys, monkeypatch):
-    # target_decompose's check of the walk's gap form against its gap count, seen from
-    # the command line
-    from gotzmann import combinatorics, maxgen
+    # a level's check of the tower's run walk against its gap count, seen from the command
+    # line: the top level's gap form is off by one, the levels below it are not
+    from gotzmann import combinatorics, threshold
 
-    def off_by_one(exps, n=0):
-        v, q = combinatorics._run_walk(exps, n)
-        q[-1] += 1
+    def off_by_one(exps, n=0, levels=None):
+        v, q = combinatorics._run_walk(exps, n, levels)
+        levels[-1][1][-1] += 1
         return v, q
 
-    monkeypatch.setattr(maxgen, "_run_walk", off_by_one)
+    monkeypatch.setattr(threshold, "_run_walk", off_by_one)
     code, out, err = run(capsys, "tau", "--n", "5", "x2^2*x4")
     assert (code, out) == (EXIT_INTERNAL, "")
-    assert "internal inconsistency" in err
+    assert "internal inconsistency: mg(x2^2*x4) in ambient 5 has degree 9, not the gap count 8" in err
 
 
 def _gotz_env():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from gotzmann.combinatorics import (
     CapExceeded,
     MonomialSet,
+    _lex_rank,
     binom,
     borel_enumerate,
     borel_size,
@@ -63,6 +64,16 @@ class TestLexRank:
             for d in range(5):
                 for pos, u in enumerate(enumerate_monomials(n, d)):
                     assert lex_rank(u) == pos + 1
+
+    def test_exponent_list_form(self):
+        # _lex_rank(u.exps) is lex_rank(u); a core padded with a zero ranks one ambient up, as a
+        # tower level ranks its core for the gap count
+        for n in range(1, 5):
+            for d in range(5):
+                up = {v.exps: pos + 1 for pos, v in enumerate(enumerate_monomials(n + 1, d))}
+                for u in enumerate_monomials(n, d):
+                    assert _lex_rank(u.exps) == lex_rank(u)
+                    assert _lex_rank((*u.exps, 0)) == up[(*u.exps, 0)]
 
 
 class TestSegments:

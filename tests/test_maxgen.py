@@ -292,6 +292,24 @@ def test_shifted_gap_form_meets_its_gap_count(shape, t):
     assert v == _run_walk(exps)[0]
 
 
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.lists(st.one_of(_run_exponents, st.integers(0, 10**30)), min_size=n - 1, max_size=n - 1)
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_run_walk_levels_are_the_walks_of_the_prefixes(exps):
+    # every update of q is prefix-local, so one walk in ambient n records after variable i what
+    # the walk of the first i variables gives one ambient up: a tower level's closure size and mg
+    n = len(exps) + 1
+    levels = []
+    assert _run_walk(exps, n, levels) == _run_walk(exps, n)
+    assert len(levels) == n - 1
+    for m in range(2, n + 1):
+        v, q = _run_walk(exps[: m - 1], m)
+        assert levels[m - 2] == (sum(v), q)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_gap_form_recurrence(n):
     # mg(u * x_i) = sigma(mg(u) + (|Borel(u)| - 1) * x_{i+1}) for every i >= max_index(u),

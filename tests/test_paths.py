@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gotzmann.combinatorics import CapExceeded, binom, enumerate_monomials, gap_count, lex_rank, lexinterval
 from gotzmann.maxgen import maxgen_of_set, mg_closed, target_decompose
-from gotzmann.monomial import Monomial, deg, deg_in, max_index, mul, one, parse, pred, sigma
+from gotzmann.monomial import Monomial, _column, deg, deg_in, max_index, mul, one, parse, pred, sigma
 from gotzmann.paths import (
     DEFAULT_MAX_JUMPS,
     TargetOvershoot,
@@ -583,6 +583,14 @@ class TestRows:
     def test_pascal_step_is_the_row_one_unit_down(self, a, count):
         assert _row_below(a, _row(a, count)) == _row(a - 1, count)
 
+    @given(st.one_of(st.integers(0, 3), st.integers(0, 10**40)), st.integers(2, 20), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_origin_climb_row_is_the_shift_column(self, t, n, data):
+        # a tower level's origin u0 * x_n^t climbs with _row(t + 1, k), k < n - 1, which is a
+        # slice of the column C(t-1+k, k) that sigma^t of its gap form is built from
+        k = data.draw(st.integers(0, n - 2))
+        assert _row(t + 1, k) == _column(t, n)[2 : k + 2]
+
     @pytest.mark.parametrize("rule", [_Deficit, _Budget])
     def test_climb_back_from_xn_builds_no_row(self, monkeypatch, rule):
         # an elementary step at x_m sends b = a - 1 units to an empty x_n; the walk climbs
@@ -596,7 +604,7 @@ class TestRows:
         from gotzmann.threshold import tau
 
         n, events = 14, []
-        walk, largest, climbs, below = paths._walk, rule.largest, rule.climbs, paths._row_below
+        walk, largest, climbs, below = paths._walk_lists, rule.largest, rule.climbs, paths._row_below
 
         def spy_largest(self, m, a, tops):
             events.append(("enter", m, a, tops))
@@ -610,8 +618,8 @@ class TestRows:
 
         u0 = parse("x2^10", n)
         t = tau(u0, n).tau
-        for owner in (paths, threshold):  # find_z's walks and the witness test's
-            monkeypatch.setattr(owner, "_walk", lambda origin, *args: events.append(("walk", origin.n)) or walk(origin, *args))
+        for owner in (paths, threshold):  # the witness test's walks and the tower's
+            monkeypatch.setattr(owner, "_walk_lists", lambda origin, *args: events.append(("walk", len(origin))) or walk(origin, *args))
         monkeypatch.setattr(paths, "_row", lambda a, count: events.append(("row",)) or _row(a, count))
         monkeypatch.setattr(paths, "_least_base", lambda *args: events.append(("solve",)) or _least_base(*args))
         monkeypatch.setattr(paths, "_row_below", lambda a, tops: events.append(("below", a, tops, below(a, tops))) or events[-1][3])
@@ -623,8 +631,9 @@ class TestRows:
             assert not is_gotzmann(parse(f"x2^10*x14^{t - 1}", n)).is_gotzmann
         climbs, taken = [], 0
         for i, event in enumerate(events):
-            if event[0] != "below" or event[1] < 2 or events[i - 2][0] == "walk" and events[i - 1] == ("row",):
-                continue  # not a step with units to carry, or a walk's origin climb (TestClimb)
+            if event[0] != "below" or event[1] < 2 or events[i - 1][0] == "walk" or events[i - 2][0] == "walk" and events[i - 1] == ("row",):
+                continue  # not a step with units to carry, or a walk's origin climb (TestClimb), whose
+                # row a tower level takes from its binomial column and any other walk builds
             ambient = next(e[1] for e in reversed(events[:i]) if e[0] == "walk")
             _, a, tops, row = event  # the elementary step at x_m, m = ambient - len(tops)
             m, k, b = ambient - len(tops), ambient, a - 1  # x_k: the next jump, from x_n down

@@ -86,9 +86,9 @@ class TestRecord:
 
 def test_post_init_sees_every_monomial_construction(monkeypatch):
     # perfbench counts constructions by patching __post_init__; the dataclass version counted 49 here,
-    # before each tau level stopped building the Monomials it only compares.  Each of the 4 levels
-    # embeds its core one ambient up once, for the lex_rank of the gap count that target_decompose
-    # checks the walk's gap form against (32 while the check compared two routes to f)
+    # before each tau level stopped building the Monomials it only compares, and 36 while each level
+    # still built its origin, target and walk state.  The levels pass exponent lists, so the one
+    # Monomial each of the 5 levels builds is its report's u0
     u = parse("x2^3", 6)
     counts = {"__init__": 0, "__post_init__": 0}
     for name in counts:
@@ -98,4 +98,4 @@ def test_post_init_sees_every_monomial_construction(monkeypatch):
 
         monkeypatch.setattr(monomial.Monomial, name, counted)
     assert tau(u, 6).tau == 1438
-    assert counts == {"__init__": 36, "__post_init__": 36}
+    assert counts == {"__init__": 5, "__post_init__": 5}

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from gotzmann import threshold
 from gotzmann.combinatorics import binom, enumerate_monomials, lex_rank
-from gotzmann.maxgen import mg_closed
-from gotzmann.monomial import Monomial, embed, one, parse, variable_power
-from gotzmann.paths import advance, mc
+from gotzmann.maxgen import mg_closed, target_decompose
+from gotzmann.monomial import Monomial, deg_in, embed, one, parse, truncate, variable_power
+from gotzmann.paths import advance, find_z, mc
 from gotzmann.threshold import (
     ConjectureScan,
     GotzmannWitness,
@@ -158,41 +159,47 @@ class TestTau:
         assert level.tau == 0
 
     def test_target_evaluated_once_per_level(self, monkeypatch):
-        # one run walk per level gives mg(u0) at deg(u0), which target_decompose checks
-        # against its gap count and shifts by sigma^(t*); that shift is the one route to f
-        from gotzmann import maxgen
-
-        calls = []
-        real = maxgen._run_walk
-        monkeypatch.setattr(maxgen, "_run_walk", lambda exps, n=0: calls.append((n, tuple(exps))) or real(exps, n))
-        level, cores = tau(parse("x2^3", 6), 6), []
-        while level.n > 2:
-            cores.insert(0, (level.n, level.u0.exps[: level.n - 1]))
-            level = level.sub_report
-        assert calls == cores
+        # one run walk per tower gives every level its closure size and mg(u0) at deg(u0), which
+        # the level checks against its gap count and shifts by sigma^(t*); that shift is the one
+        # route to f
+        calls, real = [], threshold._run_walk
+        monkeypatch.setattr(
+            threshold, "_run_walk", lambda exps, n=0, levels=None: calls.append((n, tuple(exps))) or real(exps, n, levels)
+        )
+        assert tau(parse("x2^3", 6), 6).tau == 1438
+        assert calls == [(6, (0, 3, 0, 0, 0))]
 
     def test_x_n_power_evaluated_once_per_level(self, monkeypatch):
-        # tau reads f off the decomposition it hands to find_z; nothing evaluates it again
-        from gotzmann import combinatorics, maxgen, threshold
+        # tau reads f off the target that its walk also takes; nothing evaluates it again
+        from gotzmann import combinatorics, maxgen
 
-        calls, real = [], maxgen._run_walk
-        spy = lambda exps, n=0: calls.append(n) or real(exps, n)
-        monkeypatch.setattr(maxgen, "_run_walk", spy)
-        monkeypatch.setattr(combinatorics, "_run_walk", spy)
-        for name in ("mg_closed", "mg_shifted"):
+        calls, real = [], combinatorics._run_walk
+        spy = lambda exps, n=0, levels=None: calls.append(n) or real(exps, n, levels)
+        for module in (combinatorics, maxgen, threshold):
+            monkeypatch.setattr(module, "_run_walk", spy)
+        for name in ("mg_closed", "mg_shifted", "target_decompose"):
             monkeypatch.setattr(maxgen, name, lambda *args: pytest.fail("a closed form evaluated again"))
             monkeypatch.setattr(threshold, name, lambda *args: pytest.fail("a closed form evaluated again"), raising=False)
         tau(parse("x2^3", 6), 6)
-        assert calls == [3, 4, 5, 6]
+        assert calls == [6]
 
-    def test_walks_through_the_public_find_z(self, monkeypatch):
-        # a wrapper bound over threshold.find_z sees the walk of every level
-        from gotzmann import threshold
-
-        calls, real = [], threshold.find_z
-        monkeypatch.setattr(threshold, "find_z", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
-        tau(parse("x2^3", 6), 6)
-        assert calls == [3, 4, 5, 6]
+    def test_every_level_matches_the_public_find_z(self):
+        # each level's f, h and k are what target_decompose and then the public find_z give at
+        # its core and t*, on seeded cores at n <= 9 and on x2^d up to n = 12
+        rng = random.Random(27)
+        cores = [variable_power(2, d, n) for n in range(3, 13) for d in (1, 2, 4, 6)]
+        cores += [Monomial(n, tuple(rng.randint(0, 3) for _ in range(n - 1)) + (0,)) for n in range(3, 10) for _ in range(8)]
+        checked = 0
+        for u in cores:
+            level = tau(u, u.n)
+            while level.n > 2:
+                n, u0, t = level.n, truncate(level.u0, level.n - 1), level.t_star
+                z, state = find_z(u0, n, t)
+                want = (target_decompose(u0, n, t).xn_exp, deg_in(state.cost, n), deg_in(z, n))
+                assert (level.f_at_tstar, level.h_at_tstar, level.k_at_tstar) == want, (u, n)
+                checked += 1
+                level = level.sub_report
+        assert checked == 444
 
     def test_base_case(self):
         assert tau(parse("x1^3", 2), 2).tau == 0
