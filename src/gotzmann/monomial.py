@@ -15,6 +15,7 @@ single degree slice.  Re-embedding into a larger ambient is always explicit
 from __future__ import annotations
 
 import json
+import operator
 import re
 from collections.abc import Sequence
 
@@ -309,8 +310,9 @@ def _sigma_pow(exps: Sequence[int], t: int) -> list[int]:
 
 
 def _column(t: int, count: int) -> list[int]:
-    """[C(t-1+k, k) for k < count], each from the last by one ratio; t = 0 gives
-    [1, 0, 0, ...], so that _convolve with it is the identity."""
+    """[C(t-1+k, k) for k < count], each from the last by one ratio, exact for every
+    integer t.  t = 0 gives [1, 0, 0, ...], so that _convolve with it is the identity;
+    t = -l < 0 gives (-1)^k C(l, k), zero past k = l (the coefficients of (1 - x)^l)."""
     col = [1]
     for k in range(1, count):
         col.append(col[-1] * (t - 1 + k) // k)
@@ -318,5 +320,7 @@ def _column(t: int, count: int) -> list[int]:
 
 
 def _convolve(exps: Sequence[int], col: list[int]) -> list[int]:
-    """sigma^t of exps from col = _column(t, len(exps)): entry i is sum_j exps[j] * col[i - j]."""
-    return [sum(a * col[i - j] for j, a in enumerate(exps[: i + 1]) if a) for i in range(len(exps))]
+    """Entry i is sum_j exps[i - j] * col[j] over j <= i, for i < len(exps), where col may stop
+    short of len(exps) and counts as zero beyond its end.  With col = _column(t, len(exps))
+    this is sigma^t of exps."""
+    return [sum(map(operator.mul, exps[i::-1], col)) for i in range(len(exps))]

@@ -47,10 +47,16 @@ else.  The witness test hands the budget rule mg(u) as a guide, which it
 spends as the deficit rule spends its target (_spend); _bound on what is left
 of it guesses N, kept when its row also has C(N+S-1, S+1) = _row(N, S)[-1] <
 X, and a miss drops the guide.  A rule that admits a partial block hands the
-kernel its lower row _row(N, S).
+kernel its lower row _row(N, S), built or shifted as below.
 
-Rows of terms C(k+s-1, s+1), s = 1..n-m, go by C(k+s, s+2) = C(k+s-1, s+1) *
-(k+s) / (s+2): one multiply and one small exact division a column.  A row
+A fresh row of terms C(k+s-1, s+1), s = 1..n-m, goes by C(k+s, s+2) =
+C(k+s-1, s+1) * (k+s) / (s+2): a multiply of the whole entry by k + s and one
+small exact division a column.  A partial block's lower row, for k - l units,
+follows instead from the top row of k that the walk holds, by Vandermonde
+(_row_down): convolved with (-1)^j C(l, j), j <= min(l, n - m + 1), each column
+is a few products of a short binomial of l by an entry of the top row.  On a run
+of 700 bits or more and an l short next to it, as at the top levels of a tall
+tower, that is the cheaper; elsewhere the row is built afresh.  A row
 depends only on the run k, so the kernel holds one row, the longest it has
 built for one run, and each jump on that run takes a prefix of it: after a
 partial block (0 < l < k) the lower row, for k - l units at x_m; after a full
@@ -118,10 +124,11 @@ from collections.abc import Callable, Sequence
 
 from .combinatorics import CapExceeded, binom, gap_count, lex_rank
 from .maxgen import MgDecomposition, target_decompose
-from .monomial import Monomial, _decimal, _Record, lex_cmp, max_index, pred
+from .monomial import Monomial, _column, _convolve, _decimal, _Record, lex_cmp, max_index, pred
 
 DEFAULT_MAX_JUMPS = 1_000_000
 DEFAULT_MAX_ELEMENTARY = 10_000_000
+_SHIFT_BITS = 700  # shorter runs build their lower rows faster afresh (_row_down)
 
 TraceFn = Callable[[dict], None]
 
@@ -161,6 +168,22 @@ def _row_below(a: int, tops: list[int]) -> list[int]:
     """_row(a - 1, len(tops)) from tops = _row(a, len(tops)) by Pascal's rule,
     C(a+s-2, s+1) = C(a+s-1, s+1) - C(a+s-2, s): one subtraction a column."""
     return [top - prev for top, prev in zip(tops, [a - 1] + tops)]
+
+
+def _row_down(a: int, l: int, tops: list[int]) -> list[int]:
+    """_row(a - l, len(tops)), 0 <= l < a, from tops = _row(a, len(tops)).
+
+    [1, a-1] + tops is _column(a - 1, .), and by Vandermonde its convolution with
+    _column(-l, .) is _column(a - l - 1, .), whose entries 2 onward are the row.  The
+    entries (-1)^j C(l, j) of _column(-l, .) vanish past j = l, so a column costs at most
+    len(tops) + 2 products of a C(l, j) by a column entry, where _row multiplies a whole
+    entry by a - l.  Those products are short by long once a has _SHIFT_BITS bits and
+    bits(l) * len(tops) <= bits(a); elsewhere _row is the cheaper, and builds the row.
+    """
+    s, bits = len(tops), a.bit_length()
+    if bits < _SHIFT_BITS or l.bit_length() * s > bits:
+        return _row(a - l, s)
+    return _convolve([1, a - 1] + tops, _column(-l, min(l + 1, s + 2)))[2:]
 
 
 def _block_exps(a: int, l: int, tops: list[int], low: list[int]) -> list[int]:
@@ -247,10 +270,11 @@ class _Budget:
         total - tops[-1] (Pascal's rule).  A partial block leaves the least N =
         a - l with C(N+s, s+1) = N + sum(_row(N, s)) >= x = total - left, that
         is, with C(N+s-1, s+1) = _row(N, s)[-1] < x as well.  The guide guesses
-        N as a - _bound on what is left of it, and the guess's row confirms it
-        by those two comparisons; a miss drops the guide.  Else N is one inverse
-        binomial, _least_base(x, s+1).  Either way its row is the block's
-        lower row, left in self.low for the walk.
+        l as _bound on what is left of it, below a, and the guess's row confirms
+        it by those two comparisons; a miss drops the guide.  Else N is one
+        inverse binomial, _least_base(x, s+1).  Either way its row, shifted down
+        from tops (_row_down), is the block's lower row, left in self.low for
+        the walk.
         """
         if not tops:  # m = n: each unit is one step, and no row lies above x_n
             self.low = []
@@ -263,15 +287,15 @@ class _Budget:
         x = total - self.left  # 0 < x <= C(a-1+s, s+1), so 0 < N < a
         g = self.guide
         if g is not None:
-            base = max(1, a - _bound(a, tops, g[m - 1:]))
-            low = _row(base, s)
-            if base + sum(low) >= x > low[-1]:
+            l = min(a - 1, _bound(a, tops, g[m - 1:]))
+            low = _row_down(a, l, tops)
+            if a - l + sum(low) >= x > low[-1]:
                 self.low = low
-                return a - base
+                return l
             self.guide = None
-        base = _least_base(x, s + 1)
-        self.low = _row(base, s)
-        return a - base
+        l = a - _least_base(x, s + 1)
+        self.low = _row_down(a, l, tops)
+        return l
 
     def climbs(self, j: int, exps: list[int]) -> bool:
         """Whether every block of a climb, exps from x_j upward, fits: their steps together do."""
@@ -304,7 +328,7 @@ class _Deficit:
         if m == len(self.deficit) and 0 < l == d[0] < a and not any(self.deficit[: m - 1]):
             l -= 1  # m = n - 1: the first hit lies inside the block's last unit
         if 0 < l < a:
-            self.low = _row(a - l, len(tops))
+            self.low = _row_down(a, l, tops)
         return l
 
     def climbs(self, j: int, exps: list[int]) -> bool:

@@ -21,7 +21,8 @@ exponent lists and one column of binomials (_counts); Monomials are built
 for the reports, trace records and error texts.
 
 tau_oracle scans t upward with the witness test; tau_formula holds the known
-closed laws for small ambients; conjecture_scan probes how tau(x_2^d) grows
+closed laws for small ambients and a measured, unproved law for tau(x_2^d) in
+every ambient; conjecture_scan probes how tau(x_2^d) grows
 with the ambient, in exact arithmetic.
 """
 
@@ -213,11 +214,24 @@ def _tau5_x2(d: int) -> int:
     )
 
 
-_FORMULAS = {"tau3": _tau3, "tau4": _tau4, "tau5_x2": _tau5_x2}
+def _tau_x2(n: int, d: int) -> int:
+    # threshold of x2^d in n >= 3 variables by a law that is measured, not proved:
+    #   t_m = C(d+m-2, m-1) - d + sum_{j=1}^{m-3} (-1)^(j+1) C(t_{m-j}, j+1),  t_m = tau_m(x2^d)
+    # it agrees with _tau3, _tau4(d, 0) and _tau5_x2, and with tau wherever it was checked;
+    # tau never serves it in place of the walk
+    if n < 3 or d < 0:
+        raise ValueError("the law needs n >= 3 and a nonnegative exponent")
+    t = [0, 0, 0]  # t[m] for m >= 3
+    for m in range(3, n + 1):
+        t.append(binom(d + m - 2, m - 1) - d + sum((-1) ** (j + 1) * binom(t[m - j], j + 1) for j in range(1, m - 2)))
+    return t[n]
+
+
+_FORMULAS = {"tau3": _tau3, "tau4": _tau4, "tau5_x2": _tau5_x2, "tau_x2": _tau_x2}
 
 
 def tau_formula(name: str, **params: int) -> int:
-    """Closed laws: tau3(b[, a]), tau4(b, c), tau5_x2(d)."""
+    """Closed laws: tau3(b[, a]), tau4(b, c), tau5_x2(d), and tau_x2(n, d), which is measured."""
     if name not in _FORMULAS:
         raise ValueError(f"unknown formula {name!r}; have {sorted(_FORMULAS)}")
     return _FORMULAS[name](**params)

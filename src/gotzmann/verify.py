@@ -51,6 +51,7 @@ LAWS = {
     "tau3": lambda d: [({"a": a, "b": b}, Monomial(3, (a, b, 0))) for a in range(3) for b in range(13)],
     "tau4": lambda d: [({"b": b, "c": c}, Monomial(4, (0, b, c, 0))) for b in range(7) for c in range(7)],
     "tau5_x2": lambda d: [({"d": e}, Monomial(5, (0, e, 0, 0, 0))) for e in range(d[0], d[1] + 1)],
+    "tau_x2": lambda d: [({"n": n, "d": e}, Monomial(n, (0, e) + (0,) * (n - 2))) for n in range(3, 13) for e in range(8)],
 }
 
 

@@ -208,8 +208,8 @@ class TestVerify:
         assert (code, out) == (EXIT_USAGE, "")
 
     def test_range_for_a_law_that_reads_none_is_a_usage_error(self, capsys):
-        # only tau5 reads --d; tau3 and tau4 check fixed grids
-        for which in ("tau3", "tau4"):
+        # only tau5 reads --d; tau3, tau4 and tau_x2 check fixed grids
+        for which in ("tau3", "tau4", "tau_x2"):
             code, out, err = run(capsys, "verify", "--suite", "formulas", "--which", which, "--d", "3..4")
             assert (code, out) == (EXIT_USAGE, "") and f"the {which} law takes no option d" in err
         # tau5 is an alias of tau5_x2, the one law that reads it

@@ -18,8 +18,10 @@ from gotzmann.paths import (
     _Deficit,
     _iroot,
     _least_base,
+    _SHIFT_BITS,
     _row,
     _row_below,
+    _row_down,
     _spend,
     _walk,
     advance,
@@ -392,11 +394,11 @@ class TestOneShrink:
     def test_only_a_partial_block_at_x_n_minus_1_is_shrunk(self, monkeypatch):
         # seeded towers: every block the rule admits below its _bound is a partial block at
         # x_{n-1} that the bound would fill to the deficit's x_{n-1} exponent, one unit longer,
-        # and the rule builds its lower row once and no block cost
+        # and the rule builds its lower row once, shifted or fresh (_row_down), and no block cost
         from gotzmann import paths
 
         shrunk, inside, real = [], [], _Deficit.largest
-        monkeypatch.setattr(paths, "_row", lambda a, count: inside.append("row") or _row(a, count))
+        monkeypatch.setattr(paths, "_row_down", lambda *args: inside.append("row") or _row_down(*args))
         monkeypatch.setattr(paths, "_block_exps", lambda *args: inside.append("exps") or _block_exps(*args))
 
         def spy_largest(rule, m, a, tops):
@@ -583,6 +585,43 @@ class TestRows:
     def test_pascal_step_is_the_row_one_unit_down(self, a, count):
         assert _row_below(a, _row(a, count)) == _row(a - 1, count)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_shifted_lower_row_is_the_fresh_row(self, data):
+        # a on both sides of the size switch, and l short and long next to it
+        a = data.draw(st.one_of(
+            st.integers(2, 50), st.integers(2, 2 ** (_SHIFT_BITS - 1) - 1),
+            st.integers(2 ** (_SHIFT_BITS - 1), 2 ** (_SHIFT_BITS + 1500)),
+        ))
+        count = data.draw(st.integers(0, 14))
+        short = st.integers(1, max(1, a >> (a.bit_length() // 3)))  # about 2/3 of a's bits
+        l = data.draw(st.one_of(st.integers(1, 20), short, st.integers(1, a - 1)).filter(lambda l: l < a))
+        want = [binom(a - l + s - 1, s + 1) for s in range(1, count + 1)]
+        assert _row_down(a, l, _row(a, count)) == _row(a - l, count) == want
+
+    @pytest.mark.parametrize("bits, l_bits, count, shifts", [
+        (699, 1, 13, False),  # a short: a fresh row
+        (700, 1, 13, True),
+        (700, 53, 13, True),  # bits(l) * count <= bits(a)
+        (700, 54, 13, False),  # l long next to a: a fresh row
+        (7000, 3500, 2, True),
+        (7000, 3501, 2, False),
+    ])
+    def test_shift_switch_is_pinned(self, monkeypatch, bits, l_bits, count, shifts):
+        from gotzmann import paths
+
+        a, l = (1 << (bits - 1)) + 12345, (1 << (l_bits - 1)) + 1
+        tops, fresh = _row(a, count), []
+        monkeypatch.setattr(paths, "_row", lambda a, count: fresh.append(a) or _row(a, count))
+        assert _row_down(a, l, tops) == _row(a - l, count)
+        assert fresh == ([] if shifts else [a - l])
+
+    @given(st.integers(0, 60), st.integers(1, 80))
+    @settings(max_examples=200, deadline=None)
+    def test_negative_column_is_signed_binomials(self, l, count):
+        # _column(-l, .) holds the coefficients of (1 - x)^l, zero past l
+        assert _column(-l, count) == [(-1) ** j * binom(l, j) for j in range(count)]
+
     @given(st.one_of(st.integers(0, 3), st.integers(0, 10**40)), st.integers(2, 20), st.data())
     @settings(max_examples=200, deadline=None)
     def test_origin_climb_row_is_the_shift_column(self, t, n, data):
@@ -744,6 +783,25 @@ class TestRows:
         verdicts = [is_gotzmann(Monomial(16, u0.exps[:-1] + (s,))).is_gotzmann for s in (t, t - 1)]
         assert verdicts == [True, False] and len(rows) <= 28
 
+    def test_long_lower_rows_are_shifted(self, monkeypatch):
+        # the columns that _grow multiplies out on runs of at least _SHIFT_BITS bits: 163 on
+        # tau(x2^10, 14) and 208 on the witness pair of x2^3 at n = 16 while every lower row
+        # was built afresh.  What is left is rows of new runs, lower rows whose l is long next
+        # to the run, and the pair's two origin climbs, a row of the run t each (13 columns)
+        from gotzmann import paths
+        from gotzmann.threshold import tau
+
+        columns, grow = [], paths._grow
+        monkeypatch.setattr(paths, "_grow", lambda row, a, count: (
+            a.bit_length() >= _SHIFT_BITS and columns.append(count - len(row))) or grow(row, a, count))
+        tau(parse("x2^10", 14), 14)
+        assert sum(columns) <= 10  # 6
+        u0 = parse("x2^3", 16)
+        t = tau(u0, 16).tau
+        columns.clear()
+        verdicts = [is_gotzmann(Monomial(16, u0.exps[:-1] + (s,))).is_gotzmann for s in (t, t - 1)]
+        assert verdicts == [True, False] and sum(columns) <= 26
+
     def test_no_solve_for_a_budget_jump_that_takes_one_step(self, monkeypatch):
         from gotzmann import paths
         from gotzmann.threshold import tau
@@ -770,7 +828,7 @@ class TestRows:
         assert len(zeros) >= 7
 
     def test_full_budget_blocks_build_nothing_and_partial_ones_one_lower_row(self, monkeypatch):
-        # a full block calls neither _least_base nor _row; a partial block builds its
+        # a full block calls neither _least_base nor _row_down; a partial block builds its
         # lower row once, in the rule, and the walk takes it from there
         from gotzmann import paths
         from gotzmann.threshold import tau
@@ -789,7 +847,7 @@ class TestRows:
 
         u0 = parse("x2^10", 8)
         t = tau(u0, 8).tau
-        monkeypatch.setattr(paths, "_row", lambda a, count: events.append(("row", a, count)) or _row(a, count))
+        monkeypatch.setattr(paths, "_row_down", lambda a, l, tops: events.append(("row", a - l, len(tops))) or _row_down(a, l, tops))
         monkeypatch.setattr(paths, "_least_base", lambda *args: events.append(("solve",)) or _least_base(*args))
         monkeypatch.setattr(_Budget, "largest", spy_largest)
         monkeypatch.setattr(_Budget, "climbs", spy_climbs)

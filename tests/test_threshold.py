@@ -73,6 +73,20 @@ class TestIsGotzmann:
         assert bounds and bases == []
         assert not is_gotzmann(u0 * variable_power(n, t - 1, n)).is_gotzmann
 
+    @pytest.mark.parametrize("n, d", [(14, 10), (16, 5)])
+    def test_witness_pair_at_large_n(self, n, d, monkeypatch):
+        # the budget walks at tau and tau - 1 shift their long lower rows (paths._row_down)
+        from gotzmann import paths
+
+        shifts, convolve = [], paths._convolve
+        monkeypatch.setattr(paths, "_convolve", lambda *args: shifts.append(1) or convolve(*args))
+        u0 = variable_power(2, d, n)
+        t = tau(u0, n).tau
+        shifts.clear()
+        assert is_gotzmann(u0 * variable_power(n, t, n)).is_gotzmann
+        assert not is_gotzmann(u0 * variable_power(n, t - 1, n)).is_gotzmann
+        assert shifts
+
     def test_gap_count_beyond_the_slice_is_an_internal_error(self, monkeypatch, capsys):
         # only a broken mg_closed can ask for more steps than the slice holds
         from gotzmann import cli, threshold
@@ -260,6 +274,18 @@ class TestFormulas:
         assert tau_formula("tau5_x2", d=2) == 4
         assert tau_formula("tau5_x2", d=3) == 56
 
+    def test_x2_law_is_the_small_ambient_laws(self):
+        # at n = 3, 4 and 5 both sides are polynomials in d of degree at most 8, so
+        # agreement on 20 points is an identity
+        for d in range(20):
+            want = [tau_formula("tau3", b=d), tau_formula("tau4", b=d, c=0), tau_formula("tau5_x2", d=d)]
+            assert [tau_formula("tau_x2", n=n, d=d) for n in (3, 4, 5)] == want
+
+    @pytest.mark.parametrize("n, d", [(16, 5), (18, 3)])
+    def test_x2_law_at_large_n(self, n, d):
+        # the measured law referees tau where its top levels walk runs of thousands of bits
+        assert tau(variable_power(2, d, n), n).tau == tau_formula("tau_x2", n=n, d=d)
+
     def test_cubic_term_always_divides(self):
         # the (b+4)*C(b,2) piece of the four-variable law is a multiple of 3
         for b in range(60):
@@ -274,6 +300,9 @@ class TestFormulas:
             tau_formula("tau3", q=2)
         with pytest.raises(ValueError):
             tau_formula("tau3", b=-1)
+        for n, d in ((2, 3), (5, -1)):
+            with pytest.raises(ValueError):
+                tau_formula("tau_x2", n=n, d=d)
 
 
 class TestInterpolation:
