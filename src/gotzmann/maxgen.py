@@ -16,9 +16,10 @@ for i >= max_index(u): one add and one prefix sum per position on a run
 (i, e) with e <= 2i, and sigma^e plus a Vandermonde share per column on a
 longer run.  A run costs O(n^2) big-integer operations however long it is.
 
-Every shift by x_n^t is sigma^t, and it is the one route to the x_n power
-of a shifted form: mg_closed shifts by u's own x_n run, mg_shifted by that
-run plus a further t, and _target by a tower level's t.  _target works on
+Every shift by x_n^t is sigma^t, and _shift is the one route to the x_n
+power of a shifted form: mg_closed shifts by u's own x_n run, mg_shifted by
+that run plus a further t, _target by a tower level's t, and the witness
+test (threshold.is_gotzmann) by its u's x_n run.  _target works on
 exponent lists, from a walk that the caller made: a tau tower's one walk
 over its core, or target_decompose's own, which wraps it for Monomials.  It
 checks the walk's unshifted form against an identity that shares nothing
@@ -39,7 +40,7 @@ from .combinatorics import (
     lexsegment,
     prefix_borel_sizes,
 )
-from .monomial import Monomial, _column, _convolve, _Record, deg, max_index, sigma_pow
+from .monomial import Monomial, _column, _convolve, _Record, deg, max_index
 
 
 def maxgen_of_set(s: MonomialSet) -> Monomial:
@@ -76,13 +77,14 @@ def mg_closed(u: Monomial) -> Monomial:
 
     contributes, where b_k is the Borel closure size of the length-k prefix.
     Positions followed by x_n contribute nothing: mg(u) is sigma^t of the gap
-    form of u's runs below x_n, t the exponent of x_n, and that sigma^t is
-    the one route to every exponent of mg(u), x_n's included.
+    form of u's runs below x_n, t the exponent of x_n, and that sigma^t
+    (_shift, by the column of binomials C(t-1+k, k)) is the one route to
+    every exponent of mg(u), x_n's included.
     combinatorics._run_walk gives the unshifted form in O(n^2) big-integer
     operations per long run, however large the exponents are.
     """
     n = u.n
-    return sigma_pow(Monomial(n, _run_walk(u.exps[: n - 1], n)[1]), u.exps[n - 1])
+    return Monomial(n, tuple(_shift(_run_walk(u.exps[: n - 1], n)[1], _column(u.exps[n - 1], n))))
 
 
 def _mg_by_position(u: Monomial) -> Monomial:
@@ -103,7 +105,7 @@ def _mg_by_position(u: Monomial) -> Monomial:
 
 
 def mg_shifted(u: Monomial, t: int) -> Monomial:
-    """mg(u * x_n^t): mg_closed with u's x_n run raised by t, one sigma_pow pass."""
+    """mg(u * x_n^t): mg_closed with u's x_n run raised by t, one _shift pass."""
     if t < 0:
         raise ValueError("shift must be nonnegative")
     n = u.n
@@ -157,4 +159,11 @@ def _target(exps: tuple[int, ...], closure: int, q: list[int], col: list[int]) -
             f"internal inconsistency: mg({Monomial(len(exps), exps)}) in ambient {len(q)} has degree "
             f"{sum(q)}, not the gap count {gaps}"
         )
-    return _convolve(q, col) if col[1] else q  # col[1] = C(t, 1) = t, and sigma^0 is the identity
+    return _shift(q, col)
+
+
+def _shift(q: list[int], col: list[int]) -> list[int]:
+    """sigma^t of the exponents q, col = monomial._column(t, len(q)): q convolved with
+    the column, or q itself where sigma^t is the identity, at t = col[1] = C(t, 1) = 0
+    or in one variable."""
+    return _convolve(q, col) if len(col) > 1 and col[1] else q

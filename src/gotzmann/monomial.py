@@ -313,7 +313,7 @@ def _column(t: int, count: int) -> list[int]:
     """[C(t-1+k, k) for k < count], each from the last by one ratio, exact for every
     integer t.  t = 0 gives [1, 0, 0, ...], so that _convolve with it is the identity;
     t = -l < 0 gives (-1)^k C(l, k), zero past k = l (the coefficients of (1 - x)^l)."""
-    col = [1]
+    col = [1] if count else []
     for k in range(1, count):
         col.append(col[-1] * (t - 1 + k) // k)
     return col

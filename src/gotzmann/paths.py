@@ -18,12 +18,15 @@ cost exponents are monotone in l.
 One kernel, _walk_lists, runs every block walk, on exponent lists; _walk
 wraps it for Monomials.  At each jump it takes the largest
 block its rule admits, or one elementary step when not even l = 1 is
-admitted, and charges the rule for it.  After a partial block (0 < l < k) the
-step is forced, and the kernel takes it as its own jump without asking the
-rule: the block of l + 1 units broke the rule and costs add along the chain,
-so the next unit breaks it too.  When find_z's shrink at x_{n-1} (below)
-made the block partial, the next unit is the one that holds the first hit,
-which the rule would shrink to 0 as well.  There are two rules:
+admitted, and charges the rule for it.  The rule keeps the walk's only
+ledger, and callers read the cost from it: the deficit rule's cost is its
+target less the deficit, with one scalar for x_n, and the budget rule adds
+each block to a list.  After a partial block (0 < l < k) the step is forced,
+and the kernel takes it as its own jump without asking the rule: the block of
+l + 1 units broke the rule and costs add along the chain, so the next unit
+breaks it too.  When find_z's shrink at x_{n-1} (below) made the block
+partial, the next unit is the one that holds the first hit, which the rule
+would shrink to 0 as well.  There are two rules:
 
 - budget (advance, mc, cost_between and the witness test): the block's total
   steps stay within the steps left;
@@ -229,13 +232,14 @@ def _least_base(x: int, r: int) -> int:
     return y - r + 1
 
 
-def _bound(a: int, tops: list[int], d: list[int]) -> int:
+def _bound(a: int, tops: list[int], d: list[int], i: int) -> int:
     """Largest l <= a whose block from x_m^a, tops = _row(a, .), keeps its x_m and
-    x_{m+1} exponents within d[0] and d[1]: l <= d[0], and the least N = a - l
-    with C(N, 2) >= x = tops[0] - d[1], which is (isqrt(8x) + 3) // 2."""
-    l = min(a, d[0])
-    if l and len(d) > 1 and tops[0] > d[1]:
-        l = min(l, a - (math.isqrt(8 * (tops[0] - d[1])) + 3) // 2)
+    x_{m+1} exponents within d[i] and d[i + 1] (when d has it), read in place:
+    l <= d[i], and the least N = a - l with C(N, 2) >= x = tops[0] - d[i + 1],
+    which is (isqrt(8x) + 3) // 2."""
+    l = min(a, d[i])
+    if l and i + 1 < len(d) and tops[0] > d[i + 1]:
+        l = min(l, a - (math.isqrt(8 * (tops[0] - d[i + 1])) + 3) // 2)
     return l
 
 
@@ -254,14 +258,19 @@ class _Budget:
 
     guide, when given, is a componentwise target for the walk's cost (the
     witness test passes mg); what is left of it only guesses partial blocks.
+    The walk's cost is self.spent, which take adds each block to.
     """
 
     def __init__(self, left: int, guide: list[int] | None = None) -> None:
         self.left = left
-        self.guide = guide
+        self.guide = None if guide is None else list(guide)
+        self.spent: list[int] = []  # the walk's cost, x_1 .. x_n, from its first block on
 
     def met(self) -> bool:
         return self.left == 0
+
+    def cost(self, n: int) -> list[int]:
+        return self.spent or [0] * n
 
     def largest(self, m: int, a: int, tops: list[int]) -> int:
         """Largest l whose block from x_m^a takes at most the steps left.
@@ -287,7 +296,7 @@ class _Budget:
         x = total - self.left  # 0 < x <= C(a-1+s, s+1), so 0 < N < a
         g = self.guide
         if g is not None:
-            l = min(a - 1, _bound(a, tops, g[m - 1:]))
+            l = min(a - 1, _bound(a, tops, g, m - 1))
             low = _row_down(a, l, tops)
             if a - l + sum(low) >= x > low[-1]:
                 self.low = low
@@ -305,16 +314,26 @@ class _Budget:
         self.left -= sum(exps)
         if self.guide is not None and _spend(self.guide, m, exps) is not None:
             self.guide = None  # the cost has left the target behind
+        if not self.spent:
+            self.spent = [0] * (m - 1 + len(exps))  # exps runs from x_m to x_n
+        for i, e in enumerate(exps, start=m - 1):
+            self.spent[i] += e
 
 
 class _Deficit:
-    """find_z's rule: a block's cost below x_n stays within the deficit, componentwise."""
+    """find_z's rule: a block's cost below x_n stays within the deficit, componentwise.
+    The walk's cost is the target, the deficit it started from, less the deficit, and x_n."""
 
     def __init__(self, deficit: list[int]) -> None:
         self.deficit = deficit  # x_1 .. x_{n-1}; x_n costs nothing here
+        self.target = list(deficit)
+        self.xn = 0  # the walk's x_n cost
 
     def met(self) -> bool:
         return not any(self.deficit)
+
+    def cost(self, n: int) -> list[int]:
+        return [t - d for t, d in zip(self.target, self.deficit)] + [self.xn]
 
     def largest(self, m: int, a: int, tops: list[int]) -> int:
         """Largest l whose block fits the deficit at x_m and x_{m+1} (_bound); by the
@@ -323,9 +342,9 @@ class _Deficit:
         last unit.  A partial block's lower row is left in self.low for the walk."""
         if not tops:  # m = n: the block costs nothing below x_n
             return a
-        d = self.deficit[m - 1:]  # d[s] bounds the x_{m+s} exponent, s < n - m
-        l = _bound(a, tops, d)
-        if m == len(self.deficit) and 0 < l == d[0] < a and not any(self.deficit[: m - 1]):
+        d = self.deficit  # d[m - 1 + s] bounds the x_{m+s} exponent, s < n - m
+        l = _bound(a, tops, d, m - 1)
+        if m == len(d) and 0 < l == d[m - 1] < a and not any(d[: m - 1]):
             l -= 1  # m = n - 1: the first hit lies inside the block's last unit
         if 0 < l < a:
             self.low = _row_down(a, l, tops)
@@ -345,16 +364,15 @@ class _Deficit:
                 f"target component x{i + 1} is exhausted; no walk realizes "
                 f"the base of mg (t below the lower threshold?)"
             )
+        self.xn += exps[-1]
 
 
-def _climb(rule: _Budget | _Deficit, cur: list[int], cost: list[int], j: int, exps: list[int]) -> bool:
+def _climb(rule: _Budget | _Deficit, cur: list[int], j: int, exps: list[int]) -> bool:
     """Carry the x_n run to the empty x_{j-1} by the full blocks at x_n .. x_j, exps their
     summed cost from x_j upward, if the rule admits them all; whether it did."""
     if not rule.climbs(j, exps):
         return False
     rule.take(j, exps)
-    for i, e in enumerate(exps, start=j - 1):
-        cost[i] += e
     cur[j - 2], cur[-1] = cur[-1], 0
     return True
 
@@ -366,23 +384,24 @@ def _check_cap(max_jumps: int) -> None:
 
 
 def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None) -> WalkState:
-    """_walk_lists from origin, its position and cost as Monomials."""
-    cur, cost = _walk_lists(origin.exps, rule, max_jumps, trace)
+    """_walk_lists from origin, its position and the rule's cost as Monomials."""
+    cur = _walk_lists(origin.exps, rule, max_jumps, trace)
+    cost = rule.cost(origin.n)
     return WalkState(Monomial(origin.n, tuple(cur)), Monomial(origin.n, tuple(cost)), sum(cost))
 
 
 def _walk_lists(
     origin: Sequence[int], rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None,
     col: list[int] | None = None,
-) -> tuple[list[int], list[int]]:
+) -> list[int]:
     """Walk upward from the origin with these exponents, block by block, until the rule is
-    met; the exponents of the state reached and of its cost.  Monomials are built for trace
-    records and error texts alone.  col, when given, is monomial._column(c, n) for the
-    origin's x_n run c, whose entries C(c+s, s+1) are the origin climb's row _row(c + 1, .)."""
+    met; the exponents of the state reached.  The walk's cost is in the rule's ledger.
+    Monomials are built for trace records and error texts alone.  col, when given, is
+    monomial._column(c, n) for the origin's x_n run c, whose entries C(c+s, s+1) are the
+    origin climb's row _row(c + 1, .)."""
     _check_cap(max_jumps)
     n = len(origin)
     cur = list(origin)
-    cost = [0] * n
     jumps = 0
     b, known = 0, []  # the longest row built for run size b; no run is empty
     frm = Monomial(n, tuple(cur)) if trace is not None else None
@@ -395,7 +414,7 @@ def _walk_lists(
         # unless the run climbs to x_1 (k = n - 1), one column past it
         row = col[2 : k + 2] if col is not None and k + 2 <= len(col) else _row(c + 1, k)
         b, known = c, _row_below(c + 1, row)
-        if _climb(rule, cur, cost, j + 2, [c] + row[: k - 1]):
+        if _climb(rule, cur, j + 2, [c] + row[: k - 1]):
             jumps = k
     forced = False  # the last jump was a partial block, so the next unit breaks the rule too
     while not rule.met():
@@ -428,17 +447,15 @@ def _walk_lists(
             cur[n - 1] += a - 1
             b, known = a - 1, _row_below(a, tops)
         rule.take(m, exps)
-        for i in range(m - 1, n):
-            cost[i] += exps[i - m + 1]
         if trace is not None:
             to, block = Monomial(n, tuple(cur)), Monomial(n, (0,) * (m - 1) + tuple(exps))
-            trace({"from": str(frm), "to": str(to), "block_cost": str(block), "steps_so_far": _decimal(sum(cost))})
+            trace({"from": str(frm), "to": str(to), "block_cost": str(block), "steps_so_far": _decimal(sum(rule.cost(n)))})
             frm = to
         k = n - m - 1  # full blocks at x_n .. x_{m+2} carry a step's a - 1 units back to x_{m+1}
         if not l and a > 1 and k and trace is None and jumps + k <= max_jumps:  # traced: one by one
-            if _climb(rule, cur, cost, m + 2, [a - 1] + tops[: k - 1]):  # the hockey stick again
+            if _climb(rule, cur, m + 2, [a - 1] + tops[: k - 1]):  # the hockey stick again
                 jumps += k
-    return cur, cost
+    return cur
 
 
 def _check_budget(origin: Monomial, budget: int) -> None:

@@ -38,9 +38,9 @@ from .combinatorics import (
     binom,
     lex_rank,
 )
-from .maxgen import _segment_gaps, _target, maxgen_of_set, mg_closed
-from .monomial import Monomial, _column, _decimal, _Record, deg, variable_power
-from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, TraceFn, _Budget, _Deficit, _walk, _walk_lists
+from .maxgen import _segment_gaps, _shift, _target, maxgen_of_set
+from .monomial import Monomial, _column, _decimal, _Record, variable_power
+from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, TraceFn, _Budget, _Deficit, _walk_lists
 
 
 class GotzmannWitness(_Record):
@@ -82,21 +82,29 @@ def is_gotzmann(
 ) -> GotzmannWitness:
     """Witness test without enumeration: walk deg(mg(u)) steps and compare costs.
 
-    mg guides the walk's partial blocks.  The slice is ranked only when the walk
-    fails, to tell a broken mg_closed from a jump cap that binds."""
-    mg = mg_closed(u)
-    g = deg(mg)
+    It takes a tau level's inputs, u's core and its x_n run t: one run walk of
+    the core gives mg(core) in ambient n, and one column C(t-1+k, k) shifts it
+    by sigma^t to mg(u) (maxgen._shift, as a tau level's target is shifted) and
+    serves the walk's origin climb.  mg guides the walk's partial blocks.  The
+    slice is ranked only when the walk fails, to tell a broken gap form from a
+    jump cap that binds."""
+    n = u.n
+    col = _column(u.exps[-1], n)
+    mg = _shift(_run_walk(u.exps[: n - 1], n)[1], col)
+    g = sum(mg)
+    rule = _Budget(g, mg)
     try:
-        st = _walk(u, _Budget(g, list(mg.exps)), max_jumps, trace)
+        cur = _walk_lists(u.exps, rule, max_jumps, trace, col)
     except (TargetOvershoot, CapExceeded) as exc:
-        # the closure always reaches x_1^d, so only a broken mg_closed asks for more
+        # the closure always reaches x_1^d, so only a broken gap form asks for more
         # steps than the slice holds; its walk runs off the slice or into the jump cap
         if g > lex_rank(u) - 1:
             raise RuntimeError(f"gap count of {u} exceeds the predecessors above it") from exc
         raise
+    cost = rule.cost(n)
     return GotzmannWitness(
-        u=u, mg=mg, u_tilde=st.current, mc=st.cost, gap_count=g,
-        is_gotzmann=(st.cost == mg),
+        u=u, mg=Monomial(n, tuple(mg)), u_tilde=Monomial(n, tuple(cur)), mc=Monomial(n, tuple(cost)),
+        gap_count=g, is_gotzmann=(cost == mg),
     )
 
 
@@ -149,8 +157,9 @@ def _counts(core: tuple, n: int, t: int, max_jumps: int, trace: TraceFn | None, 
     # shift of mg(core) and the walk's origin climb
     col = _column(t, n)
     mg = _target(core, *walked, col)
-    z, cost = _walk_lists((*core, t), _Deficit(mg[: n - 1]), max_jumps, trace, col)
-    return mg[n - 1], cost[n - 1], z[n - 1]
+    rule = _Deficit(mg[: n - 1])
+    z = _walk_lists((*core, t), rule, max_jumps, trace, col)
+    return mg[n - 1], rule.xn, z[n - 1]
 
 
 def _level(exps: tuple[int, ...], f: int, h: int, k: int, sub: ThresholdReport | None) -> ThresholdReport:

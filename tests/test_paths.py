@@ -335,7 +335,7 @@ class _WholeBlockDeficit(_Deficit):
         if not tops:
             return a
         d = self.deficit[m - 1:]
-        l = _bound(a, tops, d)
+        l = _bound(a, tops, self.deficit, m - 1)
         if l and not any(self.deficit[: m - 1]):
             exps = [a] + tops if l == a else _block_exps(a, l, tops, _row(a - l, len(tops)))
             if d == exps[: len(tops)]:
@@ -403,7 +403,7 @@ class TestOneShrink:
 
         def spy_largest(rule, m, a, tops):
             n = len(rule.deficit) + 1
-            bound = _bound(a, tops, rule.deficit[m - 1:]) if tops else a
+            bound = _bound(a, tops, rule.deficit, m - 1) if tops else a
             inside.clear()
             l = real(rule, m, a, tops)
             assert inside == (["row"] if 0 < l < a else [])
@@ -524,14 +524,16 @@ class TestLargestBlock:
     @settings(max_examples=200, deadline=None)
     def test_bound_matches_bisection(self, count, data):
         # both rules' x_m and x_{m+1} bounds: the largest l whose block exponents there
-        # stay within d[0] and d[1] (d[1] absent at m = n - 1 in find_z)
+        # stay within d[0] and d[1] (d[1] absent at m = n - 1 in find_z), read in place
+        # from a longer list whose components below x_m may be anything
         a = data.draw(_sizes)
         tops = _row(a, count)
         near = _exps(a, data.draw(st.integers(0, a)), tops)
         d = [data.draw(st.one_of(st.just(0), st.integers(0, 10**60), st.integers(max(0, e - 2), e + 2))) for e in near]
         d = d[: data.draw(st.sampled_from([1, count, count + 1]))]
         want = _largest_l(a, lambda l: all(e <= x for e, x in zip(_exps(a, l, tops)[:2], d)))
-        assert _bound(a, tops, d) == want
+        below = data.draw(st.lists(st.integers(0, 10**60), max_size=4))
+        assert _bound(a, tops, below + d, len(below)) == want
 
     def test_spend_returns_the_first_negative_index(self):
         target = [5, 3, 2, 7]
@@ -616,11 +618,15 @@ class TestRows:
         assert _row_down(a, l, tops) == _row(a - l, count)
         assert fresh == ([] if shifts else [a - l])
 
-    @given(st.integers(0, 60), st.integers(1, 80))
+    @given(st.integers(0, 60), st.integers(0, 80))
     @settings(max_examples=200, deadline=None)
     def test_negative_column_is_signed_binomials(self, l, count):
         # _column(-l, .) holds the coefficients of (1 - x)^l, zero past l
         assert _column(-l, count) == [(-1) ** j * binom(l, j) for j in range(count)]
+
+    @pytest.mark.parametrize("t", [-3, 0, 1, 5, 10**30])
+    def test_column_of_no_entries_is_empty(self, t):
+        assert _column(t, 0) == []
 
     @given(st.one_of(st.integers(0, 3), st.integers(0, 10**40)), st.integers(2, 20), st.data())
     @settings(max_examples=200, deadline=None)
@@ -1059,6 +1065,113 @@ def test_find_z_below_the_threshold_is_the_same_traced_and_untraced():
                     calls += 1
                     assert outcome(u0, n, t, cap, lambda record: None) == outcome(u0, n, t, cap, None), (u0, n, t, cap)
     assert calls == 3864
+
+
+def test_overshoot_components_on_a_deficit_no_state_meets_are_pinned():
+    # x1*x2 is no cost of a walk from x5 at n = 5: the untraced walk's origin climb runs the
+    # deficit out at x3, the traced walk's blocks one by one at x4.  The rule's ledger leaves
+    # the component that _spend reports as it was
+    def text(trace):
+        with pytest.raises(TargetOvershoot) as exc:
+            _walk(parse("x5", 5), _Deficit([1, 1, 0, 0]), DEFAULT_MAX_JUMPS, trace)
+        return str(exc.value)
+
+    assert text(None).startswith("target component x3 is exhausted; ")
+    assert text(lambda record: None).startswith("target component x4 is exhausted; ")
+
+
+def _trace_sum(records, n):
+    """The componentwise sum of a trace's block costs."""
+    total = [0] * n
+    for r in records:
+        total = [e + f for e, f in zip(total, parse(r["block_cost"], n).exps)]
+    return Monomial(n, tuple(total))
+
+
+def _check_ledger(u, rule):
+    """The cost that rule() keeps for a walk from u, untraced and traced, against the sum of
+    the traced walk's block costs and its steps_so_far; the untraced walk's state."""
+    records = []
+    state = _walk(u, rule(), DEFAULT_MAX_JUMPS, None)
+    assert _walk(u, rule(), DEFAULT_MAX_JUMPS, records.append) == state
+    assert _trace_sum(records, u.n) == state.cost
+    steps = [deg(parse(r["block_cost"], u.n)) for r in records]
+    assert [int(r["steps_so_far"]) for r in records] == [sum(steps[: i + 1]) for i in range(len(steps))]
+    return state
+
+
+def _check_budget_ledger(u, budget, guide):
+    """_check_ledger for a budget walk, whose state is also the unguided walk's and, up to
+    2000 steps, advance_oracle's."""
+    state = _check_ledger(u, lambda: _Budget(budget, guide))
+    assert state.steps == budget
+    assert _walk(u, _Budget(budget), DEFAULT_MAX_JUMPS, None) == state
+    if budget <= 2000:
+        assert advance_oracle(u, budget) == state
+
+
+def _budget_case(n, exps, pick, rng_int):
+    """A budget walk from the monomial with these exponents and its rule: pick chooses the
+    budget (mg's degree, a short one or any in the slice) and the guide (none, mg, zeros or
+    arbitrary integers, which make guesses miss)."""
+    u = Monomial(n, tuple(exps))
+    mg = list(mg_closed(u).exps)
+    budget = {"mg": sum(mg), "short": rng_int(0, min(lex_rank(u) - 1, 2000)), "any": rng_int(0, lex_rank(u) - 1)}[pick[0]]
+    guide = {"none": None, "mg": mg, "zeros": [0] * n, "any": [rng_int(-2, 40) for _ in range(n)]}[pick[1]]
+    return u, budget, guide
+
+
+class TestLedger:
+    """The rule keeps the walk's only ledger: the deficit rule its target less the deficit and
+    one x_n scalar, the budget rule, guided or not, a list it adds each block to."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_budget_ledger_is_the_trace_and_the_oracle(self, data):
+        n = data.draw(st.integers(2, 9))
+        exps = data.draw(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 10**30)), min_size=n, max_size=n))
+        assume(any(exps))
+        pick = (data.draw(st.sampled_from(["mg", "short", "any"])), data.draw(st.sampled_from(["none", "mg", "zeros", "any"])))
+        _check_budget_ledger(*_budget_case(n, exps, pick, lambda lo, hi: data.draw(st.integers(lo, hi))))
+
+    def test_seeded_budget_walks_drop_the_guide_both_ways(self, monkeypatch):
+        # the guide drops on a guess that misses in largest and on a component that take
+        # sends negative; the walk goes on without it, and the same checks hold
+        drops, largest, take = [], _Budget.largest, _Budget.take
+
+        def spy(name, real):
+            def call(rule, *args):
+                alive = rule.guide is not None
+                out = real(rule, *args)
+                if alive and rule.guide is None:
+                    drops.append(name)
+                return out
+            return call
+
+        monkeypatch.setattr(_Budget, "largest", spy("largest", largest))
+        monkeypatch.setattr(_Budget, "take", spy("take", take))
+        rng = random.Random(29)
+        for _ in range(120):
+            n = rng.randint(2, 9)
+            exps = [rng.choice([rng.randint(0, 4), rng.randint(0, 10**30)]) for _ in range(n)]
+            if not any(exps):
+                continue
+            pick = (rng.choice(["mg", "short", "any"]), rng.choice(["mg", "zeros", "any"]))
+            _check_budget_ledger(*_budget_case(n, exps, pick, rng.randint))
+        assert drops.count("largest") >= 10 and drops.count("take") >= 10
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_find_z_cost_below_x_n_is_the_target(self, data):
+        # at and above the threshold one ambient down the first hit exists, and its cost
+        # below x_n, the target less a deficit of zeros, is the base of mg exactly
+        n = data.draw(st.integers(3, 9))
+        u0 = Monomial(n - 1, tuple(data.draw(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 10**30)), min_size=n - 1, max_size=n - 1))))
+        t = tau(u0, n - 1).tau + data.draw(st.one_of(st.integers(0, 3), st.integers(0, 10**30)))
+        decomp = target_decompose(u0, n, t)
+        state = _check_ledger(Monomial(n, u0.exps + (t,)), lambda: _Deficit(list(decomp.base.exps[: n - 1])))
+        assert state.cost.exps[: n - 1] == decomp.base.exps[: n - 1]
+        assert find_z(u0, n, t) == (state.current, state)
 
 
 def _forced_steps_refused(call):

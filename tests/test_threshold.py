@@ -75,23 +75,29 @@ class TestIsGotzmann:
 
     @pytest.mark.parametrize("n, d", [(14, 10), (16, 5)])
     def test_witness_pair_at_large_n(self, n, d, monkeypatch):
-        # the budget walks at tau and tau - 1 shift their long lower rows (paths._row_down)
+        # the budget walks at tau and tau - 1 shift their long lower rows (paths._row_down), and
+        # build no fresh row: u = x2^d * x_n^t climbs its x_n run over the empty x3 .. x_{n-1}
+        # with _row(t + 1, n - 3), entries 2 .. n - 2 of the column C(t-1+k, k) that shifts its
+        # gap form, and every other row is shifted or grown
         from gotzmann import paths
 
         shifts, convolve = [], paths._convolve
         monkeypatch.setattr(paths, "_convolve", lambda *args: shifts.append(1) or convolve(*args))
         u0 = variable_power(2, d, n)
         t = tau(u0, n).tau
+        rows, row = [], paths._row
+        monkeypatch.setattr(paths, "_row", lambda a, count: rows.append((a, count)) or row(a, count))
         shifts.clear()
         assert is_gotzmann(u0 * variable_power(n, t, n)).is_gotzmann
         assert not is_gotzmann(u0 * variable_power(n, t - 1, n)).is_gotzmann
-        assert shifts
+        assert shifts and rows == []
 
     def test_gap_count_beyond_the_slice_is_an_internal_error(self, monkeypatch, capsys):
-        # only a broken mg_closed can ask for more steps than the slice holds
+        # only a broken gap form can ask for more steps than the slice holds; the fault is a
+        # run walk of the core that hands back mg(x2^2) = x3^100 in ambient 3
         from gotzmann import cli, threshold
 
-        monkeypatch.setattr(threshold, "mg_closed", lambda u: parse("x3^100", 3))
+        monkeypatch.setattr(threshold, "_run_walk", lambda exps, n=0, levels=None: ([1, 0], [0, 0, 100]))
         for max_jumps in (10**6, 1):  # the walk leaves the slice, or the jump cap binds first
             with pytest.raises(RuntimeError, match="gap count of x2\\^2 exceeds the predecessors"):
                 is_gotzmann(parse("x2^2", 3), max_jumps=max_jumps)
@@ -100,6 +106,16 @@ class TestIsGotzmann:
             assert capsys.readouterr().out == ""
         with pytest.raises(ValueError, match="exceeds the 3 predecessors"):
             advance(parse("x2^2", 3), 100)
+
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_witness_mg_is_the_closed_form(self, n, data):
+        # the witness shifts its core's run-walk gap form by its own x_n run: mg_closed(u),
+        # with that run at 0, small and of 10**30
+        core = data.draw(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 10**30)), min_size=n - 1, max_size=n - 1))
+        t = data.draw(st.one_of(st.just(0), st.integers(1, 40), st.just(10**30)))
+        u = Monomial(n, (*core, t))
+        assert is_gotzmann(u).mg == mg_closed(u)
 
     def test_matches_enumeration_oracle(self):
         for n in range(1, 5):
