@@ -6,11 +6,11 @@ per level, top level first, every count in lowercase hex:
     {"key": ["0.1.0", 5, "x2^2*x4"], "rows": [["1", "8", "3", "0", "5", "6"], ...]}
 
 The key (package version, ambient, core) opens the line, so only lines that
-open with a requested key are parsed.  A line is replayed only if rebuilding
-its tower bottom-up from each row's f, h and k (threshold._level) gives back
-every row exactly, which also rejects non-canonical hex, and if each level
-below the top whose threshold is 0 gets back its f, h and k from its own walk;
-any other line is a miss, so the tower is computed again and appended.  This
+open with a requested key are parsed.  A line is replayed only if building
+its tower from each row's f, h and k, by tau's own builder (threshold._tower),
+gives back every row exactly, which also rejects non-canonical hex, and if each
+level below the top whose threshold is 0 gets back its f, h and k from its own
+walk; any other line is a miss, so the tower is computed again and appended.  This
 catches a malformed or singly edited line, not a forged one: the top level's h,
 k and tau are re-derived from each other, not walked, so a line whose top level
 has h + 1, delta - 1 and tau - 1 (or k + 1 and tau - 1) replays its wrong tau.
@@ -22,10 +22,9 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .combinatorics import _run_walk
 from .monomial import Monomial
 from .paths import DEFAULT_MAX_JUMPS, _check_cap
-from .threshold import ThresholdReport, _counts, _level
+from .threshold import ThresholdReport, _counts, _tower
 
 _KEY_END = '], "rows": '
 
@@ -43,30 +42,29 @@ def rows(rep: ThresholdReport) -> list[list[str]]:
 def replay(stored, core: Monomial, max_jumps: int = DEFAULT_MAX_JUMPS) -> ThresholdReport | None:
     """The tower of core that stored rows describe, or None if they describe none.
 
-    Below the top, a level whose threshold is 0 may be clamped there by the
-    split-off power of x_n, which hides its f, h and k from the levels above,
-    so threshold._counts walks that level again, fed by the run walk of its
-    own core, and must give all three.
+    threshold._tower builds it from each row's f, h and k, and it must give back
+    every row.  Below the top, a level whose threshold is 0 may be clamped there
+    by the split-off power of x_n, which hides its f, h and k from the levels
+    above, so _tower builds the tower once more with those levels' counts from
+    their walks, tau's own (threshold._counts, fed by one run walk of the core),
+    and must give back every row again.
     """
     n = core.n
     if n < 2:  # no tower: a threshold needs two variables
         return None
+
+    def counts(m: int, t: int) -> tuple[int, int, int]:
+        _, f, h, k, _, _ = stored[n - m]
+        return int(f, 16), int(h, 16), int(k, 16)
+
     try:
-        tower = _level(core.exps[:2], 0, 0, 0, None)
-        for m in range(3, n + 1):
-            _, f, h, k, _, _ = stored[n - m]
-            tower = _level(core.exps[:m], int(f, 16), int(h, 16), int(k, 16), tower)
+        tower = _tower(core.exps, counts)
+        clamped = {m for m in range(3, n) if stored[n - m][5] == "0"}  # tau 0 below the top
+        if clamped and rows(tower) == stored:  # their walks must build the same tower
+            walks = _counts(core.exps, max_jumps, None)
+            tower = _tower(core.exps, lambda m, t: walks(m, t) if m in clamped else counts(m, t))
         if rows(tower) != stored:
             return None
-        level = tower.sub_report
-        while level is not None and level.n > 2:
-            if level.tau == 0:
-                u0 = level.u0.exps[: level.n - 1]
-                v, q = _run_walk(u0, level.n)
-                counts = _counts(u0, level.n, level.t_star, max_jumps, None, (sum(v), q))
-                if counts != (level.f_at_tstar, level.h_at_tstar, level.k_at_tstar):
-                    return None
-            level = level.sub_report
     except (LookupError, TypeError, ValueError, ArithmeticError, RuntimeError):
         # not a tower: too few rows or columns, wrong types, bad digits, a broken
         # invariant or a walk that cannot run (CapExceeded and TargetOvershoot
@@ -108,10 +106,12 @@ def reports(path: str | None, n: int, cores, compute, max_jumps: int = DEFAULT_M
     A path that cannot be read, or appended to when some core misses, is a
     ValueError, raised before anything is computed, and so is a negative
     jump cap, raised before the cache is read, also when no walk would run.
+    Below two variables there is no tower to store, and the file is not
+    touched: compute(core) raises the caller's own error.
     """
     _check_cap(max_jumps)
     by_key = {str(core): core for core in cores}
-    if not path:
+    if not path or n < 2:
         return [compute(core) for core in by_key.values()]
     towers = load(path, n, by_key, max_jumps)
     missed = [key for key in by_key if key not in towers]

@@ -33,7 +33,7 @@ import math
 from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
-from .monomial import Monomial, _Record, _sigma_pow, deg, lex_cmp
+from .monomial import Monomial, _column, _Record, _shift, deg, lex_cmp
 
 DEFAULT_CAP = 5_000_000
 
@@ -248,9 +248,10 @@ def _run_walk(exps: Sequence[int], n: int = 0, levels: list | None = None) -> tu
       prefix sum, and v takes one prefix sum;
     - e > 2i, in closed form: g[m] = sum_c v[c] * C(i-1-c+e, e-m-1) -
       C(e, m+1), v' is sigma^e(v), v'[c] = sum_{c' <= c} C(c-c'+e-1, c-c') *
-      v[c'], and q is sigma^e(q) (both monomial._sigma_pow) plus the run's
-      share, sum_m C(s, m) * g[m] in the column of order s (x_{i+1+s}), a
-      binomial transform of g by one row of sums per column.
+      v[c'], and q is sigma^e(q), both by monomial._shift with one column
+      C(e-1+k, k), k < max(i, n), plus the run's share, sum_m C(s, m) *
+      g[m] in the column of order s (x_{i+1+s}), a binomial transform of g
+      by one row of sums per column.
 
     A run costs O(n^2) big-integer operations however long it is, and a
     short run's positions O(n) each.  A run of x_1 comes first and leaves
@@ -287,11 +288,12 @@ def _run_walk(exps: Sequence[int], n: int = 0, levels: list | None = None) -> tu
                     sum(vc * binom(i - 1 - c + e, i + m - c) for c, vc in enumerate(v) if vc) - binom(e, m + 1)
                     for m in range(n - i)
                 ]
-                v = _sigma_pow(v, e)
+                col = _column(e, max(i, n))  # one column shifts both v and q by sigma^e
+                v = _shift(v, col)
                 if any(q):
-                    q = _sigma_pow(q, e)
-                for col in range(i, n):
-                    q[col] += g[0]
+                    q = _shift(q, col)
+                for c in range(i, n):
+                    q[c] += g[0]
                     g = [x + y for x, y in zip(g, g[1:])]
         if levels is not None:
             levels.append((sum(v), q[: i + 1]))

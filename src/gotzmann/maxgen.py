@@ -16,16 +16,17 @@ for i >= max_index(u): one add and one prefix sum per position on a run
 (i, e) with e <= 2i, and sigma^e plus a Vandermonde share per column on a
 longer run.  A run costs O(n^2) big-integer operations however long it is.
 
-Every shift by x_n^t is sigma^t, and _shift is the one route to the x_n
-power of a shifted form: mg_closed shifts by u's own x_n run, mg_shifted by
-that run plus a further t, _target by a tower level's t, and the witness
-test (threshold.is_gotzmann) by its u's x_n run.  _target works on
-exponent lists, from a walk that the caller made: a tau tower's one walk
-over its core, or target_decompose's own, which wraps it for Monomials.  It
-checks the walk's unshifted form against an identity that shares nothing
-with the walk but the closure size, the degree of mg(u0) in ambient n is
-its gap count, and shifts it by the column of binomials C(t-1+k, k)
-(monomial._column) that the level also hands to its walk.
+Every shift by x_n^t is sigma^t, and monomial._shift, by the column of
+binomials C(t-1+k, k) (monomial._column), is the one route to the x_n power
+of a shifted form: mg_closed shifts by u's own x_n run, mg_shifted by that
+run plus a further t, _target by a tower level's t, and the witness test
+(threshold.is_gotzmann) by its u's x_n run.  _target works on exponent
+lists, from a walk that the caller made: a tau tower's one walk over its
+core, or one of its own (_core_walk) for target_decompose and find_z, which
+take Monomials and share its input checks.  It checks the walk's unshifted
+form against an identity that shares nothing with the walk but the closure
+size, the degree of mg(u0) in ambient n is its gap count, and shifts it by
+the column that the level also hands to its walk (paths._find_z).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .combinatorics import (
     lexsegment,
     prefix_borel_sizes,
 )
-from .monomial import Monomial, _column, _convolve, _Record, deg, max_index
+from .monomial import Monomial, _column, _Record, _shift, deg, max_index
 
 
 def maxgen_of_set(s: MonomialSet) -> Monomial:
@@ -77,9 +78,9 @@ def mg_closed(u: Monomial) -> Monomial:
 
     contributes, where b_k is the Borel closure size of the length-k prefix.
     Positions followed by x_n contribute nothing: mg(u) is sigma^t of the gap
-    form of u's runs below x_n, t the exponent of x_n, and that sigma^t
-    (_shift, by the column of binomials C(t-1+k, k)) is the one route to
-    every exponent of mg(u), x_n's included.
+    form of u's runs below x_n, t the exponent of x_n, and that sigma^t, by
+    the column of binomials C(t-1+k, k) (monomial._shift), is the one route
+    to every exponent of mg(u), x_n's included.
     combinatorics._run_walk gives the unshifted form in O(n^2) big-integer
     operations per long run, however large the exponents are.
     """
@@ -133,13 +134,19 @@ def target_decompose(u0: Monomial, n: int, t: int) -> MgDecomposition:
     at most n - 1 - i_2, zero when r <= 1.  Before shifting, q is checked
     against the gap count of u0 in ambient n (_target).
     """
+    mg = _target(u0.exps, *_core_walk(u0, n, t), _column(t, n))
+    return MgDecomposition(base=Monomial(n, (*mg[: n - 1], 0)), xn_exp=mg[n - 1])
+
+
+def _core_walk(u0: Monomial, n: int, t: int) -> tuple[int, list[int]]:
+    """The closure size of u0 and q = mg(u0) in ambient n, from one run walk, after the
+    input checks of target_decompose and paths.find_z: u0 lives one ambient below n, t >= 0."""
     if u0.n != n - 1:
         raise ValueError(f"u0 must live in ambient {n - 1}, got {u0.n}")
     if t < 0:
         raise ValueError("shift must be nonnegative")
     v, q = _run_walk(u0.exps, n)
-    mg = _target(u0.exps, sum(v), q, _column(t, n))
-    return MgDecomposition(base=Monomial(n, (*mg[: n - 1], 0)), xn_exp=mg[n - 1])
+    return sum(v), q
 
 
 def _target(exps: tuple[int, ...], closure: int, q: list[int], col: list[int]) -> list[int]:
@@ -161,9 +168,3 @@ def _target(exps: tuple[int, ...], closure: int, q: list[int], col: list[int]) -
         )
     return _shift(q, col)
 
-
-def _shift(q: list[int], col: list[int]) -> list[int]:
-    """sigma^t of the exponents q, col = monomial._column(t, len(q)): q convolved with
-    the column, or q itself where sigma^t is the identity, at t = col[1] = C(t, 1) = 0
-    or in one variable."""
-    return _convolve(q, col) if len(col) > 1 and col[1] else q

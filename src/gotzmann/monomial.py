@@ -10,6 +10,12 @@ coercion: the predecessor map and the prefix-sum map both change meaning when
 n changes, and the order used throughout this package only compares within a
 single degree slice.  Re-embedding into a larger ambient is always explicit
 (see embed).
+
+The prefix-sum map sigma and its iterates sigma^t are written once, as
+_shift: exponents convolved with the column of binomials C(t-1+k, k)
+(_column).  sigma_pow wraps it for Monomials, and the gap-form code
+(combinatorics._run_walk, maxgen, the witness test) shifts exponent lists
+by columns that it builds once and reuses.
 """
 
 from __future__ import annotations
@@ -290,23 +296,22 @@ def sigma(u: Monomial) -> Monomial:
 
 
 def sigma_pow(u: Monomial, t: int) -> Monomial:
-    """t-fold iterate of sigma in closed form (_sigma_pow); t = 0 is the identity."""
-    if t < 0:
-        raise ValueError("iteration count must be nonnegative")
-    if t == 0:
-        return u
-    return Monomial(u.n, tuple(_sigma_pow(u.exps, t)))
-
-
-def _sigma_pow(exps: Sequence[int], t: int) -> list[int]:
-    """The exponents of sigma^t of the monomial with these exponents, for t >= 1.
+    """t-fold iterate of sigma in closed form (_shift); t = 0 is the identity.
 
     The exponent of x_i in sigma^t(u) is sum_j a_j * C(t-1+i-j, i-j) over
-    j <= i, and t = 1 agrees with sigma.  Only the len(exps) values
-    C(t-1+k, k) occur, so they are built once as a column (_column) and
-    convolved with the exponents (_convolve).
+    j <= i, and t = 1 agrees with sigma.
     """
-    return _convolve(exps, _column(t, len(exps)))
+    if t < 0:
+        raise ValueError("iteration count must be nonnegative")
+    return Monomial(u.n, tuple(_shift(u.exps, _column(t, u.n))))
+
+
+def _shift(exps: Sequence[int], col: list[int]) -> Sequence[int]:
+    """sigma^t of the exponents exps, col = _column(t, count) for any count >= len(exps):
+    exps convolved with the column (_convolve), or exps itself where sigma^t is the
+    identity, at t = col[1] = C(t, 1) = 0 or in one variable.  Only the values
+    C(t-1+k, k), k < len(exps), occur, so one column serves every list up to its length."""
+    return _convolve(exps, col) if len(col) > 1 and col[1] else exps
 
 
 def _column(t: int, count: int) -> list[int]:

@@ -92,7 +92,8 @@ the rule admitted the climb or its blocks go one by one.  _climb is the one
 place where a climb is offered to the rule and taken.  A tau level has the
 row already: C(c+s, s+1) = C(c-1+(s+1), s+1) are entries 2 .. k+1 of the
 column C(c-1+k, k), k < n, that shifts its target by sigma^c, and it hands
-the walk that column.
+the walk that column: _find_z is one level's target and walk, and find_z
+wraps it for Monomials.
 
 find_z hunts for the first state z whose cost, truncated below x_n, equals
 w.  The first-hit lemma: before z, a block or climb that fits the deficit at
@@ -126,7 +127,7 @@ import math
 from collections.abc import Callable, Sequence
 
 from .combinatorics import CapExceeded, binom, gap_count, lex_rank
-from .maxgen import MgDecomposition, target_decompose
+from .maxgen import _core_walk, _target
 from .monomial import Monomial, _column, _convolve, _decimal, _Record, lex_cmp, max_index, pred
 
 DEFAULT_MAX_JUMPS = 1_000_000
@@ -527,19 +528,31 @@ def find_z(
     t: int,
     max_jumps: int = DEFAULT_MAX_JUMPS,
     trace: TraceFn | None = None,
-    decomp: MgDecomposition | None = None,
 ) -> tuple[Monomial, WalkState]:
     """First monomial z above u0 * x_n^t whose walk cost, truncated below x_n,
     equals the x_n-free base w of mg(u0 * x_n^t).
 
     u0 lives in the ambient below n.  Exists whenever t is at least the
     threshold of u0 one ambient down; otherwise some component of the target
-    runs out mid-walk and TargetOvershoot is raised.  decomp, when given, must
-    be target_decompose(u0, n, t); a caller that also needs the x_n power of
-    mg passes it so that the target is evaluated once.
+    runs out mid-walk and TargetOvershoot is raised.  It is the walk that a
+    tau level runs (_find_z), on Monomials: one run walk of u0 after
+    target_decompose's input checks, then the level's target and walk.
     """
-    if decomp is None:
-        decomp = target_decompose(u0, n, t)
-    origin = Monomial(n, u0.exps + (t,))
-    state = _walk(origin, _Deficit(list(decomp.base.exps[: n - 1])), max_jumps, trace)
-    return state.current, state
+    _, rule, z = _find_z(u0.exps, n, t, *_core_walk(u0, n, t), max_jumps, trace)
+    cost = rule.cost(n)
+    z = Monomial(n, tuple(z))
+    return z, WalkState(z, Monomial(n, tuple(cost)), sum(cost))
+
+
+def _find_z(
+    core: Sequence[int], n: int, t: int, closure: int, q: list[int], max_jumps: int, trace: TraceFn | None,
+) -> tuple[int, _Deficit, list[int]]:
+    """A tau level's work on exponent lists, for the x_n-free core u0 with these exponents,
+    from its closure size and q = mg(u0) in ambient n (combinatorics._run_walk): f, the x_n
+    power of mg(u0 * x_n^t); the deficit rule, whose ledger holds the walk's cost; and the
+    exponents of find_z's first hit z.  One column C(t-1+k, k) (monomial._column) shifts q
+    by sigma^t to the target (maxgen._target) and gives the walk its origin climb's row."""
+    col = _column(t, n)
+    mg = _target(core, closure, q, col)
+    rule = _Deficit(mg[: n - 1])
+    return mg[n - 1], rule, _walk_lists((*core, t), rule, max_jumps, trace, col)

@@ -14,11 +14,14 @@ where f(t) is the x_n-degree of mg(u0 * x_n^t), z(t) is the first-hit state
 of find_z, h(t) its x_n cost and k(t) its x_n degree.  tau() evaluates the
 right-hand side at t* = tau(u0, n-1), recursing down to the two-variable
 base where every monomial is Gotzmann.  For a general u = u0 * x_n^t the
-threshold drops by the shift: max(tau(u0) - t, 0).  One run walk over the
-core of the query gives every level its closure size and mg(u0)
-(combinatorics._run_walk), and each level hands its target and its walk
-exponent lists and one column of binomials (_counts); Monomials are built
-for the reports, trace records and error texts.
+threshold drops by the shift: max(tau(u0) - t, 0).  One builder, _tower,
+makes every tower bottom-up from the base and asks each level for its f, h
+and k at t*: tau asks the level walks, the cache (cache.replay) its stored
+rows.  One run walk over the core of the query gives every level its closure
+size and mg(u0) (combinatorics._run_walk), and each level's target and walk
+are paths._find_z, the walk behind the public find_z, on exponent lists
+(_counts); Monomials are built for the reports, trace records and error
+texts.
 
 tau_oracle scans t upward with the witness test; tau_formula holds the known
 closed laws for small ambients and a measured, unproved law for tau(x_2^d) in
@@ -38,9 +41,9 @@ from .combinatorics import (
     binom,
     lex_rank,
 )
-from .maxgen import _segment_gaps, _shift, _target, maxgen_of_set
-from .monomial import Monomial, _column, _decimal, _Record, variable_power
-from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, TraceFn, _Budget, _Deficit, _walk_lists
+from .maxgen import _segment_gaps, maxgen_of_set
+from .monomial import Monomial, _column, _decimal, _Record, _shift, variable_power
+from .paths import DEFAULT_MAX_JUMPS, TargetOvershoot, TraceFn, _Budget, _find_z, _walk_lists
 
 
 class GotzmannWitness(_Record):
@@ -84,7 +87,7 @@ def is_gotzmann(
 
     It takes a tau level's inputs, u's core and its x_n run t: one run walk of
     the core gives mg(core) in ambient n, and one column C(t-1+k, k) shifts it
-    by sigma^t to mg(u) (maxgen._shift, as a tau level's target is shifted) and
+    by sigma^t to mg(u) (monomial._shift, as a tau level's target is shifted) and
     serves the walk's origin climb.  mg guides the walk's partial blocks.  The
     slice is ranked only when the walk fails, to tell a broken gap form from a
     jump cap that binds."""
@@ -128,38 +131,39 @@ def tau(
 
     u must already live in ambient n (embed explicitly before calling).  One
     run walk over u's core gives every level its closure size and mg(u0)
-    (combinatorics._run_walk's levels); the tower is then built bottom-up,
-    one recursive call per level.
+    (combinatorics._run_walk's levels); _tower then builds the tower bottom-up,
+    one recursive call per level, each level's counts from its walk (_counts).
     """
     if n < 2:
         raise ValueError("thresholds need an ambient of at least 2 variables")
     if u.n != n:
         raise ValueError(f"ambient mismatch: monomial lives in {u.n}, asked for {n}")
-    levels = []
-    _run_walk(u.exps[: n - 1], n, levels)
-    return _tower(u.exps, levels, max_jumps, trace)
+    return _tower(u.exps, _counts(u.exps, max_jumps, trace))
 
 
-def _tower(exps: tuple[int, ...], levels: list, max_jumps: int, trace: TraceFn | None) -> ThresholdReport:
-    # the tower of the monomial with these exponents, in ambient n = len(exps), from levels[n - 2]
-    # = (closure size, mg) of its core u0 in ambient n and the entries below it
+def _tower(exps: tuple[int, ...], counts: Callable[[int, int], tuple[int, int, int]]) -> ThresholdReport:
+    # the tower of the monomial with these exponents, in ambient n = len(exps), built bottom-up
+    # from the n = 2 base, one recursive call per level: counts(m, t*) gives level m's f, h and k
     n = len(exps)
     if n == 2:
         return _level(exps, 0, 0, 0, None)
-    sub = _tower(exps[: n - 1], levels, max_jumps, trace)
-    return _level(exps, *_counts(exps[: n - 1], n, sub.tau, max_jumps, trace, levels[n - 2]), sub)
+    sub = _tower(exps[: n - 1], counts)
+    return _level(exps, *counts(n, sub.tau), sub)
 
 
-def _counts(core: tuple, n: int, t: int, max_jumps: int, trace: TraceFn | None, walked: tuple) -> tuple[int, int, int]:
-    # f, h and k at t of the level n above the core with these exponents, from walked = (its
-    # closure size, mg(core) in ambient n): the x_n power of mg(core * x_n^t), then the x_n cost
-    # and x_n degree of the first hit of find_z's walk.  One column C(t-1+k, k) serves both the
-    # shift of mg(core) and the walk's origin climb
-    col = _column(t, n)
-    mg = _target(core, *walked, col)
-    rule = _Deficit(mg[: n - 1])
-    z = _walk_lists((*core, t), rule, max_jumps, trace, col)
-    return mg[n - 1], rule.xn, z[n - 1]
+def _counts(exps: tuple[int, ...], max_jumps: int, trace: TraceFn | None) -> Callable[[int, int], tuple[int, int, int]]:
+    # _tower's counts(m, t) from the level walks of the monomial with these exponents: f, h and k
+    # at t of level m are the x_m power of mg(u0 * x_m^t), u0 the first m - 1 exponents, then the
+    # x_m cost and x_m degree of the first hit of the level's walk (paths._find_z).  One run walk
+    # over the core gives every level its closure size and mg(u0) in ambient m
+    levels = []
+    _run_walk(exps[:-1], len(exps), levels)
+
+    def counts(m: int, t: int) -> tuple[int, int, int]:
+        f, rule, z = _find_z(exps[: m - 1], m, t, *levels[m - 2], max_jumps, trace)
+        return f, rule.xn, z[m - 1]
+
+    return counts
 
 
 def _level(exps: tuple[int, ...], f: int, h: int, k: int, sub: ThresholdReport | None) -> ThresholdReport:

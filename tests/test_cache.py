@@ -2,7 +2,7 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from gotzmann import cache, paths, threshold
+from gotzmann import cache, combinatorics, maxgen, paths, threshold
 from gotzmann.monomial import Monomial, parse, truncate
 from gotzmann.threshold import tau
 
@@ -37,6 +37,28 @@ def test_replay_walks_only_levels_clamped_to_zero(monkeypatch):
     del walks[:]
     assert cache.replay(cache.rows(rep), unclamped) == rep
     assert walks == []
+
+
+def test_replay_feeds_every_clamped_level_from_one_run_walk(monkeypatch):
+    # levels 5 and 4 of x2^2*x4^3*x5^36 have their thresholds clamped to 0; replay walks both,
+    # from the origins the public find_z walks from, fed by one run walk of the core
+    u = parse("x2^2*x4^3*x5^36", 6)
+    rep = tau(u, 6)
+    assert (rep.sub_report.tau, rep.sub_report.sub_report.tau, rep.sub_report.sub_report.sub_report.tau) == (0, 0, 1)
+    runs, run_walk = [], combinatorics._run_walk
+    spy = lambda exps, n=0, levels=None: runs.append((tuple(exps), n)) or run_walk(exps, n, levels)
+    for module in (cache, combinatorics, maxgen, threshold):
+        monkeypatch.setattr(module, "_run_walk", spy, raising=False)
+    walks, real = [], paths._walk_lists
+    for module in (paths, threshold):
+        monkeypatch.setattr(module, "_walk_lists", lambda *a: walks.append(tuple(a[0])) or real(*a))
+    paths.find_z(parse("x2^2*x4^3", 4), 5, 0)
+    paths.find_z(parse("x2^2", 3), 4, 1)
+    alone = sorted(walks)
+    del walks[:], runs[:]
+    assert cache.replay(cache.rows(rep), u) == rep
+    assert runs == [((0, 2, 0, 3, 36), 6)]
+    assert sorted(walks) == alone == [(0, 2, 0, 1), (0, 2, 0, 3, 0)]
 
 
 def test_tower_beyond_the_digit_limit_replays(tmp_path):

@@ -328,7 +328,12 @@ class TestCache:
         # runs again on replay, under --max-jumps, and not after a computed tower
         cache = tmp_path / "reports.jsonl"
         walks, real = [], gcache._counts
-        monkeypatch.setattr(gcache, "_counts", lambda *a: walks.append((a[1], a[3])) or real(*a))
+
+        def spy(exps, max_jumps, trace):  # records the ambient and the jump cap of each level walk
+            counts = real(exps, max_jumps, trace)
+            return lambda m, t: walks.append((m, max_jumps)) or counts(m, t)
+
+        monkeypatch.setattr(gcache, "_counts", spy)
         argv = ("tau", "--n", "5", "--json", "--max-jumps", "500", "--cache", str(cache), "x2^2*x4^3")
         _, miss, _ = run(capsys, *argv)
         assert walks == []
@@ -387,6 +392,24 @@ class TestCache:
         cache = tmp_path / "reports.jsonl"
         assert run(capsys, "conjecture", *argv, "--cache", str(cache))[0] == EXIT_USAGE
         assert not cache.exists()
+
+    @pytest.mark.parametrize("via", ["option", "environment"])
+    def test_tau_below_two_variables_touches_no_cache(self, capsys, tmp_path, monkeypatch, via):
+        # tau's own check reports the query; the cache file is neither made nor changed
+        cache = tmp_path / "reports.jsonl"
+        argv = ("tau", "--n", "1", "x1")
+        if via == "option":
+            argv += ("--cache", str(cache))
+        else:
+            monkeypatch.setenv("GOTZ_CACHE", str(cache))
+        plain = run(capsys, "tau", "--n", "1", "x1")
+        assert plain[:2] == (EXIT_USAGE, "")
+        assert run(capsys, *argv) == plain
+        assert not cache.exists()
+        stored = cache_line(1, "x1", [["0"] * 6]).encode() + b"\n"
+        cache.write_bytes(stored)
+        assert run(capsys, *argv) == plain
+        assert cache.read_bytes() == stored
 
     def test_environment_variable(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "reports.jsonl"

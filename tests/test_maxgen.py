@@ -276,6 +276,26 @@ def test_run_walk_carries_its_row_across_runs(exps, t):
     _check_against_position_oracles(exps, t)
 
 
+def test_long_run_shifts_by_one_column(monkeypatch):
+    # the long run x3^40000 shifts both the closure vector and the nonzero gap form that
+    # x2^3 left by sigma^40000, with one column C(e-1+k, k) for the two
+    from gotzmann import monomial
+
+    built, column = [], monomial._column
+    spy = lambda t, count: built.append(t) or column(t, count)
+    for module in (monomial, combinatorics, maxgen):
+        monkeypatch.setattr(module, "_column", spy, raising=False)
+    u = parse("x2^3*x3^40000", 5)
+    assert any(_run_walk((0, 3), 5)[1])
+    v, q = _run_walk(u.exps[:4], 5)
+    assert built == [40000]
+    assert Monomial(5, tuple(q)) == _mg_by_position(u)
+    assert sum(v) == borel_size(u)
+    # sigma^t is the identity at t = 0 and in one variable
+    assert sigma_pow(u, 0) == u
+    assert sigma_pow(parse("x1^7", 1), 10**40) == parse("x1^7", 1)
+
+
 @given(
     st.integers(2, 10).flatmap(lambda n: st.lists(_run_exponents, min_size=n - 1, max_size=n - 1).map(lambda e: (n, e))),
     st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(0, 10**1000)),

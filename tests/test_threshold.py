@@ -1,3 +1,4 @@
+import inspect
 import random
 import sys
 from fractions import Fraction
@@ -230,6 +231,21 @@ class TestTau:
                 checked += 1
                 level = level.sub_report
         assert checked == 444
+
+    def test_public_find_z_climbs_with_the_levels_column(self, monkeypatch):
+        # find_z is a level's own walk: its origin u0 * x_14^t climbs its x_n run over the empty
+        # x3 .. x13 with _row(t + 1, 11), entries 2 .. 12 of the column that shifts its target,
+        # so it builds no such row; it takes no precomputed target
+        from gotzmann import paths
+
+        u0 = variable_power(2, 10, 13)
+        t = tau(u0, 13).tau
+        rows, row = [], paths._row
+        monkeypatch.setattr(paths, "_row", lambda a, count: rows.append((a, count)) or row(a, count))
+        z, state = find_z(u0, 14, t)
+        assert (t + 1, 11) not in rows
+        assert deg_in(z, 14) == tau(embed(u0, 14), 14).k_at_tstar and state.current is z
+        assert "decomp" not in inspect.signature(find_z).parameters
 
     def test_base_case(self):
         assert tau(parse("x1^3", 2), 2).tau == 0
