@@ -72,7 +72,7 @@ def cmd_tau(args) -> int:
     core = div(u, variable_power(n, u.exps[n - 1], n))
     [top] = _towers(args, n, [core], _tracer(args))
     rep = _level(u.exps, top.f_at_tstar, top.h_at_tstar, top.k_at_tstar, top.sub_report)
-    print(json.dumps(report_to_dict(rep), sort_keys=True) if args.json else rep.tau)
+    print(json.dumps(report_to_dict(rep), sort_keys=True) if args.json else _decimal(rep.tau))
     return EXIT_OK
 
 

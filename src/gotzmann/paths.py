@@ -16,17 +16,17 @@ inside a block lies on the elementary chain, so jumping is exact, and the
 cost exponents are monotone in l.
 
 One kernel, _walk_lists, runs every block walk, on exponent lists; _walk
-wraps it for Monomials.  At each jump it takes the largest
-block its rule admits, or one elementary step when not even l = 1 is
-admitted, and charges the rule for it.  The rule keeps the walk's only
-ledger, and callers read the cost from it: the deficit rule's cost is its
-target less the deficit, with one scalar for x_n, and the budget rule adds
-each block to a list.  After a partial block (0 < l < k) the step is forced,
-and the kernel takes it as its own jump without asking the rule: the block of
-l + 1 units broke the rule and costs add along the chain, so the next unit
-breaks it too.  When find_z's shrink at x_{n-1} (below) made the block
-partial, the next unit is the one that holds the first hit, which the rule
-would shrink to 0 as well.  There are two rules:
+wraps it for Monomials.  At each jump it takes the largest block its rule
+admits, or one elementary step when not even l = 1 is admitted, and charges
+the rule for it (take, or step in O(1)).  After a partial block (0 < l < k)
+the step is forced: the block of l + 1 units broke the rule and costs add
+along the chain, so the next unit breaks it too, and the kernel takes the
+step in the block's iteration, a jump of its own, without asking the rule.
+If find_z's shrink at x_{n-1} (below) made the block partial, that unit holds
+the first hit, which the rule would shrink to 0 too.  The rule keeps the only
+ledger: the deficit rule's cost is its target less the deficit, with a scalar
+for x_n; the budget rule's what it spent of its guide while that lives, else
+a list of charges.  There are two rules:
 
 - budget (advance, mc, cost_between and the witness test): the block's total
   steps stay within the steps left;
@@ -61,13 +61,13 @@ is a few products of a short binomial of l by an entry of the top row.  On a run
 of 700 bits or more and an l short next to it, as at the top levels of a tall
 tower, that is the cheaper; elsewhere the row is built afresh.  A row
 depends only on the run k, so the kernel holds one row, the longest it has
-built for one run, and each jump on that run takes a prefix of it: after a
-partial block (0 < l < k) the lower row, for k - l units at x_m; after a full
-block onto an empty x_{m-1}, its own row, one column short.  An elementary
-step at x_m sends k - 1 units to an empty x_n, and the walk climbs back from
-there by full blocks onto empty runs, so the step holds _row(k - 1, n - m),
-one Pascal step down from its row, C(k+s-2, s+1) = C(k+s-1, s+1) -
-C(k+s-2, s): one subtraction a column.
+built for one run, and each jump on that run takes a prefix of it: the step
+forced by a partial block (0 < l < k) its lower row, for k - l units at x_m;
+a jump after a full block onto an empty x_{m-1}, its own row, one column short.
+An elementary step at x_m sends k - 1 units to an empty x_n, and the walk
+climbs back from there by full blocks onto empty runs, so the step holds
+_row(k - 1, n - m), one Pascal step down from its row, C(k+s-2, s+1) =
+C(k+s-1, s+1) - C(k+s-2, s): one subtraction a column.
 
 The climb's first n - m - 1 blocks, at x_n .. x_{m+2}, carry the k - 1 units
 back to x_{m+1}, and the step takes them in its own jump when its rule admits
@@ -135,6 +135,7 @@ DEFAULT_MAX_ELEMENTARY = 10_000_000
 _SHIFT_BITS = 700  # shorter runs build their lower rows faster afresh (_row_down)
 
 TraceFn = Callable[[dict], None]
+_OVERSHOOT = "target component x{} is exhausted; no walk realizes the base of mg (t below the lower threshold?)"
 
 
 class TargetOvershoot(RuntimeError):
@@ -257,35 +258,31 @@ def _spend(target: list[int], m: int, exps: list[int]) -> int | None:
 class _Budget:
     """The budget rule: a block's total steps stay within the steps left.
 
-    guide, when given, is a componentwise target for the walk's cost (the
-    witness test passes mg); what is left of it only guesses partial blocks.
-    The walk's cost is self.spent, which take adds each block to.
+    guide, when given, is a nonnegative componentwise target for the walk's cost (the witness
+    test passes mg); what is left of it only guesses partial blocks.  While it lives the cost is
+    the guide less what is left; once a miss or an overshoot drops it, self.spent holds the cost.
     """
 
     def __init__(self, left: int, guide: list[int] | None = None) -> None:
         self.left = left
-        self.guide = None if guide is None else list(guide)
-        self.spent: list[int] = []  # the walk's cost, x_1 .. x_n, from its first block on
+        self.target, self.guide = guide, None if guide is None else list(guide)
+        self.spent: list[int] = []  # the walk's cost, x_1 .. x_n, without a live guide
 
     def met(self) -> bool:
         return self.left == 0
 
     def cost(self, n: int) -> list[int]:
+        if self.guide is not None:
+            return [t - g for t, g in zip(self.target, self.guide)]
         return self.spent or [0] * n
 
-    def largest(self, m: int, a: int, tops: list[int]) -> int:
-        """Largest l whose block from x_m^a takes at most the steps left.
+    def _drop(self) -> None:  # what the guide spent is the cost so far
+        self.spent, self.guide = self.cost(0), None
 
-        The full block takes total = C(a+s, s+1) steps, one unit C(a+s-1, s) =
-        total - tops[-1] (Pascal's rule).  A partial block leaves the least N =
-        a - l with C(N+s, s+1) = N + sum(_row(N, s)) >= x = total - left, that
-        is, with C(N+s-1, s+1) = _row(N, s)[-1] < x as well.  The guide guesses
-        l as _bound on what is left of it, below a, and the guess's row confirms
-        it by those two comparisons; a miss drops the guide.  Else N is one
-        inverse binomial, _least_base(x, s+1).  Either way its row, shifted down
-        from tops (_row_down), is the block's lower row, left in self.low for
-        the walk.
-        """
+    def largest(self, m: int, a: int, tops: list[int]) -> int:
+        """Largest l whose block from x_m^a takes at most the steps left (module docstring), s =
+        len(tops): a when its C(a+s, s+1) = a + sum(tops) steps fit, 0 when one unit's total - tops[-1]
+        do not, else a - N for the least N with C(N+s, s+1) >= total - left; its lower row in self.low."""
         if not tops:  # m = n: each unit is one step, and no row lies above x_n
             self.low = []
             return min(a, self.left)
@@ -302,7 +299,7 @@ class _Budget:
             if a - l + sum(low) >= x > low[-1]:
                 self.low = low
                 return l
-            self.guide = None
+            self._drop()
         l = a - _least_base(x, s + 1)
         self.low = _row_down(a, l, tops)
         return l
@@ -313,12 +310,27 @@ class _Budget:
 
     def take(self, m: int, exps: list[int]) -> None:
         self.left -= sum(exps)
-        if self.guide is not None and _spend(self.guide, m, exps) is not None:
-            self.guide = None  # the cost has left the target behind
+        if self.guide is not None:
+            i = _spend(self.guide, m, exps)
+            if i is None:
+                return
+            self._drop()  # the cost has left the target behind, having spent exps up to x_{i+1}
+            m, exps = i + 2, exps[i - m + 2 :]  # the rest of the block
         if not self.spent:
             self.spent = [0] * (m - 1 + len(exps))  # exps runs from x_m to x_n
         for i, e in enumerate(exps, start=m - 1):
             self.spent[i] += e
+
+    def step(self, m: int, n: int) -> None:
+        """take(m, [1] + [0] * (n - m)), one elementary step at x_m, in O(1)."""
+        self.left -= 1
+        if self.guide is None:
+            self.spent = self.spent or [0] * n
+            self.spent[m - 1] += 1
+        else:
+            self.guide[m - 1] -= 1
+            if self.guide[m - 1] < 0:
+                self._drop()
 
 
 class _Deficit:
@@ -361,11 +373,17 @@ class _Deficit:
     def take(self, m: int, exps: list[int]) -> None:
         i = _spend(self.deficit, m, exps)
         if i is not None:
-            raise TargetOvershoot(
-                f"target component x{i + 1} is exhausted; no walk realizes "
-                f"the base of mg (t below the lower threshold?)"
-            )
+            raise TargetOvershoot(_OVERSHOOT.format(i + 1))
         self.xn += exps[-1]
+
+    def step(self, m: int, n: int) -> None:
+        """take(m, [1] + [0] * (n - m)), one elementary step at x_m, in O(1)."""
+        if m > len(self.deficit):
+            self.xn += 1
+        else:
+            self.deficit[m - 1] -= 1
+            if self.deficit[m - 1] < 0:
+                raise TargetOvershoot(_OVERSHOOT.format(m))
 
 
 def _climb(rule: _Budget | _Deficit, cur: list[int], j: int, exps: list[int]) -> bool:
@@ -391,15 +409,22 @@ def _walk(origin: Monomial, rule: _Budget | _Deficit, max_jumps: int, trace: Tra
     return WalkState(Monomial(origin.n, tuple(cur)), Monomial(origin.n, tuple(cost)), sum(cost))
 
 
+def _record(trace: TraceFn, rule: _Budget | _Deficit, frm: Monomial, cur: list[int], m: int, exps: list[int]) -> Monomial:
+    """Hand trace the record of a jump from frm to cur, exps its cost from x_m upward; cur as a Monomial."""
+    n = len(cur)
+    to, block = Monomial(n, tuple(cur)), Monomial(n, (0,) * (m - 1) + tuple(exps))
+    trace({"from": str(frm), "to": str(to), "block_cost": str(block), "steps_so_far": _decimal(sum(rule.cost(n)))})
+    return to
+
+
 def _walk_lists(
     origin: Sequence[int], rule: _Budget | _Deficit, max_jumps: int, trace: TraceFn | None,
     col: list[int] | None = None,
 ) -> list[int]:
-    """Walk upward from the origin with these exponents, block by block, until the rule is
-    met; the exponents of the state reached.  The walk's cost is in the rule's ledger.
-    Monomials are built for trace records and error texts alone.  col, when given, is
-    monomial._column(c, n) for the origin's x_n run c, whose entries C(c+s, s+1) are the
-    origin climb's row _row(c + 1, .)."""
+    """Walk upward from the origin with these exponents, block by block, until the rule is met;
+    the exponents of the state reached.  The walk's cost is in the rule's ledger.  Monomials are
+    built for trace records and error texts alone.  col, when given, is monomial._column(c, n)
+    for the origin's x_n run c, whose entries C(c+s, s+1) are the origin climb's row _row(c + 1, .)."""
     _check_cap(max_jumps)
     n = len(origin)
     cur = list(origin)
@@ -417,7 +442,6 @@ def _walk_lists(
         b, known = c, _row_below(c + 1, row)
         if _climb(rule, cur, j + 2, [c] + row[: k - 1]):
             jumps = k
-    forced = False  # the last jump was a partial block, so the next unit breaks the rule too
     while not rule.met():
         jumps += 1
         if jumps > max_jumps:
@@ -433,27 +457,27 @@ def _walk_lists(
         elif len(known) < n - m:  # only after a full block onto an empty run
             _grow(known, a, n - m)
         tops = known[: n - m]
-        l = 0 if forced else rule.largest(m, a, tops)
-        forced = 0 < l < a
-        if l == a:  # a full block: tops is the whole cost above x_m
-            exps = [a] + tops
-            cur[m - 2], cur[m - 1] = cur[m - 2] + a, 0
-        elif l:  # the rule hands the lower row, the next jump's row at x_m
-            exps = _block_exps(a, l, tops, rule.low)
+        l = rule.largest(m, a, tops)
+        if l:  # a full block's cost is x_m^a and tops; a partial block's lower row is the rule's
+            exps = [a] + tops if l == a else _block_exps(a, l, tops, rule.low)
             cur[m - 2], cur[m - 1] = cur[m - 2] + l, a - l
-            b, known = a - l, rule.low
-        else:  # even a one-unit block breaks the rule; one elementary step
-            exps = [1] + [0] * (n - m)
-            cur[m - 2], cur[m - 1] = cur[m - 2] + 1, 0
-            cur[n - 1] += a - 1
-            b, known = a - 1, _row_below(a, tops)
-        rule.take(m, exps)
+            rule.take(m, exps)
+            if trace is not None:
+                frm = _record(trace, rule, frm, cur, m, exps)
+            if l == a or rule.met():
+                continue
+            jumps += 1  # the forced step: the next unit breaks the rule too
+            if jumps > max_jumps:
+                raise CapExceeded(f"walk exceeded the jump cap of {max_jumps}")
+            a, tops = a - l, rule.low
+        cur[m - 2], cur[m - 1] = cur[m - 2] + 1, 0  # one elementary step: even a one-unit block breaks the rule
+        cur[n - 1] += a - 1
+        b, known = a - 1, _row_below(a, tops)
+        rule.step(m, n)
         if trace is not None:
-            to, block = Monomial(n, tuple(cur)), Monomial(n, (0,) * (m - 1) + tuple(exps))
-            trace({"from": str(frm), "to": str(to), "block_cost": str(block), "steps_so_far": _decimal(sum(rule.cost(n)))})
-            frm = to
-        k = n - m - 1  # full blocks at x_n .. x_{m+2} carry a step's a - 1 units back to x_{m+1}
-        if not l and a > 1 and k and trace is None and jumps + k <= max_jumps:  # traced: one by one
+            frm = _record(trace, rule, frm, cur, m, [1] + [0] * (n - m))
+        k = n - m - 1  # full blocks at x_n .. x_{m+2} carry the step's a - 1 units back to x_{m+1}
+        if a > 1 and k and trace is None and jumps + k <= max_jumps:  # traced: one by one
             if _climb(rule, cur, m + 2, [a - 1] + tops[: k - 1]):  # the hockey stick again
                 jumps += k
     return cur

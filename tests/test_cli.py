@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gotzmann import __version__
-from gotzmann import cache as gcache, cli, threshold, verify
+from gotzmann import cache as gcache, cli, monomial, threshold, verify
 from gotzmann.cli import EXIT_CAP, EXIT_INTERNAL, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VERIFY, main
 from gotzmann.maxgen import mg_shifted
 from gotzmann.monomial import Monomial, ParseError, parse
@@ -57,6 +57,15 @@ class TestQueries:
         assert rep["t_star"] == "1"
         assert rep["f"] == "8" and rep["h"] == "3" and rep["k"] == "0"
         assert rep["sub_report"]["sub_report"]["n"] == 3
+
+    def test_tau_of_more_than_2000_bits_is_rendered_by_decimal(self, capsys, monkeypatch):
+        # tau(x2^10, 14) has 9437 bits, 2841 digits: _decimal splits it, and prints str's text
+        rendered = []
+        monkeypatch.setattr(cli, "_decimal", lambda x: rendered.append(x) or monomial._decimal(x))
+        t = threshold.tau(parse("x2^10", 14), 14).tau
+        code, out, _ = run(capsys, "tau", "--n", "14", "x2^10")
+        assert t.bit_length() > 2000 and rendered == [t]
+        assert (code, out) == (EXIT_OK, str(t) + "\n")
 
     def test_is_gotzmann(self, capsys):
         assert run(capsys, "is-gotzmann", "--n", "5", "x2^2*x4*x5^6")[1] == "true\n"

@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -709,30 +710,34 @@ class TestRows:
     def _tops_rows_after(monkeypatch, n, next_jump, trace=None):
         """Run tau(x2^10, n) and check that no jump named by next_jump(m, a, l) for the
         jump before it builds its own tops row; returns how many such jumps there were.
-        Each jump ends in a take, also the step after a partial block, which asks no rule."""
+        Each jump ends in a charge: a take, or a step for an elementary step, also the step
+        after a partial block, which asks no rule."""
         from gotzmann import paths
         from gotzmann.threshold import tau
 
-        rows, seen = [], {"pending": None, "next": None, "checked": 0}  # rows built since the last take
-        row, largest, take = paths._row, _Deficit.largest, _Deficit.take
+        rows, seen = [], {"pending": None, "next": None, "checked": 0}  # rows built since the last charge
+        row, largest, take, step = paths._row, _Deficit.largest, _Deficit.take, _Deficit.step
 
         def spy_largest(rule, m, a, tops):
             l = largest(rule, m, a, tops)
             seen["pending"] = (rule,) + next_jump(m, a, l)
             return l
 
-        def spy_take(rule, m, exps):
-            named = seen["next"]
-            if named and named[:2] == (rule, m):
-                seen["checked"] += 1
-                assert (named[2], n - m) not in rows
-            seen["next"], seen["pending"] = seen["pending"], None
-            rows.clear()
-            take(rule, m, exps)
+        def spy_charge(real):
+            def charge(rule, m, arg):
+                named = seen["next"]
+                if named and named[:2] == (rule, m):
+                    seen["checked"] += 1
+                    assert (named[2], n - m) not in rows
+                seen["next"], seen["pending"] = seen["pending"], None
+                rows.clear()
+                real(rule, m, arg)
+            return charge
 
         monkeypatch.setattr(paths, "_row", lambda a, count: rows.append((a, count)) or row(a, count))
         monkeypatch.setattr(_Deficit, "largest", spy_largest)
-        monkeypatch.setattr(_Deficit, "take", spy_take)
+        monkeypatch.setattr(_Deficit, "take", spy_charge(take))
+        monkeypatch.setattr(_Deficit, "step", spy_charge(step))
         tau(parse("x2^10", n), n, trace=trace)
         return seen["checked"]
 
@@ -1017,14 +1022,15 @@ class TestClimb:
         assert tau(u, 14) == traced and any(taken)
 
     def test_deep_tau_climbs(self, monkeypatch):
-        # tau(x2^10, 14) walks 377 jumps in 157 takes.  276 jumps are the blocks of 56 climbs:
-        # 45 after elementary steps and one from each of 11 levels' origins, whose x_n run sits
-        # over empty x_3 .. x_{n-1}.  Of the 101 kernel iterations, 45 are the elementary steps
-        # after partial blocks, which ask no rule, so the rule is asked 56 times
+        # tau(x2^10, 14) walks 377 jumps in 157 charges: 112 takes of blocks and climbs and 45
+        # steps.  276 jumps are the blocks of 56 climbs: 45 after elementary steps and one from
+        # each of 11 levels' origins, whose x_n run sits over empty x_3 .. x_{n-1}.  The 45
+        # elementary steps follow partial blocks, each in its block's kernel iteration without
+        # asking the rule, so the rule is asked 56 times, once per iteration
         from gotzmann.threshold import tau
 
-        queries, takes, blocks = [], [], []
-        largest, take, climbs = _Deficit.largest, _Deficit.take, _Deficit.climbs
+        queries, takes, steps, blocks = [], [], [], []
+        largest, take, step, climbs = _Deficit.largest, _Deficit.take, _Deficit.step, _Deficit.climbs
 
         def spy_climbs(rule, j, exps):
             ok = climbs(rule, j, exps)
@@ -1033,11 +1039,13 @@ class TestClimb:
 
         monkeypatch.setattr(_Deficit, "largest", lambda rule, *args: queries.append(1) or largest(rule, *args))
         monkeypatch.setattr(_Deficit, "take", lambda rule, *args: takes.append(1) or take(rule, *args))
+        monkeypatch.setattr(_Deficit, "step", lambda rule, *args: steps.append(1) or step(rule, *args))
         monkeypatch.setattr(_Deficit, "climbs", spy_climbs)
         tau(parse("x2^10", 14), 14)
         climbed = [x for x in blocks if x]
         assert len(queries) <= 56 and len(climbed) == 56 and sum(climbed) == 276
-        assert len(takes) == 157 and len(takes) - len(climbed) + sum(climbed) == 377
+        assert (len(takes), len(steps)) == (112, 45)
+        assert len(takes) + len(steps) - len(climbed) + sum(climbed) == 377
 
 
 def test_find_z_below_the_threshold_is_the_same_traced_and_untraced():
@@ -1090,13 +1098,19 @@ def _trace_sum(records, n):
 
 def _check_ledger(u, rule):
     """The cost that rule() keeps for a walk from u, untraced and traced, against the sum of
-    the traced walk's block costs and its steps_so_far; the untraced walk's state."""
+    the traced walk's block costs and its steps_so_far; the untraced walk's state.  Records
+    render under any int-to-text digit limit, and are read back here under none."""
     records = []
     state = _walk(u, rule(), DEFAULT_MAX_JUMPS, None)
     assert _walk(u, rule(), DEFAULT_MAX_JUMPS, records.append) == state
-    assert _trace_sum(records, u.n) == state.cost
-    steps = [deg(parse(r["block_cost"], u.n)) for r in records]
-    assert [int(r["steps_so_far"]) for r in records] == [sum(steps[: i + 1]) for i in range(len(steps))]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _trace_sum(records, u.n) == state.cost
+        steps = [deg(parse(r["block_cost"], u.n)) for r in records]
+        assert [int(r["steps_so_far"]) for r in records] == [sum(steps[: i + 1]) for i in range(len(steps))]
+    finally:
+        sys.set_int_max_str_digits(limit)
     return state
 
 
@@ -1123,7 +1137,8 @@ def _budget_case(n, exps, pick, rng_int):
 
 class TestLedger:
     """The rule keeps the walk's only ledger: the deficit rule its target less the deficit and
-    one x_n scalar, the budget rule, guided or not, a list it adds each block to."""
+    one x_n scalar; the budget rule, while its guide lives, the guide less what is left of it,
+    and once the guide drops, or without one, a list it adds each charge to."""
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -1135,9 +1150,10 @@ class TestLedger:
         _check_budget_ledger(*_budget_case(n, exps, pick, lambda lo, hi: data.draw(st.integers(lo, hi))))
 
     def test_seeded_budget_walks_drop_the_guide_both_ways(self, monkeypatch):
-        # the guide drops on a guess that misses in largest and on a component that take
-        # sends negative; the walk goes on without it, and the same checks hold
-        drops, largest, take = [], _Budget.largest, _Budget.take
+        # the guide drops both ways: on a guess that misses in largest, and on a component that
+        # a charge, a take or a step, sends negative; the walk goes on without it, and the same
+        # checks hold
+        drops, largest, take, step = [], _Budget.largest, _Budget.take, _Budget.step
 
         def spy(name, real):
             def call(rule, *args):
@@ -1150,6 +1166,7 @@ class TestLedger:
 
         monkeypatch.setattr(_Budget, "largest", spy("largest", largest))
         monkeypatch.setattr(_Budget, "take", spy("take", take))
+        monkeypatch.setattr(_Budget, "step", spy("step", step))
         rng = random.Random(29)
         for _ in range(120):
             n = rng.randint(2, 9)
@@ -1158,7 +1175,16 @@ class TestLedger:
                 continue
             pick = (rng.choice(["mg", "short", "any"]), rng.choice(["mg", "zeros", "any"]))
             _check_budget_ledger(*_budget_case(n, exps, pick, rng.randint))
-        assert drops.count("largest") >= 10 and drops.count("take") >= 10
+        assert drops.count("largest") >= 10 and drops.count("take") >= 10 and drops.count("step") >= 1
+
+    def test_guide_dropped_partway_through_a_take(self):
+        # from x3^4 at n = 5 the first jump is the full block x3^4*x4^6*x5^10.  The guide's x4
+        # component, 5, runs out inside it: the cost so far is what the guide spent, x3^4*x4^6,
+        # and the rest of the block, x5^10, and the walk's cost is still advance_oracle's
+        rule = _Budget(30, [0, 1, 4, 5, 16])
+        rule.take(3, [4, 6, 10])
+        assert rule.guide is None and rule.cost(5) == [0, 0, 4, 6, 10] and rule.left == 10
+        _check_budget_ledger(parse("x3^4", 5), 30, [0, 1, 4, 5, 16])
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -1235,6 +1261,87 @@ class TestForcedStep:
             guide = data.draw(_any_guide(n)) if kind == "guided" else None
             call = lambda: _walk(u, _Budget(budget, guide), DEFAULT_MAX_JUMPS, None)
         _forced_steps_refused(call)
+
+
+class TestStep:
+    """step(m, n) charges one elementary step at x_m in O(1), and leaves the rule as
+    take(m, [1] + [0] * (n - m)) does."""
+
+    @staticmethod
+    def _after(make, charge):
+        rule = make()
+        try:
+            charge(rule)
+        except TargetOvershoot as exc:
+            return rule, str(exc)
+        return rule, None
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_deficit_step_is_a_one_unit_take(self, data):
+        n = data.draw(st.integers(2, 10))
+        m = data.draw(st.integers(2, n))
+        deficit = data.draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10**30)), min_size=n - 1, max_size=n - 1))
+        xn = data.draw(st.integers(0, 10**6))
+
+        def make():
+            rule = _Deficit(list(deficit))
+            rule.xn = xn
+            return rule
+
+        (a, err_a), (b, err_b) = (self._after(make, charge) for charge in
+                                  (lambda r: r.step(m, n), lambda r: r.take(m, [1] + [0] * (n - m))))
+        assert (a.deficit, a.xn, err_a) == (b.deficit, b.xn, err_b)
+        assert (err_a is not None) == (m < n and deficit[m - 1] == 0)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_budget_step_is_a_one_unit_take(self, data):
+        # after any takes, which may drop the guide partway or leave it whole
+        n = data.draw(st.integers(2, 10))
+        m = data.draw(st.integers(2, n))
+        comp = st.one_of(st.integers(0, 3), st.integers(0, 10**30))
+        guide = data.draw(st.one_of(st.none(), st.lists(comp, min_size=n, max_size=n)))
+        takes = data.draw(st.lists(st.integers(2, n).flatmap(
+            lambda j: st.tuples(st.just(j), st.lists(comp, min_size=n - j + 1, max_size=n - j + 1))), max_size=3))
+        left = sum(sum(exps) for _, exps in takes) + data.draw(st.integers(1, 10**6))
+
+        def make():
+            rule = _Budget(left, guide)
+            for j, exps in takes:
+                rule.take(j, exps)
+            return rule
+
+        (a, _), (b, _) = (self._after(make, charge) for charge in
+                          (lambda r: r.step(m, n), lambda r: r.take(m, [1] + [0] * (n - m))))
+        assert (a.left, a.guide is None, a.cost(n)) == (b.left, b.guide is None, b.cost(n))
+        assert a.cost(n) == [sum(exps[i - j + 1] for j, exps in takes if i >= j - 1) + (i == m - 1) for i in range(n)]
+
+
+def test_jump_cap_counts_one_jump_per_record():
+    # a traced walk takes every jump as a record, climbs block by block and the forced step
+    # after a partial block as its own: the untraced walk under a cap of that many jumps gives
+    # the same answer, and under one jump fewer runs into the cap
+    rng, walks = random.Random(31), 0
+    for n in range(3, 11):
+        for _ in range(48):
+            exps = [0] * (n - 1)
+            for _ in range(rng.randint(1, 5)):
+                exps[rng.randint(1, n - 2)] += 1
+            core = Monomial(n - 1, tuple(exps))
+            t = tau(core, n - 1).tau + rng.choice([0, 0, 1, 3])
+            u = Monomial(n, core.exps + (t,))
+            budget = rng.randint(0, min(lex_rank(u) - 1, 10**6))
+            for call in (lambda cap, trace: find_z(core, n, t, cap, trace), lambda cap, trace: advance(u, budget, cap, trace),
+                         lambda cap, trace: mc(u, cap, trace), lambda cap, trace: is_gotzmann(u, cap, trace)):
+                records = []
+                answer = call(DEFAULT_MAX_JUMPS, records.append)
+                assert call(len(records), None) == answer == call(DEFAULT_MAX_JUMPS, None)
+                if records:
+                    with pytest.raises(CapExceeded):
+                        call(len(records) - 1, None)
+                walks += 1
+    assert walks == 1536
 
 
 def _jump(frm, to, block_cost, steps_so_far):
